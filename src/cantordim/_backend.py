@@ -2,6 +2,8 @@
 
 Set CANTORDIM_BACKEND=python (or =compiled) to force a choice; forcing
 "compiled" raises if the extension is missing rather than degrading silently.
+The choice covers interval construction; box counting always runs the numpy
+kernel.
 """
 
 import os
@@ -22,7 +24,8 @@ else:
 
 BACKEND = _impl.BACKEND_NAME
 prefractal_starts = _impl.prefractal_starts
-box_count = _impl.box_count
+box_count = _kernels_py.box_count
+set_layout = _kernels_py.set_layout
 
 
 def available_backends():

@@ -1,13 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled hot kernels: interval construction and grid box counting.
+"""Compiled interval construction.
 
-Must stay float-op-for-float-op identical to _kernels_py.py; the test suite
-compares the two backends bitwise.
+Must stay float-op-for-float-op identical to prefractal_starts in
+_kernels_py.py; the test suite compares the two backends bitwise. Box
+counting has only the numpy kernel.
 """
 
 import numpy as np
-
-from libc.math cimport floor
 
 BACKEND_NAME = "compiled"
 
@@ -39,39 +38,3 @@ def prefractal_starts(object offsets_in, double gamma, int stage):
         size *= n
         pw *= gamma
     return out_arr
-
-
-def box_count(const double[::1] starts, const double[::1] ends, double delta, double eta):
-    """Occupied cells of the grid [k*delta, (k+1)*delta) over sorted intervals."""
-    cdef Py_ssize_t m = starts.shape[0]
-    if m == 0:
-        return 0
-    cdef double snap = eta * delta
-    cdef double a, b
-    cdef long long klo, khi, kmid, lo_eff
-    cdef long long total = 0
-    cdef long long last = -(<long long>1 << 62)
-    cdef Py_ssize_t i
-    for i in range(m):
-        a = starts[i] + snap
-        b = ends[i] - snap
-        klo = <long long>floor(a / delta)
-        if (klo + 1.0) * delta <= a:
-            klo += 1
-        elif klo * delta > a:
-            klo -= 1
-        khi = <long long>floor(b / delta)
-        if khi * delta >= b:
-            khi -= 1
-        elif (khi + 1.0) * delta < b:
-            khi += 1
-        if khi < klo:
-            kmid = <long long>floor(((starts[i] + ends[i]) * 0.5) / delta)
-            klo = kmid
-            khi = kmid
-        lo_eff = klo if klo > last + 1 else last + 1
-        if khi >= lo_eff:
-            total += khi - lo_eff + 1
-        if khi > last:
-            last = khi
-    return int(total)

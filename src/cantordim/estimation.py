@@ -52,7 +52,9 @@ def box_count(intervals: IntervalSet, delta: float) -> int:
         raise DomainError(f"box size must lie in (0, 1], got {delta!r}")
     if delta < DELTA_FLOOR:
         raise DomainError(f"box size {delta!r} below {DELTA_FLOOR}: cell indices overflow")
-    return _backend.box_count(intervals.starts, intervals.ends, delta, SNAP_ETA)
+    return _backend.box_count(
+        intervals.starts, intervals.ends, delta, SNAP_ETA, intervals._box_layout
+    )
 
 
 def scale_ladder(

@@ -142,7 +142,7 @@ class IntervalSet:
     overlaps are rejected.
     """
 
-    __slots__ = ("starts", "ends", "params")
+    __slots__ = ("starts", "ends", "params", "_layout")
 
     def __init__(self, starts, ends, params: Optional[CantorParams] = None, validate=True):
         starts = np.ascontiguousarray(starts, dtype=np.float64)
@@ -179,6 +179,18 @@ class IntervalSet:
 
     def __getitem__(self, i) -> Interval:
         return Interval(float(self.starts[i]), float(self.ends[i]))
+
+    @property
+    def _box_layout(self):
+        """The box-count kernel's facts about this set, computed on first use.
+
+        The set is immutable, so every box size reuses them.
+        """
+        try:
+            return self._layout
+        except AttributeError:
+            self._layout = _backend.set_layout(self.starts, self.ends)
+            return self._layout
 
     def lengths(self) -> np.ndarray:
         return self.ends - self.starts

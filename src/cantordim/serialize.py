@@ -53,8 +53,9 @@ def _parse_json(text: str) -> IntervalSet:
     if not isinstance(doc, dict) or "intervals" not in doc:
         raise ParseError("document must be an object with an 'intervals' field")
     raw = doc["intervals"]
+    # exact types: JSON true/false load as bool, which isinstance counts as int
     if not isinstance(raw, list) or not all(
-        isinstance(r, list) and len(r) == 2 and all(isinstance(v, (int, float)) for v in r)
+        isinstance(r, list) and len(r) == 2 and all(type(v) in (int, float) for v in r)
         for r in raw
     ):
         raise ParseError("'intervals' must be a list of [start, end] number pairs")

@@ -1,19 +1,21 @@
 """Parity between the compiled kernels and the pure-Python fallback.
 
 The two implementations must agree bitwise: construction positions are
-compared with array_equal (not approx) and box counts exactly.
+compared with array_equal, not approx. Box counting has only the numpy
+kernel; test_box_count.py checks it against the slow reference.
 """
 
 import numpy as np
 import pytest
 
 from cantordim import available_backends, lacunarity_bounds, stage_one_offsets
-from cantordim.estimation import SNAP_ETA
 
 BACKENDS = available_backends()
 
 needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled backend not built; nothing to compare"
+    len(BACKENDS) < 2,
+    reason="compiled kernel cantordim._kernels is not built (it needs Cython: "
+    "python setup.py build_ext --inplace), so its parity with the numpy kernel is unverified",
 )
 
 
@@ -37,29 +39,6 @@ def test_prefractal_starts_bitwise_identical(rng):
         b = cc.prefractal_starts(offs, gamma, stage)
         assert a.shape == b.shape == (n**stage,)
         assert np.array_equal(a, b)
-
-
-@needs_both
-def test_box_count_identical(rng):
-    py, cc = BACKENDS["python"], BACKENDS["compiled"]
-    for n, gamma, eps, stage in _cases(rng, count=15):
-        offs = np.asarray(stage_one_offsets(n, gamma, eps))
-        starts = cc.prefractal_starts(offs, gamma, stage)
-        ends = np.minimum(starts + gamma**stage, 1.0)
-        for delta in (0.7, 0.25, gamma, gamma**2, 0.0123, 3e-5):
-            ca = py.box_count(starts, ends, delta, SNAP_ETA)
-            cb = cc.box_count(starts, ends, delta, SNAP_ETA)
-            assert ca == cb
-
-
-@needs_both
-def test_empty_and_degenerate_inputs_agree():
-    py, cc = BACKENDS["python"], BACKENDS["compiled"]
-    empty = np.array([])
-    assert py.box_count(empty, empty, 0.5, SNAP_ETA) == cc.box_count(empty, empty, 0.5, SNAP_ETA) == 0
-    thin = np.array([0.5 - 1e-14])
-    thin_end = np.array([0.5 + 1e-14])
-    assert py.box_count(thin, thin_end, 0.25, SNAP_ETA) == cc.box_count(thin, thin_end, 0.25, SNAP_ETA)
 
 
 def test_selected_backend_is_exposed():

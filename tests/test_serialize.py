@@ -115,3 +115,8 @@ class TestImportErrors:
     def test_malformed_intervals_field(self):
         with pytest.raises(ParseError):
             import_intervals('{"intervals": [[0, 0.5, 1]]}')
+
+    @pytest.mark.parametrize("row", ["[false, true]", "[0, true]", "[false, 0.5]"])
+    def test_boolean_coordinates(self, row):
+        with pytest.raises(ParseError):
+            import_intervals(f'{{"intervals": [{row}]}}')
