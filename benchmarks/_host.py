@@ -1,0 +1,36 @@
+"""Provenance shared by the benchmark scripts: git revision and machine."""
+
+import os
+import platform
+import subprocess
+
+import numpy as np
+
+
+def git_rev(tree):
+    """``git describe`` of the checkout at ``tree`` (``-dirty`` when edited), or None."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=tree, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            return next((ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")), None)
+    except OSError:
+        return platform.processor() or None
+
+
+def machine() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu_model(),
+    }

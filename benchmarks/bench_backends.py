@@ -18,14 +18,13 @@ Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+from _host import git_rev, machine
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -58,25 +57,6 @@ def best_of(fn, repeats):
         result = fn()
         times.append(time.perf_counter() - t0)
     return min(times), result
-
-
-def git_rev():
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=ROOT, capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out.stdout.strip() if out.returncode == 0 else None
-
-
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as f:
-            return next((ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")), None)
-    except OSError:
-        return platform.processor() or None
 
 
 def ladder_counts(starts, ends, deltas):
@@ -149,11 +129,8 @@ def main():
         "kernel": _kernels_py.BACKEND_NAME,
         "construction_backend": cantordim.BACKEND,
         "construction_backends_timed": sorted(kernels),
-        "git_rev": git_rev(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu_model": cpu_model(),
+        "git_rev": git_rev(ROOT),
+        **machine(),
         "repeats": args.repeats,
         "cases": results,
     }

@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Time interpreter start-up, package import and CLI commands; write BENCH_startup.json.
+
+Every case is one fresh interpreter: a bare one, ``import cantordim``,
+``import cantordim.cli``, each scalar CLI command (``dim``, ``scale``, the
+four ``op`` operators, ``pow``, ``ddgamma``, ``bounds``) and one numpy-bound
+command (``verify``). CLI cases run as ``python -m cantordim.cli ...``.
+Each case records its best-of-N wall time and, from one more run of the
+same work in a ``-c`` probe, whether numpy was loaded. With ``--baseline
+DIR`` the cases also run against a second checkout (for example a clone of
+the parent commit), alternating between the two trees, and both go into
+the file.
+
+Usage: python benchmarks/bench_startup.py [--repeats N] [--baseline DIR]
+Writes BENCH_startup.json at the root of the checkout and prints a summary.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from _host import git_rev, machine
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_startup.json"
+
+SCALAR = [
+    ["dim", "--n", "3", "--gamma", "0.1"],
+    ["scale", "--n", "2", "--d", "0.5"],
+    *(["op", op, "--da", "0.2", "--db", "0.5", "--n", "2"] for op in ("add", "sub", "mul", "div")),
+    ["pow", "--da", "0.5", "--k", "3", "--n", "2"],
+    ["ddgamma", "--n", "2", "--gamma", "0.25"],
+    ["bounds", "--n", "5", "--gamma", "0.1"],
+]
+HEAVY = [["verify", "--op", "mul", "--da", "0.5", "--db", "0.5", "--n", "2", "--stage", "6"]]
+
+
+def cases():
+    """(name, kind, argv after the interpreter, code of the numpy probe)."""
+    yield "bare interpreter", "bare", ["-c", "pass"], "pass"
+    yield "import cantordim", "import", ["-c", "import cantordim"], "import cantordim"
+    yield "import cantordim.cli", "import", ["-c", "import cantordim.cli"], "import cantordim.cli"
+    for kind, commands in (("scalar", SCALAR), ("heavy", HEAVY)):
+        for argv in commands:
+            name = "cantordim " + " ".join(argv[:2] if argv[0] == "op" else argv[:1])
+            probe = f"from cantordim.cli import main\nmain({argv!r})"
+            yield name, kind, ["-m", "cantordim.cli", *argv], probe
+
+
+def tree_env(tree: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def wall_s(argv, tree, env) -> float:
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, *argv], cwd=tree, env=env, check=True,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - t0
+
+
+def numpy_loaded(code, tree, env) -> bool:
+    probe = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tree, env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.splitlines()[-1] == "True"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=20)
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="a second checkout to time against this one")
+    args = parser.parse_args()
+
+    trees = {"change": ROOT}
+    if args.baseline is not None:
+        trees = {"baseline": args.baseline.resolve(), "change": ROOT}
+    envs = {label: tree_env(tree) for label, tree in trees.items()}
+    plan = list(cases())
+    best = {(name, label): float("inf") for name, *_ in plan for label in trees}
+    for r in range(args.repeats):
+        # alternate which tree goes first, so slow phases of the host hit both
+        order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        for name, _, argv, _ in plan:
+            for label in order:
+                t = wall_s(argv, trees[label], envs[label])
+                best[name, label] = min(best[name, label], t)
+
+    results = []
+    for name, kind, argv, probe in plan:
+        row = {
+            "case": name,
+            "kind": kind,
+            "argv": ["python", *argv],
+            "best_ms": {label: best[name, label] * 1e3 for label in trees},
+            "numpy_loaded": {label: numpy_loaded(probe, trees[label], envs[label])
+                             for label in trees},
+        }
+        results.append(row)
+        times = "  ".join(f"{label} {ms:7.1f} ms" for label, ms in row["best_ms"].items())
+        loaded = "  ".join(f"{label} {'numpy' if v else '-'}" for label, v in row["numpy_loaded"].items())
+        print(f"{name:28s} {times}   {loaded}")
+
+    report = {
+        "topic": "startup",
+        "trees": {label: {"git_rev": git_rev(tree)} for label, tree in trees.items()},
+        **machine(),
+        "repeats": args.repeats,
+        "cases": results,
+    }
+    OUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {OUT}")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,8 @@ The returned dimension is N-independent; the shared arity only materializes
 gamma_C for the result.
 
 Validity domains (checked with exact float comparisons, failing closed):
-sub requires d_a < d_b/(1+d_b), the D-space image of gamma_A < gamma_B/N;
+sub requires d_a < d_b/(1+d_b), the D-space image of gamma_A < gamma_B/N,
+against both the rounded bound and the exact one;
 div requires 0 < d_a <= d_b (equality is admitted and returns the unit
 segment). The void set (d = 0) is absorbing for add, sub and mul.
 """
@@ -50,8 +51,10 @@ class OpResult:
     """Result dimension plus its realization in the shared n-adic family.
 
     ``gamma`` is the scale factor of the result for the arity the operator
-    was evaluated under; ``underflow`` marks gamma values below the smallest
-    positive binary64 (reported as 0.0 while d stays exact).
+    was evaluated under. ``underflow`` marks results that binary64 cannot
+    hold: gamma below the smallest positive binary64 (reported as 0.0 while
+    d stays exact), or a d of positive operands that rounds to 0.0 (d and
+    gamma both reported as 0.0; this is not the void set).
     """
 
     d: float
@@ -60,6 +63,9 @@ class OpResult:
 
 
 def _materialize(n: int, d: float) -> OpResult:
+    """Realize the result d of positive operands; a d of 0.0 is an underflow."""
+    if d == 0.0:
+        return OpResult(0.0, 0.0, True)
     gamma, underflow = scale_from_dimension(n, d)
     return OpResult(d, gamma, underflow)
 
@@ -77,25 +83,35 @@ def add(d_a: float, d_b: float, n: int) -> OpResult:
     return _materialize(n, d_a * d_b / (d_a + d_b))
 
 
+def _below_exact_sub_bound(d_a: float, d_b: float) -> bool:
+    """d_a < d_b/(1+d_b) in exact rational arithmetic on the binary64 values."""
+    p, q = d_a.as_integer_ratio()
+    r, s = d_b.as_integer_ratio()
+    return p * (s + r) < r * q
+
+
 def sub(d_a: float, d_b: float, n: int) -> OpResult:
     """Inverse of add: 1/D_C = 1/D_A - 1/D_B (gamma_C = gamma_A/gamma_B).
 
     Consistent only for d_a < d_b/(1+d_b) (equivalently gamma_A < gamma_B/N,
     keeping gamma_C a proper scale factor); the void set absorbs on either
-    side before the predicate applies.
+    side before the predicate applies. A pair must lie below the rounded
+    bound and below the exact one: rounding the bound can lift it past an
+    operand that is outside the domain, whose D_C would exceed 1.
     """
     check_arity(n)
     d_a = check_dimension(d_a)
     d_b = check_dimension(d_b)
     if d_a == 0.0 or d_b == 0.0:
         return OpResult(0.0, 0.0)
-    if not d_a < d_b / (1.0 + d_b):
+    if not (d_a < d_b / (1.0 + d_b) and _below_exact_sub_bound(d_a, d_b)):
         raise OpDomainError(
             "sub",
             (d_a, d_b),
             "sub_requires_da_lt_db_over_1p_db",
             "subtraction requires D_A < D_B/(1+D_B)",
         )
+    # exactly d_a*d_b < d_b - d_a here, so the rounded quotient is at most 1
     return _materialize(n, d_a * d_b / (d_b - d_a))
 
 
@@ -159,8 +175,6 @@ def int_pow(d_a: float, k: int, n: int) -> OpResult:
                 "the zeroth power of the void set is undefined",
             )
         return OpResult(1.0, 1.0 / n)
-    if k == 1:
-        return _materialize(n, d_a)
     if d_a == 0.0:
         return OpResult(0.0, 0.0)
     return _materialize(n, d_a**k)

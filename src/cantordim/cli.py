@@ -10,13 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
+# only the scalar modules load here; the commands that need numpy import
+# their modules when they run
 from .arith import OPERATORS, d_dimension_d_scale, int_pow
-from .core import dimension_from_scale, scale_from_dimension
+from .core import dimension_from_scale, lacunarity_bounds, scale_from_dimension
 from .errors import CantorDimError
-from .estimation import estimate_dimension, scale_ladder, verify_operator_geometrically
-from .geometry import CantorParams, construct_prefractal, lacunarity_bounds
-from .render import emit_operator_grid, render_stages_svg
-from .serialize import export_intervals, import_intervals
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -43,22 +41,21 @@ def _cmd_scale(args) -> int:
     return 0
 
 
-def _cmd_op(args) -> int:
-    result = OPERATORS[args.operator](args.da, args.db, args.n)
-    print(f"D_C = {_fmt(result.d, args.digits)}")
-    print(f"gamma_C = {_fmt(result.gamma, args.digits)}")
+def _print_result(result, digits: int) -> int:
+    print(f"D_C = {_fmt(result.d, digits)}")
+    print(f"gamma_C = {_fmt(result.gamma, digits)}")
     if result.underflow:
-        print("note: gamma_C underflows binary64; reported as 0")
+        what = "D_C and gamma_C underflow" if result.d == 0.0 else "gamma_C underflows"
+        print(f"note: {what} binary64; reported as 0")
     return 0
+
+
+def _cmd_op(args) -> int:
+    return _print_result(OPERATORS[args.operator](args.da, args.db, args.n), args.digits)
 
 
 def _cmd_pow(args) -> int:
-    result = int_pow(args.da, args.k, args.n)
-    print(f"D_C = {_fmt(result.d, args.digits)}")
-    print(f"gamma_C = {_fmt(result.gamma, args.digits)}")
-    if result.underflow:
-        print("note: gamma_C underflows binary64; reported as 0")
-    return 0
+    return _print_result(int_pow(args.da, args.k, args.n), args.digits)
 
 
 def _cmd_ddgamma(args) -> int:
@@ -74,6 +71,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .geometry import CantorParams, construct_prefractal
+    from .render import render_stages_svg
+    from .serialize import export_intervals
+
     params = CantorParams(args.n, args.gamma, args.eps, args.stage)
     if args.format == "svg":
         _write(render_stages_svg(params, max_stage=args.stage), args.out)
@@ -83,6 +84,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .estimation import estimate_dimension, scale_ladder
+    from .serialize import import_intervals
+
     data = Path(args.infile).read_text(encoding="utf-8")
     fmt = args.format
     if fmt == "auto":
@@ -100,6 +104,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .estimation import verify_operator_geometrically
+
     report = verify_operator_geometrically(
         args.operator, args.da, args.db, args.n, args.stage, args.tol
     )
@@ -108,6 +114,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    from .render import emit_operator_grid
+
     _, csv_text = emit_operator_grid(args.operator, args.res, args.n)
     _write(csv_text, args.out)
     return 0

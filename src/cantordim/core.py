@@ -8,6 +8,10 @@ factor gamma, with similarity dimension
 The closed interval is used so that the two degenerate members are
 first-class values: gamma = 0 is the void set Z (D = 0) and
 gamma = 1/N is the unit segment U (D = 1).
+
+The lacunarity bounds of the symmetric layout are scalar rules on
+(N, gamma) as well and live here, so scalar callers never load numpy;
+``geometry`` re-exports them.
 """
 
 from __future__ import annotations
@@ -96,6 +100,32 @@ def scale_from_dimension(n: int, d: float) -> ScaleResult:
         return ScaleResult(0.0, True)
     # exp can round one ulp above the binary64 bound for d a few ulps below 1
     return ScaleResult(min(gamma, 1.0 / n), False)
+
+
+class LacunarityBounds(NamedTuple):
+    eps_min: float
+    eps_reg: float
+    eps_max: float
+
+
+def lacunarity_bounds(n: int, gamma: float) -> LacunarityBounds:
+    """The (0, eps_reg, eps_max) lacunarity range for an (n, gamma) family.
+
+    eps_reg = (1-n*gamma)/(n-1) makes every stage-1 gap equal; eps_max is
+    (1-n*gamma)/(n-2) for even n and (1-n*gamma)/(n-3) for odd n, the point
+    where the central wells join. Undefined for n in {2, 3} (no intra-block
+    gaps to widen; the formulas divide by zero).
+    """
+    check_arity(n)
+    if n < 4:
+        raise DomainError(f"lacunarity bounds are undefined for n={n} (need n >= 4)")
+    gamma = float(gamma)
+    if math.isnan(gamma) or not 0.0 < gamma < 1.0 / n:
+        raise DomainError(f"bounds require 0 < gamma < 1/{n}, got {gamma!r}")
+    free = 1.0 - n * gamma
+    eps_reg = free / (n - 1)
+    eps_max = free / (n - 2) if n % 2 == 0 else free / (n - 3)
+    return LacunarityBounds(0.0, eps_reg, eps_max)
 
 
 @dataclass(frozen=True)

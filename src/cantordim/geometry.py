@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import _backend
 from .core import check_arity, check_index
+# the bounds are pure scalar math and live in core; re-exported here
+from .core import LacunarityBounds, lacunarity_bounds  # noqa: F401
 from .errors import CapExceeded, DomainError, InvariantError
 
 #: overlap tolerance for "pairwise disjoint": a touching pair produced by the
@@ -44,32 +46,6 @@ GAP_TOL = 1e-12
 RESOLUTION_FLOOR = 1e-13
 
 DEFAULT_CAP = 10_000_000
-
-
-class LacunarityBounds(NamedTuple):
-    eps_min: float
-    eps_reg: float
-    eps_max: float
-
-
-def lacunarity_bounds(n: int, gamma: float) -> LacunarityBounds:
-    """The (0, eps_reg, eps_max) lacunarity range for an (n, gamma) family.
-
-    eps_reg = (1-n*gamma)/(n-1) makes every stage-1 gap equal; eps_max is
-    (1-n*gamma)/(n-2) for even n and (1-n*gamma)/(n-3) for odd n, the point
-    where the central wells join. Undefined for n in {2, 3} (no intra-block
-    gaps to widen; the formulas divide by zero).
-    """
-    check_arity(n)
-    if n < 4:
-        raise DomainError(f"lacunarity bounds are undefined for n={n} (need n >= 4)")
-    gamma = float(gamma)
-    if math.isnan(gamma) or not 0.0 < gamma < 1.0 / n:
-        raise DomainError(f"bounds require 0 < gamma < 1/{n}, got {gamma!r}")
-    free = 1.0 - n * gamma
-    eps_reg = free / (n - 1)
-    eps_max = free / (n - 2) if n % 2 == 0 else free / (n - 3)
-    return LacunarityBounds(0.0, eps_reg, eps_max)
 
 
 def regular_epsilon(n: int, gamma: float) -> float:

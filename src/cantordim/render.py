@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_arity
-from .errors import DomainError
+from .core import check_arity, check_index
+from .errors import CapExceeded, DomainError
 from .geometry import DEFAULT_CAP, CantorParams, construct_prefractal
 
 # ---------------------------------------------------------------------------
@@ -120,13 +120,16 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
 
     Cell centers (k+0.5)/R avoid the degenerate boundary dimensions 0 and 1.
     Undefined cells are emitted as nan; rows are produced in row-major order
-    (da outer, db inner).
+    (da outer, db inner). The R*R cells may not exceed DEFAULT_CAP.
     """
     check_arity(n)
     if op_tag not in _GRID_FORMULAS:
         raise DomainError(f"unknown operator tag {op_tag!r}")
+    resolution = check_index(resolution, "resolution")
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
+    if resolution**2 > DEFAULT_CAP:
+        raise CapExceeded(f"resolution**2 = {resolution**2} exceeds the cap of {DEFAULT_CAP} cells")
     centers = (np.arange(resolution) + 0.5) / resolution
     da = centers[:, None]
     db = centers[None, :]

@@ -1,9 +1,12 @@
 """Operator algebra: values, validity domains, laws, derivative, dual routes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordim import (
     DomainError,
@@ -94,6 +97,46 @@ class TestSub:
         bound = b / (1 + b)
         with pytest.raises(OpDomainError):
             sub(bound, b, 2)
+
+    @pytest.mark.parametrize(
+        "d_a, d_b",
+        [
+            (0.23928621252468846, 0.3145548515938451),
+            (math.nextafter(5 * 2.0**-53 / (1 + 5 * 2.0**-53), 0.0), 5 * 2.0**-53),
+        ],
+    )
+    def test_rounded_bound_above_the_exact_one_fails_closed(self, d_a, d_b):
+        # d_a is one ulp below the rounded bound d_b/(1+d_b) but not below the
+        # exact one; the closed form gives 1.0000000000000002 and 1.0416...
+        with pytest.raises(OpDomainError):
+            sub(d_a, d_b, 3)
+
+    def test_one_ulp_inside_the_exact_bound_succeeds(self):
+        r = sub(math.nextafter(0.23928621252468846, 0.0), 0.3145548515938451, 3)
+        assert 0.9999999999999 < r.d <= 1.0
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        d_b=st.integers(1, 2**53).map(lambda k: k / 2**53),
+        ulps=st.integers(-3, 3),
+        n=st.integers(2, 9),
+    )
+    def test_property_boundary_ulps(self, d_b, ulps, n):
+        # d_a a few ulps either side of the rounded bound: sub admits exactly the
+        # pairs below both the rounded and the exact bound, every admitted pair
+        # returns D_C <= 1, and every other pair raises OpDomainError
+        rounded = d_b / (1.0 + d_b)
+        d_a = rounded
+        for _ in range(abs(ulps)):
+            d_a = math.nextafter(d_a, math.copysign(math.inf, ulps))
+        exact_b = Fraction(d_b)
+        if d_a < rounded and Fraction(d_a) < exact_b / (1 + exact_b):
+            r = sub(d_a, d_b, n)
+            assert 0.0 < r.d <= 1.0
+            assert 0.0 <= r.gamma <= 1.0 / n
+        else:
+            with pytest.raises(OpDomainError):
+                sub(d_a, d_b, n)
 
     def test_gamma_is_quotient(self, rng):
         for _ in range(100):
@@ -210,6 +253,24 @@ class TestOpResultInvariant:
         assert r.underflow
         assert r.gamma == 0.0
         assert r.d == pytest.approx(1e-4, abs=TOL)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: int_pow(0.5, 2000, 3),
+            lambda: mul(1e-200, 1e-200, 3),
+            lambda: add(5e-324, 5e-324, 3),
+        ],
+        ids=["int_pow", "mul", "add"],
+    )
+    def test_result_rounding_to_zero_is_flagged(self, call):
+        # positive operands: a D_C of 0 is an underflow, not the void set
+        r = call()
+        assert (r.d, r.gamma, r.underflow) == (0.0, 0.0, True)
+
+    def test_void_operand_is_not_an_underflow(self):
+        for r in (add(0.0, 0.5, 3), sub(0.5, 0.0, 3), mul(0.0, 0.5, 3), int_pow(0.0, 1, 3)):
+            assert (r.d, r.gamma, r.underflow) == (0.0, 0.0, False)
 
 
 class TestAlgebraicLaws:

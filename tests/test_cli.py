@@ -50,6 +50,23 @@ class TestScalarCommands:
         assert code == 0
         assert "D_C = 0.125" in out
 
+    def test_pow_prints_like_op(self, capsys):
+        _, pow_out, _ = run(capsys, "pow", "--da", "0.5", "--k", "2", "--n", "2")
+        _, op_out, _ = run(capsys, "op", "mul", "--da", "0.5", "--db", "0.5", "--n", "2")
+        assert pow_out == op_out == "D_C = 0.25\ngamma_C = 0.0625\n"
+
+    def test_op_gamma_underflow_note(self, capsys):
+        code, out, _ = run(capsys, "op", "mul", "--da", "0.01", "--db", "0.01", "--n", "8")
+        assert code == 0
+        assert out.endswith("gamma_C = 0\nnote: gamma_C underflows binary64; reported as 0\n")
+
+    def test_op_result_underflow_note(self, capsys):
+        code, out, _ = run(capsys, "op", "mul", "--da", "1e-200", "--db", "1e-200", "--n", "3")
+        assert code == 0
+        assert out == (
+            "D_C = 0\ngamma_C = 0\nnote: D_C and gamma_C underflow binary64; reported as 0\n"
+        )
+
     def test_ddgamma(self, capsys):
         code, out, _ = run(capsys, "ddgamma", "--n", "2", "--gamma", "0.25")
         assert code == 0

@@ -7,10 +7,15 @@ import pytest
 
 from cantordim import (
     CantorParams,
+    CapExceeded,
     DomainError,
     emit_operator_grid,
     render_stages_svg,
 )
+from cantordim.geometry import DEFAULT_CAP
+
+#: the largest resolution whose R*R cells stay within DEFAULT_CAP
+MAX_RESOLUTION = math.isqrt(DEFAULT_CAP)
 
 
 class TestStageSvg:
@@ -93,3 +98,29 @@ class TestOperatorGrid:
             emit_operator_grid("pow", 8, 2)
         with pytest.raises(DomainError):
             emit_operator_grid("add", 1, 2)
+
+
+class TestGridResolutionCap:
+    @pytest.mark.parametrize("res", [True, 8.0, "8"])
+    def test_resolution_must_be_an_integer(self, res):
+        with pytest.raises(DomainError):
+            emit_operator_grid("add", res, 2)
+
+    def test_numpy_integer_resolution_is_accepted(self):
+        assert emit_operator_grid("add", np.int64(4), 2)[1] == emit_operator_grid("add", 4, 2)[1]
+
+    def test_over_the_cap_raises(self):
+        with pytest.raises(CapExceeded):
+            emit_operator_grid("add", MAX_RESOLUTION + 1, 2)
+
+    def test_largest_allowed_resolution_passes_the_checks(self, monkeypatch):
+        # stop at the first allocation, after every check, so no grid is built
+        class Built(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(np, "arange", stop)
+        with pytest.raises(Built):
+            emit_operator_grid("add", MAX_RESOLUTION, 2)
