@@ -1,7 +1,10 @@
 """SVG rendering of construction stages and operator grid sheets.
 
 Outputs are pure functions of their inputs (fixed float formatting, no
-timestamps), so identical calls produce identical bytes.
+timestamps), so identical calls produce identical bytes. Grid CSV values
+are written with 17 significant digits by ``serialize.format_rows``, one
+``str % tuple`` per block of whole grid rows, so each center is formatted
+once and no Python call is made per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 from .core import check_arity, check_index
 from .errors import CapExceeded, DomainError
 from .geometry import DEFAULT_CAP, CantorParams, construct_prefractal
+from .serialize import _BLOCK, format_rows
 
 # ---------------------------------------------------------------------------
 # stage rendering
@@ -120,7 +124,8 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
 
     Cell centers (k+0.5)/R avoid the degenerate boundary dimensions 0 and 1.
     Undefined cells are emitted as nan; rows are produced in row-major order
-    (da outer, db inner). The R*R cells may not exceed DEFAULT_CAP.
+    (da outer, db inner), every value with 17 significant digits. The R*R
+    cells may not exceed DEFAULT_CAP.
     """
     check_arity(n)
     if op_tag not in _GRID_FORMULAS:
@@ -139,14 +144,15 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
     values.flags.writeable = False
     sheet = GridSheet(op_tag, resolution, centers, values)
 
-    def f17(x):
-        return format(float(x), ".17g")
-
+    # each center is formatted once; the cells go in blocks of whole grid rows,
+    # which keeps the label and value temporaries at most _BLOCK rows long
+    labels = np.array("\n".join(format_rows("%.17g", "\n", centers)).split("\n"), dtype=object)
+    rows_per_block = max(1, _BLOCK // resolution)
     lines = ["da,db,dc"]
-    for i in range(resolution):
-        ai = f17(centers[i])
-        row = values[i]
-        for j in range(resolution):
-            v = row[j]
-            lines.append(f"{ai},{f17(centers[j])},{'nan' if np.isnan(v) else f17(v)}")
+    for i in range(0, resolution, rows_per_block):
+        k = min(rows_per_block, resolution - i)
+        lines += format_rows(
+            "%s,%s,%.17g", "\n",
+            np.repeat(labels[i:i + k], resolution), np.tile(labels, k), values[i:i + k].ravel(),
+        )
     return sheet, "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 """JSON/CSV round trips and malformed-document handling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,44 @@ class TestImportErrors:
     def test_boolean_coordinates(self, row):
         with pytest.raises(ParseError):
             import_intervals(f'{{"intervals": [{row}]}}')
+
+
+class TestJsonHeaderTypes:
+    """n and stage must be JSON integers, gamma and epsilon JSON numbers, none bool."""
+
+    @staticmethod
+    def doc(**fields):
+        header = {"n": 2, "gamma": 0.3, "epsilon": 0, "stage": 1, **fields}
+        return json.dumps({**header, "intervals": [[0, 0.3], [0.7, 1]]})
+
+    def test_gamma_list_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"'gamma' must be a number or null, got \[1\]"):
+            import_intervals(self.doc(gamma=[1]))
+
+    def test_gamma_string_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="'gamma' must be a number or null, got \"0.3\""):
+            import_intervals(self.doc(gamma="0.3"))
+
+    def test_epsilon_false_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="'epsilon' must be a number or null, got false"):
+            import_intervals(self.doc(epsilon=False))
+
+    @pytest.mark.parametrize("key, value", [("n", 2.0), ("n", True), ("stage", "1"), ("stage", 1.0)])
+    def test_n_and_stage_must_be_integers(self, key, value):
+        with pytest.raises(ParseError, match=f"'{key}' must be an integer or null"):
+            import_intervals(self.doc(**{key: value}))
+
+    def test_a_field_is_checked_without_the_others(self):
+        with pytest.raises(ParseError, match="'n' must be an integer or null"):
+            import_intervals('{"n": "2", "intervals": []}')
+
+    def test_integer_gamma_and_epsilon_are_numbers(self):
+        back = import_intervals(self.doc(gamma=0.3, epsilon=0))
+        assert back.params == CantorParams(2, 0.3, 0.0, 1)
+
+    def test_params_need_all_four_fields(self):
+        assert import_intervals(self.doc(stage=None)).params is None
+
+    def test_gamma_beyond_binary64_is_an_invariant_error(self):
+        with pytest.raises(InvariantError, match="invalid construction parameters"):
+            import_intervals(self.doc(gamma=10**400))
