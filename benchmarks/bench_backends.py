@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Time the box-count kernels against the slow reference; write BENCH_boxcount.json.
+"""Time the numpy kernel against the slow reference; write BENCH_boxcount.json.
 
 Two kinds of case: the million-interval ladders (4 box sizes per level) and
 the verify ladder (16 sizes per level, coarsest level dropped, as
 ``verify_operator_geometrically`` uses) on sets as large as the verifier's
-largest tier. The box-count kernel is timed next to the seed's numpy sweep
-kept in ``tests/reference_kernel.py``, and interval construction on each
-backend that imports (numpy, and compiled when it is built). The kernel's
-counts are checked equal to the reference's, and every backend's interval
-starts bitwise equal to the numpy backend's, before anything is timed. The
-kernel's ladder time includes the per-set layout it computes once, as
+largest tier. The kernel's box counting is timed next to the seed's numpy
+sweep kept in ``tests/reference_kernel.py``, and its interval construction
+on its own: there is one construction backend. The kernel's counts are
+checked equal to the reference's before anything is timed. The kernel's
+ladder time includes the per-set layout it computes once, as
 ``estimate_dimension`` does.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
@@ -29,7 +28,6 @@ from _host import git_rev, machine
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import cantordim  # noqa: E402
 from cantordim import _kernels_py, lacunarity_bounds, scale_ladder, stage_one_offsets  # noqa: E402
 from cantordim.estimation import SNAP_ETA  # noqa: E402
 from reference_kernel import box_count as reference_count  # noqa: E402
@@ -64,7 +62,7 @@ def ladder_counts(starts, ends, deltas):
     return [_kernels_py.box_count(starts, ends, d, SNAP_ETA, layout) for d in deltas]
 
 
-def run_case(case, kernels, repeats):
+def run_case(case, repeats):
     n, dim, eps_mode, stage, per_level, start_level = case
     gamma = n ** (-1.0 / dim)
     eps = 0.0
@@ -77,22 +75,17 @@ def run_case(case, kernels, repeats):
         width *= gamma
     deltas = scale_ladder(gamma, stage, per_level, start_level)
 
-    starts = kernels["python"].prefractal_starts(offsets, gamma, stage)
+    t_construct, starts = best_of(
+        lambda: _kernels_py.prefractal_starts(offsets, gamma, stage), repeats
+    )
     ends = np.minimum(starts + width, 1.0)
     want = [reference_count(starts, ends, d, SNAP_ETA) for d in deltas]
-    for name, kern in kernels.items():
-        if kern.prefractal_starts(offsets, gamma, stage).tobytes() != starts.tobytes():
-            raise SystemExit(f"{name} interval starts differ from the numpy backend's")
     if ladder_counts(starts, ends, deltas) != want:
         raise SystemExit("box counts differ from the reference")
 
-    construct_ms = {}
-    for name, kern in kernels.items():
-        t, _ = best_of(lambda k=kern: k.prefractal_starts(offsets, gamma, stage), repeats)
-        construct_ms[name] = t * 1e3
     t_ref, _ = best_of(lambda: [reference_count(starts, ends, d, SNAP_ETA) for d in deltas], repeats)
     t_new, _ = best_of(lambda: ladder_counts(starts, ends, deltas), repeats)
-    ladder_ms = {"reference": t_ref * 1e3, _kernels_py.BACKEND_NAME: t_new * 1e3}
+    ladder_ms = {"reference": t_ref * 1e3, _kernels_py.BACKEND: t_new * 1e3}
     return {
         "n": n,
         "dimension": dim,
@@ -103,7 +96,7 @@ def run_case(case, kernels, repeats):
         "box_sizes": len(deltas),
         "occupied_cells": sum(want),
         "counts_equal_to_reference": True,
-        "construct_best_ms": construct_ms,
+        "construct_best_ms": t_construct * 1e3,
         "ladder_best_ms": ladder_ms,
         "speedup_over_reference": t_ref / t_new,
     }
@@ -114,21 +107,17 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    kernels = cantordim.available_backends()
-    print(f"box-count kernel: {_kernels_py.BACKEND_NAME}; construction backend: {cantordim.BACKEND}; "
-          f"importable: {', '.join(sorted(kernels))}")
+    print(f"kernel: {_kernels_py.BACKEND} (numpy)")
     results = []
     for case in CASES:
-        r = run_case(case, kernels, args.repeats)
+        r = run_case(case, args.repeats)
         results.append(r)
         times = "  ".join(f"{k} {v:8.1f} ms" for k, v in r["ladder_best_ms"].items())
         print(f"n={r['n']} D={r['dimension']} eps={r['epsilon']} stage={r['stage']} "
               f"({r['intervals']:,} intervals, {r['box_sizes']} sizes, {r['ladder']}): {times}")
     report = {
         "topic": "boxcount",
-        "kernel": _kernels_py.BACKEND_NAME,
-        "construction_backend": cantordim.BACKEND,
-        "construction_backends_timed": sorted(kernels),
+        "kernel": _kernels_py.BACKEND,
         "git_rev": git_rev(ROOT),
         **machine(),
         "repeats": args.repeats,

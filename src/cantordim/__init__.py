@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names it exports; the one list of the public API
 _EXPORTS = {
-    "_backend": ("BACKEND", "available_backends"),
+    "_kernels_py": ("BACKEND", "available_backends"),
     "arith": (
         "OPERATORS",
         "OpResult",

@@ -1,19 +1,24 @@
-"""Pure-Python (numpy) kernels.
+"""The numpy kernels, the only kernel implementation (``BACKEND``).
 
-``prefractal_starts`` performs the same float operations in the same order as
-the compiled kernel, so their positions agree bitwise. ``box_count`` is the
-only box-count kernel. For every box size down to ``estimation.DELTA_FLOOR``
-it returns the count of the sequential sweep kept in the tests as the slow
-reference, in one pass over the intervals where the set allows. The parity
-tests compare positions bitwise and counts exactly.
+``prefractal_starts`` builds positions with a fixed sequence of float
+operations, so a construction is reproducible bit for bit. ``box_count``
+returns, for every box size down to ``estimation.DELTA_FLOOR``, the count of
+the sequential sweep kept in the tests as the slow reference, in one pass
+over the intervals where the set allows; the tests compare counts exactly.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-BACKEND_NAME = "python"
+BACKEND = "python"
+
+
+def available_backends():
+    """Name -> kernel module; the numpy kernel is the only one."""
+    return {BACKEND: sys.modules[__name__]}
 
 #: intervals per block of the one-pass count: small temporaries are reused by
 #: the allocator, large ones cost fresh pages on every call

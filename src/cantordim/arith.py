@@ -1,20 +1,17 @@
 """Operator algebra on fractal dimensions of a shared n-adic family.
 
 Every binary operator is defined twice over: by a gamma-space construction
-on the scale factors and by the closed D-space formula it induces,
-
-    add:  gamma_C = gamma_A * gamma_B      D_C = D_A*D_B / (D_A + D_B)
-    sub:  gamma_C = gamma_A / gamma_B      D_C = D_A*D_B / (D_B - D_A)
-    mul:  gamma_C = gamma_A ** (1/D_B)     D_C = D_A * D_B
-    div:  gamma_C = gamma_A ** D_B         D_C = D_A / D_B
-
-and :func:`check_gamma_consistency` recomputes a result along both routes.
+on the scale factors and by the closed D-space formula it induces.
+``OPERATOR_TABLE`` writes both down once, one row per operator, with the
+operator's domain predicate; the scalar operators and the grid sheets of
+``render`` read their formulas and predicates from it, and
+:func:`check_gamma_consistency` recomputes a result along both routes.
 The returned dimension is N-independent; the shared arity only materializes
 gamma_C for the result.
 
 Validity domains (checked with exact float comparisons, failing closed):
-sub requires d_a < d_b/(1+d_b), the D-space image of gamma_A < gamma_B/N,
-against both the rounded bound and the exact one;
+sub requires d_a < d_b/(1+d_b), the D-space image of gamma_A < gamma_B/N;
+the scalar ``sub`` tests the rounded bound and the exact one.
 div requires 0 < d_a <= d_b (equality is admitted and returns the unit
 segment). The void set (d = 0) is absorbing for add, sub and mul.
 """
@@ -23,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     check_arity,
@@ -62,6 +60,44 @@ class OpResult:
     underflow: bool = False
 
 
+class OperatorRow(NamedTuple):
+    """One row of OPERATOR_TABLE.
+
+    ``d`` and ``domain`` take positive operands, as floats or as numpy
+    arrays; ``domain`` is the rounded predicate (None: total on (0,1]^2).
+    ``gamma`` maps gamma_A, gamma_B and D_B to gamma_C.
+    """
+
+    d: Callable
+    domain: Optional[Callable]
+    gamma: Callable
+
+
+OPERATOR_TABLE = {
+    "add": OperatorRow(
+        d=lambda a, b: a * b / (a + b),
+        domain=None,
+        gamma=lambda ga, gb, b: ga * gb,
+    ),
+    "sub": OperatorRow(
+        d=lambda a, b: a * b / (b - a),
+        domain=lambda a, b: a < b / (1.0 + b),
+        gamma=lambda ga, gb, b: ga / gb,
+    ),
+    "mul": OperatorRow(
+        d=lambda a, b: a * b,
+        domain=None,
+        # the 1/D_B exponent goes to its gamma_A**inf = 0 limit at the absorbing D_B = 0
+        gamma=lambda ga, gb, b: ga ** (1.0 / b) if b > 0.0 else 0.0,
+    ),
+    "div": OperatorRow(
+        d=lambda a, b: a / b,
+        domain=lambda a, b: a <= b,
+        gamma=lambda ga, gb, b: ga**b,
+    ),
+}
+
+
 def _materialize(n: int, d: float) -> OpResult:
     """Realize the result d of positive operands; a d of 0.0 is an underflow."""
     if d == 0.0:
@@ -80,7 +116,7 @@ def add(d_a: float, d_b: float, n: int) -> OpResult:
     d_b = check_dimension(d_b)
     if d_a == 0.0 or d_b == 0.0:
         return OpResult(0.0, 0.0)
-    return _materialize(n, d_a * d_b / (d_a + d_b))
+    return _materialize(n, OPERATOR_TABLE["add"].d(d_a, d_b))
 
 
 def _below_exact_sub_bound(d_a: float, d_b: float) -> bool:
@@ -104,7 +140,8 @@ def sub(d_a: float, d_b: float, n: int) -> OpResult:
     d_b = check_dimension(d_b)
     if d_a == 0.0 or d_b == 0.0:
         return OpResult(0.0, 0.0)
-    if not (d_a < d_b / (1.0 + d_b) and _below_exact_sub_bound(d_a, d_b)):
+    row = OPERATOR_TABLE["sub"]
+    if not (row.domain(d_a, d_b) and _below_exact_sub_bound(d_a, d_b)):
         raise OpDomainError(
             "sub",
             (d_a, d_b),
@@ -112,7 +149,7 @@ def sub(d_a: float, d_b: float, n: int) -> OpResult:
             "subtraction requires D_A < D_B/(1+D_B)",
         )
     # exactly d_a*d_b < d_b - d_a here, so the rounded quotient is at most 1
-    return _materialize(n, d_a * d_b / (d_b - d_a))
+    return _materialize(n, row.d(d_a, d_b))
 
 
 def mul(d_a: float, d_b: float, n: int) -> OpResult:
@@ -125,7 +162,7 @@ def mul(d_a: float, d_b: float, n: int) -> OpResult:
     d_b = check_dimension(d_b)
     if d_a == 0.0 or d_b == 0.0:
         return OpResult(0.0, 0.0)
-    return _materialize(n, d_a * d_b)
+    return _materialize(n, OPERATOR_TABLE["mul"].d(d_a, d_b))
 
 
 def div(d_a: float, d_b: float, n: int) -> OpResult:
@@ -145,14 +182,15 @@ def div(d_a: float, d_b: float, n: int) -> OpResult:
             "div_requires_nonzero_operands",
             "division requires D_A > 0 and D_B > 0",
         )
-    if d_a > d_b:
+    row = OPERATOR_TABLE["div"]
+    if not row.domain(d_a, d_b):
         raise OpDomainError(
             "div",
             (d_a, d_b),
             "div_requires_da_le_db",
             "division requires D_A <= D_B (the quotient may not exceed 1)",
         )
-    return _materialize(n, d_a / d_b)
+    return _materialize(n, row.d(d_a, d_b))
 
 
 def int_pow(d_a: float, k: int, n: int) -> OpResult:
@@ -177,31 +215,29 @@ def int_pow(d_a: float, k: int, n: int) -> OpResult:
         return OpResult(1.0, 1.0 / n)
     if d_a == 0.0:
         return OpResult(0.0, 0.0)
-    return _materialize(n, d_a**k)
+    # from k = 2**64 on, d_a**k is 0.0 for every binary64 d_a < 1 ((1 - 2**-53)**2**64
+    # is exp(-2048)) and 1.0 for d_a = 1, so the cap keeps the value exact and spares
+    # converting a k beyond binary64
+    return _materialize(n, d_a ** min(k, 2**64))
 
 
 def d_dimension_d_scale(n: int, gamma: float) -> float:
     """Derivative dD/dgamma = ln(n) / (gamma * ln^2(gamma)) on 0 < gamma < 1/n.
 
     Strictly positive: the dimension grows with the scale factor. Boundaries
-    are excluded (the closed form blows up at 0 and the domain ends at 1/n).
+    are excluded (the closed form blows up at 0 and the domain ends at 1/n),
+    and so is a gamma so small that the slope overflows binary64.
     """
     check_arity(n)
     gamma = float(gamma)
     if math.isnan(gamma) or not 0.0 < gamma < 1.0 / n:
         raise DomainError(f"derivative requires 0 < gamma < 1/{n}, got {gamma!r}")
     lg = math.log(gamma)
-    return math.log(n) / (gamma * lg * lg)
+    slope = math.log(n) / (gamma * lg * lg)
+    if not math.isfinite(slope):
+        raise DomainError(f"derivative overflows binary64 at gamma={gamma!r}")
+    return slope
 
-
-# gamma-space constructions keyed by operator tag; mul's 1/D_B exponent is
-# taken to its gamma_A**inf = 0 limit at the absorbing D_B = 0
-_GAMMA_RULE = {
-    "add": lambda ga, gb, b: ga * gb,
-    "sub": lambda ga, gb, b: ga / gb,
-    "mul": lambda ga, gb, b: ga ** (1.0 / b) if b > 0.0 else 0.0,
-    "div": lambda ga, gb, b: ga**b,
-}
 
 OPERATORS = {"add": add, "sub": sub, "mul": mul, "div": div}
 
@@ -224,7 +260,7 @@ def check_gamma_consistency(op_tag: str, d_a: float, d_b: float, n: int) -> floa
         raise DomainError("operand gamma underflows binary64; gamma route unavailable")
     if op_tag == "sub" and gb == 0.0:
         raise DomainError("gamma route undefined for a void subtrahend (gamma_A/0)")
-    gc = _GAMMA_RULE[op_tag](ga, gb, d_b)
+    gc = OPERATOR_TABLE[op_tag].gamma(ga, gb, d_b)
     if gc == 0.0:
         if d_formula > 0.0:
             raise DomainError("result gamma underflows binary64; gamma route unavailable")

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import _backend
+from . import _kernels_py
 from .arith import OPERATORS
 from .errors import CapExceeded, DomainError, FitDegenerate
 from .geometry import CantorParams, IntervalSet, construct_prefractal, regular_epsilon
@@ -52,7 +52,7 @@ def box_count(intervals: IntervalSet, delta: float) -> int:
         raise DomainError(f"box size must lie in (0, 1], got {delta!r}")
     if delta < DELTA_FLOOR:
         raise DomainError(f"box size {delta!r} below {DELTA_FLOOR}: cell indices overflow")
-    return _backend.box_count(
+    return _kernels_py.box_count(
         intervals.starts, intervals.ends, delta, SNAP_ETA, intervals._box_layout
     )
 

@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import _backend
+from . import _kernels_py
 from .core import check_arity, check_index
 # the bounds are pure scalar math and live in core; re-exported here
 from .core import LacunarityBounds, lacunarity_bounds  # noqa: F401
@@ -165,7 +165,7 @@ class IntervalSet:
         try:
             return self._layout
         except AttributeError:
-            self._layout = _backend.set_layout(self.starts, self.ends)
+            self._layout = _kernels_py.set_layout(self.starts, self.ends)
             return self._layout
 
     def lengths(self) -> np.ndarray:
@@ -210,7 +210,7 @@ def construct_prefractal(params: CantorParams, cap: int = DEFAULT_CAP) -> Interv
             f"({RESOLUTION_FLOOR}); the stage is too deep for binary64 geometry"
         )
     offsets = np.asarray(stage_one_offsets(params.n, params.gamma, params.epsilon))
-    starts = _backend.prefractal_starts(offsets, params.gamma, params.stage)
+    starts = _kernels_py.prefractal_starts(offsets, params.gamma, params.stage)
     # the last end telescopes to 1 exactly in real arithmetic; clamp the ulp spill
     ends = np.minimum(starts + width, 1.0)
     return IntervalSet(starts, ends, params)

@@ -1,10 +1,12 @@
 """SVG rendering of construction stages and operator grid sheets.
 
 Outputs are pure functions of their inputs (fixed float formatting, no
-timestamps), so identical calls produce identical bytes. Grid CSV values
-are written with 17 significant digits by ``serialize.format_rows``, one
-``str % tuple`` per block of whole grid rows, so each center is formatted
-once and no Python call is made per cell.
+timestamps), so identical calls produce identical bytes. Grid sheets take
+each operator's D formula and domain predicate from ``arith.OPERATOR_TABLE``
+and evaluate them on whole arrays; this module only samples and formats.
+Grid CSV values are written with 17 significant digits by
+``serialize.format_rows``, one ``str % tuple`` per block of whole grid rows,
+so each center is formatted once and no Python call is made per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import OPERATOR_TABLE
 from .core import check_arity, check_index
 from .errors import CapExceeded, DomainError
 from .geometry import DEFAULT_CAP, CantorParams, construct_prefractal
@@ -36,6 +39,7 @@ def _wd(t: float) -> str:
 def render_stages_svg(params: CantorParams, max_stage: int, cap: int = DEFAULT_CAP) -> str:
     """One bar row per stage 0..max_stage with the scale factor (and, when it
     plays a role, the outermost gap) annotated on the stage-1 row."""
+    max_stage = check_index(max_stage, "max_stage")
     if max_stage < 0:
         raise DomainError(f"max_stage must be >= 0, got {max_stage}")
     rows = []
@@ -90,21 +94,6 @@ def _measure(t0: float, t1: float, y: float, label: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # operator grid sheets
 
-_GRID_FORMULAS = {
-    "add": lambda da, db: da * db / (da + db),
-    "sub": lambda da, db: da * db / (db - da),
-    "mul": lambda da, db: da * db,
-    "div": lambda da, db: da / db,
-}
-
-_GRID_MASKS = {
-    "add": lambda da, db: np.ones(np.broadcast(da, db).shape, dtype=bool),
-    "sub": lambda da, db: da < db / (1.0 + db),
-    "mul": lambda da, db: np.ones(np.broadcast(da, db).shape, dtype=bool),
-    "div": lambda da, db: da <= db,
-}
-
-
 @dataclass(frozen=True)
 class GridSheet:
     """Operator surface sampled at cell centers of an R x R grid over (0,1)^2.
@@ -126,9 +115,18 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
     Undefined cells are emitted as nan; rows are produced in row-major order
     (da outer, db inner), every value with 17 significant digits. The R*R
     cells may not exceed DEFAULT_CAP.
+
+    A cell is defined where the operator's rounded domain predicate holds.
+    The scalar ``sub`` also tests its exact bound; the grid has no need to.
+    A center is (2i+1)/(2R) and the bound at db = (2j+1)/(2R) is
+    (2j+1)/(2R+2j+1), so the cross-products (2i+1)(2R+2j+1), odd, and
+    (2j+1)(2R), even, differ by a nonzero integer. A center therefore lies
+    at least 1/(8R**2) from the bound, at least 1e-8 for R <= 3162, far
+    beyond the few ulps where the rounded and the exact tests can disagree.
     """
     check_arity(n)
-    if op_tag not in _GRID_FORMULAS:
+    row = OPERATOR_TABLE.get(op_tag)
+    if row is None:
         raise DomainError(f"unknown operator tag {op_tag!r}")
     resolution = check_index(resolution, "resolution")
     if resolution < 2:
@@ -138,9 +136,10 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
     centers = (np.arange(resolution) + 0.5) / resolution
     da = centers[:, None]
     db = centers[None, :]
-    mask = _GRID_MASKS[op_tag](da, db)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(mask, _GRID_FORMULAS[op_tag](da, db), np.nan)
+        values = row.d(da, db)
+    if row.domain is not None:
+        values[~row.domain(da, db)] = np.nan
     values.flags.writeable = False
     sheet = GridSheet(op_tag, resolution, centers, values)
 

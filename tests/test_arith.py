@@ -233,6 +233,15 @@ class TestIntPow:
         with pytest.raises(DomainError):
             int_pow(0.5, k, 2)
 
+    @pytest.mark.parametrize(
+        "d_a, expected",
+        [(0.5, (0.0, 0.0, True)), (1.0 - 2.0**-53, (0.0, 0.0, True)), (1.0, (1.0, 0.5, False))],
+    )
+    def test_exponent_beyond_binary64(self, d_a, expected):
+        # 10**400 does not convert to a float; below 1 the exact power underflows
+        r = int_pow(d_a, 10**400, 2)
+        assert (r.d, r.gamma, r.underflow) == expected
+
 
 class TestOpResultInvariant:
     def test_gamma_in_context_realizes_d(self, rng):
@@ -344,6 +353,15 @@ class TestDerivative:
     def test_rejects_boundaries(self, gamma):
         with pytest.raises(DomainError):
             d_dimension_d_scale(2, gamma)
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-320])
+    def test_rejects_a_slope_beyond_binary64(self, gamma):
+        with pytest.raises(DomainError, match="overflows binary64"):
+            d_dimension_d_scale(2, gamma)
+
+    def test_tiny_gamma_with_a_finite_slope(self):
+        lg = math.log(1e-300)
+        assert d_dimension_d_scale(2, 1e-300) == math.log(2) / (1e-300 * lg * lg) < math.inf
 
 
 class TestGammaConsistency:

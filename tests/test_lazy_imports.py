@@ -95,7 +95,7 @@ def test_star_import_binds_every_export():
 def test_exports_are_the_submodule_objects():
     assert cantordim.add is cantordim.arith.add
     assert cantordim.box_count is cantordim.estimation.box_count
-    assert cantordim.BACKEND == cantordim._backend.BACKEND
+    assert cantordim.BACKEND == cantordim._kernels_py.BACKEND
     assert "add" in vars(cantordim)  # cached after the first access
 
 

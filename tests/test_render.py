@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cantordim import (
+    OPERATORS,
     CantorParams,
     CapExceeded,
     DomainError,
+    OpDomainError,
     emit_operator_grid,
     render_stages_svg,
 )
@@ -47,6 +49,11 @@ class TestStageSvg:
         with pytest.raises(DomainError):
             render_stages_svg(CantorParams(2, 1 / 3, 0.0, 1), -1)
 
+    @pytest.mark.parametrize("max_stage", [True, 2.0, "2"])
+    def test_stage_must_be_an_integer(self, max_stage):
+        with pytest.raises(DomainError):
+            render_stages_svg(CantorParams(2, 1 / 3, 0.0, 1), max_stage)
+
 
 class TestOperatorGrid:
     def test_add_values_match_formula(self):
@@ -66,6 +73,23 @@ class TestOperatorGrid:
             for j, db in enumerate(sheet.centers):
                 defined = da < db / (1.0 + db)
                 assert math.isnan(sheet.values[i, j]) != defined
+
+    @pytest.mark.parametrize("op", ["sub", "div"])
+    def test_cells_near_the_domain_boundary_equal_the_scalar_operator(self, op):
+        sheet, _ = emit_operator_grid(op, 1000, 2)
+        c = sheet.centers
+        # distance of each cell from the boundary da = db/(1+db) or da = db
+        edge = c / (1.0 + c) if op == "sub" else c
+        near = np.argwhere(np.abs(c[:, None] - edge[None, :]) <= 1e-3)
+        assert len(near) > 1000
+        for i, j in near:
+            value = sheet.values[i, j]
+            try:
+                expected = OPERATORS[op](c[i], c[j], 2).d
+            except OpDomainError:
+                assert math.isnan(value), (c[i], c[j])
+            else:
+                assert value == expected, (c[i], c[j])
 
     def test_div_diagonal_is_defined(self):
         sheet, _ = emit_operator_grid("div", 8, 2)
