@@ -4,12 +4,14 @@
 Two kinds of case: the million-interval ladders (4 box sizes per level) and
 the verify ladder (16 sizes per level, coarsest level dropped, as
 ``verify_operator_geometrically`` uses) on sets as large as the verifier's
-largest tier. The kernel's box counting is timed next to the seed's numpy
-sweep kept in ``tests/reference_kernel.py``, and its interval construction
-on its own: there is one construction backend. The kernel's counts are
-checked equal to the reference's before anything is timed. The kernel's
-ladder time includes the per-set layout it computes once, as
-``estimate_dimension`` does.
+largest tier. One million-interval ladder is repeated with a few neighbouring
+intervals swapped, so the set is not ordered and the count takes its general
+path (running maximum and clip). The kernel's box counting is timed next to
+the seed's numpy sweep kept in ``tests/reference_kernel.py``, and its
+interval construction on its own: there is one construction backend. The
+kernel's counts are checked equal to the reference's before anything is
+timed. The kernel's ladder time includes the per-set layout it computes
+once, as ``estimate_dimension`` does.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
 Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
@@ -34,17 +36,19 @@ from reference_kernel import box_count as reference_count  # noqa: E402
 
 OUT = ROOT / "BENCH_boxcount.json"
 
-# (n, dimension, epsilon mode, stage, box sizes per level, first level)
+# (n, dimension, epsilon mode, stage, box sizes per level, first level,
+#  neighbouring pairs swapped)
 CASES = [
-    (2, 0.63, None, 20, 4, 1),   # ~1.0e6 intervals
-    (4, 0.70, "reg", 10, 4, 1),  # ~1.0e6 intervals
-    (10, 0.55, "reg", 6, 4, 1),  # 1.0e6 intervals
-    (5, 0.80, "max", 9, 4, 1),   # ~2.0e6 intervals
+    (2, 0.63, None, 20, 4, 1, 0),   # ~1.0e6 intervals
+    (2, 0.63, None, 20, 4, 1, 8),   # the same, not ordered
+    (4, 0.70, "reg", 10, 4, 1, 0),  # ~1.0e6 intervals
+    (10, 0.55, "reg", 6, 4, 1, 0),  # 1.0e6 intervals
+    (5, 0.80, "max", 9, 4, 1, 0),   # ~2.0e6 intervals
     # the verify ladder at the stages of the verifier's largest tier
-    (2, 0.45, None, 15, 16, 2),  # 32768 intervals
-    (3, 0.60, None, 10, 16, 2),  # 59049 intervals
-    (4, 0.75, "reg", 8, 16, 2),  # 65536 intervals
-    (5, 0.90, "reg", 7, 16, 2),  # 78125 intervals
+    (2, 0.45, None, 15, 16, 2, 0),  # 32768 intervals
+    (3, 0.60, None, 10, 16, 2, 0),  # 59049 intervals
+    (4, 0.75, "reg", 8, 16, 2, 0),  # 65536 intervals
+    (5, 0.90, "reg", 7, 16, 2, 0),  # 78125 intervals
 ]
 
 
@@ -63,7 +67,7 @@ def ladder_counts(starts, ends, deltas):
 
 
 def run_case(case, repeats):
-    n, dim, eps_mode, stage, per_level, start_level = case
+    n, dim, eps_mode, stage, per_level, start_level, swaps = case
     gamma = n ** (-1.0 / dim)
     eps = 0.0
     if eps_mode and n >= 4:
@@ -79,6 +83,12 @@ def run_case(case, repeats):
         lambda: _kernels_py.prefractal_starts(offsets, gamma, stage), repeats
     )
     ends = np.minimum(starts + width, 1.0)
+    for i in np.linspace(1, len(starts) - 1, swaps, dtype=np.int64):
+        starts[[i - 1, i]] = starts[[i, i - 1]]
+        ends[[i - 1, i]] = ends[[i, i - 1]]
+    ordered = _kernels_py.set_layout(starts, ends).ordered
+    if ordered != (swaps == 0):
+        raise SystemExit("swapping neighbours left the set ordered")
     want = [reference_count(starts, ends, d, SNAP_ETA) for d in deltas]
     if ladder_counts(starts, ends, deltas) != want:
         raise SystemExit("box counts differ from the reference")
@@ -92,6 +102,7 @@ def run_case(case, repeats):
         "epsilon": eps_mode or "0",
         "stage": stage,
         "intervals": len(starts),
+        "ordered": ordered,
         "ladder": f"{per_level} per level from level {start_level}",
         "box_sizes": len(deltas),
         "occupied_cells": sum(want),
@@ -113,8 +124,10 @@ def main():
         r = run_case(case, args.repeats)
         results.append(r)
         times = "  ".join(f"{k} {v:8.1f} ms" for k, v in r["ladder_best_ms"].items())
+        order = "" if r["ordered"] else ", not ordered"
         print(f"n={r['n']} D={r['dimension']} eps={r['epsilon']} stage={r['stage']} "
-              f"({r['intervals']:,} intervals, {r['box_sizes']} sizes, {r['ladder']}): {times}")
+              f"({r['intervals']:,} intervals{order}, {r['box_sizes']} sizes, {r['ladder']}): "
+              f"{times}")
     report = {
         "topic": "boxcount",
         "kernel": _kernels_py.BACKEND,

@@ -3,8 +3,9 @@
 ``prefractal_starts`` builds positions with a fixed sequence of float
 operations, so a construction is reproducible bit for bit. ``box_count``
 returns, for every box size down to ``estimation.DELTA_FLOOR``, the count of
-the sequential sweep kept in the tests as the slow reference, in one pass
-over the intervals where the set allows; the tests compare counts exactly.
+the sequential sweep kept in the tests as the slow reference, in one blocked
+pass over the intervals for every set, ordered or not; the tests compare
+counts exactly.
 """
 
 import math
@@ -20,7 +21,7 @@ def available_backends():
     """Name -> kernel module; the numpy kernel is the only one."""
     return {BACKEND: sys.modules[__name__]}
 
-#: intervals per block of the one-pass count: small temporaries are reused by
+#: intervals per block of the count: small temporaries are reused by
 #: the allocator, large ones cost fresh pages on every call
 BLOCK = 16384
 
@@ -70,33 +71,61 @@ def set_layout(starts, ends):
 
 
 def box_count(starts, ends, delta, eta, layout=None):
-    """Occupied cells of the grid [k*delta, (k+1)*delta) over sorted intervals.
+    """Occupied cells of the grid [k*delta, (k+1)*delta) over the intervals.
 
     A cell is occupied when its overlap with an interval exceeds eta*delta;
     intervals thinner than the snap band are assigned their midpoint cell.
     ``layout`` is the set's SetLayout when the caller keeps one.
 
-    Interval i covers cells lo_i..hi_i, where lo_i is the largest k with
-    fl(k*delta) <= start_i + snap and hi_i the largest k with
-    fl(k*delta) < end_i - snap. For an ordered set both are non-decreasing.
-    If every interval is wider than the snap band (thin-free), the count is
-    the size of the union of those ranges. If every interval is clearly
-    thinner (all-thin), each sits inside its midpoint cell with room to
-    spare, so the count is the number of distinct midpoint cells. Both take
-    one pass over the intervals. Sets in neither class, or not ordered,
-    take the general sweep.
+    Interval j covers the cells lo_j..hi_j by one of three rules:
+    - thin-free set (every interval wider than the snap band): lo_j is the
+      largest k with fl(k*delta) <= start_j + snap and hi_j the largest k
+      with fl(k*delta) < end_j - snap, so lo_j <= hi_j;
+    - all-thin set (every interval clearly thinner): each interval sits inside
+      its midpoint cell with room to spare, and lo_j = hi_j = that cell;
+    - mixed set: lo_j and hi_j as for a thin-free set, and the rows with
+      hi_j < lo_j (the thin ones) take lo_j = hi_j = their midpoint cell.
+    The count is the sequential sweep's: range j adds
+    max(0, hi_j - max(lo_j - 1, reach_j)) cells, where reach_j is the highest
+    cell of any earlier range. One loop sums it over blocks of BLOCK
+    intervals, carrying reach from block to block. In an ordered set that is
+    thin-free or all-thin, hi never decreases, so reach_j is hi_{j-1} and no
+    term is negative; other sets take the running maximum and the clip.
     """
     if len(starts) == 0:
         return 0
     if layout is None:
         layout = set_layout(starts, ends)
     snap = eta * delta
-    if layout.ordered:
-        if layout.min_len > 2.0 * snap + THIN_SLACK:
-            return _count_ranges(starts, ends, delta, snap)
-        if layout.max_len < 2.0 * snap - THIN_SLACK:
-            return _count_midpoints(starts, ends, delta)
-    return _sweep(starts, ends, delta, snap)
+    thin_free = layout.min_len > 2.0 * snap + THIN_SLACK
+    all_thin = layout.max_len < 2.0 * snap - THIN_SLACK
+    monotone = layout.ordered and (thin_free or all_thin)
+    total, reach = 0.0, -math.inf
+    for i in range(0, len(starts), BLOCK):
+        s, e = starts[i:i + BLOCK], ends[i:i + BLOCK]
+        if all_thin:
+            hi = _midpoint_cells(s, e, delta)
+            lo = hi.copy()
+        else:
+            lo, hi = _cell_ranges(s, e, delta, snap)
+            if not thin_free:
+                thin = hi < lo
+                mid = _midpoint_cells(s, e, delta)
+                lo, hi = np.where(thin, mid, lo), np.where(thin, mid, hi)
+        if monotone:
+            top = hi
+        else:
+            top = np.maximum.accumulate(hi)
+            np.maximum(top, reach, out=top)
+        lo -= 1.0
+        lo[0] = max(lo[0], reach)
+        np.maximum(lo[1:], top[:-1], out=lo[1:])
+        np.subtract(hi, lo, out=lo)
+        if not monotone:
+            np.maximum(lo, 0.0, out=lo)
+        total += lo.sum()
+        reach = top[-1]
+    return int(total)
 
 
 def _cell_ranges(starts, ends, delta, snap):
@@ -128,53 +157,9 @@ def _cell_ranges(starts, ends, delta, snap):
     return k[:m], k[m:]
 
 
-def _count_ranges(starts, ends, delta, snap):
-    """Thin-free count in one pass: the cells in the union of the ranges [lo_i, hi_i].
-
-    With lo <= hi and hi non-decreasing, range i adds the cells above its
-    predecessor's hi, hi_i - max(hi_{i-1}, lo_i - 1). Blocks of BLOCK
-    intervals keep the temporaries small.
-    """
-    total, prev_hi = 0.0, -math.inf
-    for i in range(0, len(starts), BLOCK):
-        lo, hi = _cell_ranges(starts[i:i + BLOCK], ends[i:i + BLOCK], delta, snap)
-        lo -= 1.0
-        lo[0] = max(lo[0], prev_hi)
-        np.maximum(lo[1:], hi[:-1], out=lo[1:])
-        np.subtract(hi, lo, out=lo)
-        total += lo.sum()
-        prev_hi = hi[-1]
-    return int(total)
-
-
-def _sweep(starts, ends, delta, snap):
-    """The sequential sweep for any input: new cells above the running maximum."""
-    lo, hi = _cell_ranges(starts, ends, delta, snap)
-    thin = hi < lo
-    if thin.any():
-        mid = _midpoint_cells(starts, ends, delta)
-        lo = np.where(thin, mid, lo)
-        hi = np.where(thin, mid, hi)
-    total = hi[0] - lo[0] + 1.0
-    if len(lo) > 1:
-        lo_eff = np.maximum.accumulate(hi)[:-1]
-        lo_eff += 1.0
-        np.maximum(lo_eff, lo[1:], out=lo_eff)
-        gain = hi[1:] - lo_eff
-        gain += 1.0
-        np.maximum(gain, 0.0, out=gain)
-        total += gain.sum()
-    return int(total)
-
-
 def _midpoint_cells(starts, ends, delta):
     cells = starts + ends
     cells *= 0.5
     cells /= delta
     return np.floor(cells, out=cells)
 
-
-def _count_midpoints(starts, ends, delta):
-    """All-thin count in one pass: distinct midpoint cells, which are non-decreasing."""
-    cells = _midpoint_cells(starts, ends, delta)
-    return 1 + int(np.count_nonzero(cells[1:] != cells[:-1]))

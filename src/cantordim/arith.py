@@ -3,8 +3,9 @@
 Every binary operator is defined twice over: by a gamma-space construction
 on the scale factors and by the closed D-space formula it induces.
 ``OPERATOR_TABLE`` writes both down once, one row per operator, with the
-operator's domain predicate; the scalar operators and the grid sheets of
-``render`` read their formulas and predicates from it, and
+operator's domain predicate, its zero-operand rule and its errors. The four
+scalar operators apply their rows through one function, the grid sheets of
+``render`` read the formulas and predicates, and
 :func:`check_gamma_consistency` recomputes a result along both routes.
 The returned dimension is N-independent; the shared arity only materializes
 gamma_C for the result.
@@ -65,12 +66,26 @@ class OperatorRow(NamedTuple):
 
     ``d`` and ``domain`` take positive operands, as floats or as numpy
     arrays; ``domain`` is the rounded predicate (None: total on (0,1]^2).
-    ``gamma`` maps gamma_A, gamma_B and D_B to gamma_C.
+    ``gamma`` maps gamma_A, gamma_B and D_B to gamma_C. ``zero`` is None when
+    the void set absorbs, else the (condition, message) a zero operand
+    raises; ``off_domain`` is the (condition, message) of a pair outside the
+    domain. ``exact`` is a further predicate on scalar operands only, which
+    the grid never reads (see ``render.emit_operator_grid``).
     """
 
     d: Callable
     domain: Optional[Callable]
     gamma: Callable
+    zero: Optional[tuple[str, str]] = None
+    off_domain: Optional[tuple[str, str]] = None
+    exact: Optional[Callable] = None
+
+
+def _below_exact_sub_bound(d_a: float, d_b: float) -> bool:
+    """d_a < d_b/(1+d_b) in exact rational arithmetic on the binary64 values."""
+    p, q = d_a.as_integer_ratio()
+    r, s = d_b.as_integer_ratio()
+    return p * (s + r) < r * q
 
 
 OPERATOR_TABLE = {
@@ -83,6 +98,11 @@ OPERATOR_TABLE = {
         d=lambda a, b: a * b / (b - a),
         domain=lambda a, b: a < b / (1.0 + b),
         gamma=lambda ga, gb, b: ga / gb,
+        off_domain=(
+            "sub_requires_da_lt_db_over_1p_db",
+            "subtraction requires D_A < D_B/(1+D_B)",
+        ),
+        exact=_below_exact_sub_bound,
     ),
     "mul": OperatorRow(
         d=lambda a, b: a * b,
@@ -94,8 +114,20 @@ OPERATOR_TABLE = {
         d=lambda a, b: a / b,
         domain=lambda a, b: a <= b,
         gamma=lambda ga, gb, b: ga**b,
+        zero=("div_requires_nonzero_operands", "division requires D_A > 0 and D_B > 0"),
+        off_domain=(
+            "div_requires_da_le_db",
+            "division requires D_A <= D_B (the quotient may not exceed 1)",
+        ),
     ),
 }
+
+
+def operator_row(op_tag) -> OperatorRow:
+    """The OPERATOR_TABLE row of a tag; any other value, unhashable ones too, is a DomainError."""
+    if isinstance(op_tag, str) and op_tag in OPERATOR_TABLE:
+        return OPERATOR_TABLE[op_tag]
+    raise DomainError(f"unknown operator tag {op_tag!r}")
 
 
 def _materialize(n: int, d: float) -> OpResult:
@@ -106,24 +138,28 @@ def _materialize(n: int, d: float) -> OpResult:
     return OpResult(d, gamma, underflow)
 
 
+def _apply(tag: str, d_a: float, d_b: float, n: int) -> OpResult:
+    """Check the operands, apply the zero-operand rule and the domain, then the D formula."""
+    row = OPERATOR_TABLE[tag]
+    check_arity(n)
+    d_a = check_dimension(d_a)
+    d_b = check_dimension(d_b)
+    if d_a == 0.0 or d_b == 0.0:
+        if row.zero is None:
+            return OpResult(0.0, 0.0)
+        raise OpDomainError(tag, (d_a, d_b), *row.zero)
+    for inside in (row.domain, row.exact):
+        if inside is not None and not inside(d_a, d_b):
+            raise OpDomainError(tag, (d_a, d_b), *row.off_domain)
+    return _materialize(n, row.d(d_a, d_b))
+
+
 def add(d_a: float, d_b: float, n: int) -> OpResult:
     """Harmonic-style sum: 1/D_C = 1/D_A + 1/D_B (gamma_C = gamma_A*gamma_B).
 
     Total on [0,1]^2; the void set absorbs (0 + anything = 0, including 0+0).
     """
-    check_arity(n)
-    d_a = check_dimension(d_a)
-    d_b = check_dimension(d_b)
-    if d_a == 0.0 or d_b == 0.0:
-        return OpResult(0.0, 0.0)
-    return _materialize(n, OPERATOR_TABLE["add"].d(d_a, d_b))
-
-
-def _below_exact_sub_bound(d_a: float, d_b: float) -> bool:
-    """d_a < d_b/(1+d_b) in exact rational arithmetic on the binary64 values."""
-    p, q = d_a.as_integer_ratio()
-    r, s = d_b.as_integer_ratio()
-    return p * (s + r) < r * q
+    return _apply("add", d_a, d_b, n)
 
 
 def sub(d_a: float, d_b: float, n: int) -> OpResult:
@@ -133,23 +169,10 @@ def sub(d_a: float, d_b: float, n: int) -> OpResult:
     keeping gamma_C a proper scale factor); the void set absorbs on either
     side before the predicate applies. A pair must lie below the rounded
     bound and below the exact one: rounding the bound can lift it past an
-    operand that is outside the domain, whose D_C would exceed 1.
+    operand that is outside the domain, whose D_C would exceed 1. Below
+    both, exactly d_a*d_b < d_b - d_a, so the rounded quotient is at most 1.
     """
-    check_arity(n)
-    d_a = check_dimension(d_a)
-    d_b = check_dimension(d_b)
-    if d_a == 0.0 or d_b == 0.0:
-        return OpResult(0.0, 0.0)
-    row = OPERATOR_TABLE["sub"]
-    if not (row.domain(d_a, d_b) and _below_exact_sub_bound(d_a, d_b)):
-        raise OpDomainError(
-            "sub",
-            (d_a, d_b),
-            "sub_requires_da_lt_db_over_1p_db",
-            "subtraction requires D_A < D_B/(1+D_B)",
-        )
-    # exactly d_a*d_b < d_b - d_a here, so the rounded quotient is at most 1
-    return _materialize(n, row.d(d_a, d_b))
+    return _apply("sub", d_a, d_b, n)
 
 
 def mul(d_a: float, d_b: float, n: int) -> OpResult:
@@ -157,12 +180,7 @@ def mul(d_a: float, d_b: float, n: int) -> OpResult:
 
     Total on [0,1]^2; the unit segment is the identity, the void set absorbs.
     """
-    check_arity(n)
-    d_a = check_dimension(d_a)
-    d_b = check_dimension(d_b)
-    if d_a == 0.0 or d_b == 0.0:
-        return OpResult(0.0, 0.0)
-    return _materialize(n, OPERATOR_TABLE["mul"].d(d_a, d_b))
+    return _apply("mul", d_a, d_b, n)
 
 
 def div(d_a: float, d_b: float, n: int) -> OpResult:
@@ -172,25 +190,7 @@ def div(d_a: float, d_b: float, n: int) -> OpResult:
     operands are rejected: D_A/0 has no gamma-space meaning and 0/D_B is
     excluded with it by the 0 < d_a precondition.
     """
-    check_arity(n)
-    d_a = check_dimension(d_a)
-    d_b = check_dimension(d_b)
-    if d_a == 0.0 or d_b == 0.0:
-        raise OpDomainError(
-            "div",
-            (d_a, d_b),
-            "div_requires_nonzero_operands",
-            "division requires D_A > 0 and D_B > 0",
-        )
-    row = OPERATOR_TABLE["div"]
-    if not row.domain(d_a, d_b):
-        raise OpDomainError(
-            "div",
-            (d_a, d_b),
-            "div_requires_da_le_db",
-            "division requires D_A <= D_B (the quotient may not exceed 1)",
-        )
-    return _materialize(n, row.d(d_a, d_b))
+    return _apply("div", d_a, d_b, n)
 
 
 def int_pow(d_a: float, k: int, n: int) -> OpResult:
@@ -250,9 +250,8 @@ def check_gamma_consistency(op_tag: str, d_a: float, d_b: float, n: int) -> floa
     arithmetic, and reads the resulting dimension back; no log-space
     shortcut is taken, so the two routes share no intermediate values.
     """
-    if op_tag not in OPERATORS:
-        raise DomainError(f"unknown operator tag {op_tag!r}")
-    d_formula = OPERATORS[op_tag](d_a, d_b, n).d
+    row = operator_row(op_tag)
+    d_formula = _apply(op_tag, d_a, d_b, n).d
 
     ga, ga_under = scale_from_dimension(n, d_a)
     gb, gb_under = scale_from_dimension(n, d_b)
@@ -260,7 +259,7 @@ def check_gamma_consistency(op_tag: str, d_a: float, d_b: float, n: int) -> floa
         raise DomainError("operand gamma underflows binary64; gamma route unavailable")
     if op_tag == "sub" and gb == 0.0:
         raise DomainError("gamma route undefined for a void subtrahend (gamma_A/0)")
-    gc = OPERATOR_TABLE[op_tag].gamma(ga, gb, d_b)
+    gc = row.gamma(ga, gb, d_b)
     if gc == 0.0:
         if d_formula > 0.0:
             raise DomainError("result gamma underflows binary64; gamma route unavailable")

@@ -16,13 +16,15 @@ and at 1e-6 of a cell it sits three orders below any genuine geometry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels_py
-from .arith import OPERATORS
+from .arith import OPERATORS, operator_row
+from .core import check_index
 from .errors import CapExceeded, DomainError, FitDegenerate
 from .geometry import CantorParams, IntervalSet, construct_prefractal, regular_epsilon
 
@@ -158,12 +160,17 @@ def verify_operator_geometrically(
     scaling regime (16 box sizes per level, coarsest level dropped); deeper
     stages sharpen the estimate. Results whose gamma_C is not constructible
     (underflow, degenerate Z/U, stage too deep, cap) are reported as
-    unverifiable rather than failed; invalid operands raise.
+    unverifiable rather than failed. An unknown tag, invalid operands, a
+    stage that is not an integer >= 3 and a tolerance that is not a finite
+    positive real raise.
     """
-    if op_tag not in OPERATORS:
-        raise DomainError(f"unknown operator tag {op_tag!r}")
+    operator_row(op_tag)
+    stage = check_index(stage, "stage")
     if stage < 3:
         raise DomainError(f"verification needs stage >= 3, got {stage}")
+    positive = isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0.0
+    if isinstance(tolerance, bool) or not positive:
+        raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
     result = OPERATORS[op_tag](d_a, d_b, n)
 
     def unverifiable(reason):

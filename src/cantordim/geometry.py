@@ -120,11 +120,10 @@ class IntervalSet:
 
     __slots__ = ("starts", "ends", "params", "_layout")
 
-    def __init__(self, starts, ends, params: Optional[CantorParams] = None, validate=True):
+    def __init__(self, starts, ends, params: Optional[CantorParams] = None):
         starts = np.ascontiguousarray(starts, dtype=np.float64)
         ends = np.ascontiguousarray(ends, dtype=np.float64)
-        if validate:
-            self._check(starts, ends)
+        self._check(starts, ends)
         starts.flags.writeable = False
         ends.flags.writeable = False
         self.starts = starts

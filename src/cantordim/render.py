@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import OPERATOR_TABLE
+from .arith import operator_row
 from .core import check_arity, check_index
 from .errors import CapExceeded, DomainError
 from .geometry import DEFAULT_CAP, CantorParams, construct_prefractal
@@ -125,9 +125,7 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
     beyond the few ulps where the rounded and the exact tests can disagree.
     """
     check_arity(n)
-    row = OPERATOR_TABLE.get(op_tag)
-    if row is None:
-        raise DomainError(f"unknown operator tag {op_tag!r}")
+    row = operator_row(op_tag)
     resolution = check_index(resolution, "resolution")
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")

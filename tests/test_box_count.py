@@ -1,7 +1,7 @@
 """Exact parity of the numpy box-count kernel with the slow reference sweep.
 
-The kernel picks a one-pass count from properties of the set and the box
-size. Every case runs with the default block size and with blocks of 37
+The kernel's one blocked count picks its cell rule from properties of the
+set and the box size. Every case runs with the default block size and with blocks of 37
 intervals (see BLOCKS), and each count must equal
 ``reference_kernel.box_count`` exactly.
 """
@@ -148,6 +148,18 @@ def test_mixed_thin_and_wide_intervals(rng, blocks):
         starts = starts[np.diff(starts, prepend=-1.0) > 3 * band]
         widths = np.where(rng.random(len(starts)) < 0.5, band / 3, 3 * band)
         assert_counts_match(starts, starts + widths, [delta, delta / 7])
+    # longer than one 37-interval block: the first interval covers every cell
+    # of the second block, whose thin and wide intervals add nothing
+    for delta in (0.05, 1e-3):
+        band = 2 * SNAP_ETA * delta
+        starts = np.concatenate(
+            [[0.1], np.sort(rng.uniform(0.91, 0.99, 36)), np.sort(rng.uniform(0.15, 0.85, 60))]
+        )
+        widths = np.where(np.arange(len(starts)) % 2 == 0, band / 3, 3 * band)
+        ends = starts + widths
+        ends[0] = 0.9
+        assert not kernel.set_layout(starts, ends).ordered
+        assert_counts_match(starts, ends, [delta, delta / 7])
 
 
 def test_ends_not_monotone_within_overlap_tol(blocks):
@@ -181,6 +193,18 @@ def test_unsorted_and_nested_intervals(rng, blocks):
         pairs = np.sort(rng.uniform(0.0, 1.0, (m, 2)), axis=1)
         deltas = [1.0, *rng.uniform(1e-3, 0.5, 4)]
         assert_counts_match(pairs[:, 0], pairs[:, 1], deltas)
+    # sets longer than one 37-interval block, so the running maximum crosses
+    # block boundaries; in the last one an interval of the first block covers
+    # every cell of the second
+    deltas = [1.0, 0.1, 0.013, 1e-3]
+    for m in (38, 75, 200):
+        pairs = np.sort(rng.uniform(0.0, 1.0, (m, 2)), axis=1)
+        assert_counts_match(pairs[:, 0], pairs[:, 1], deltas)
+    first = np.sort(rng.uniform(0.0, 0.1, (37, 2)), axis=1)
+    first[5] = [0.1, 0.9]
+    second = np.sort(rng.uniform(0.15, 0.85, (40, 2)), axis=1)
+    pairs = np.concatenate([first, second, [[0.5, 0.95]]])
+    assert_counts_match(pairs[:, 0], pairs[:, 1], deltas)
 
 
 def test_runs_of_equal_ends_just_above_a_boundary(blocks):

@@ -10,7 +10,9 @@ from cantordim import (
     IntervalSet,
     OpDomainError,
     box_count,
+    check_gamma_consistency,
     construct_prefractal,
+    emit_operator_grid,
     estimate_dimension,
     scale_ladder,
     verify_operator_geometrically,
@@ -183,3 +185,36 @@ class TestVerifyOperator:
         report = verify_operator_geometrically("mul", 0.5, 0.5, 2, stage=6, tolerance=0.05)
         text = str(report)
         assert "PASS" in text and "gamma_C" in text
+
+    @pytest.mark.parametrize("stage", [3.5, 3.0, "4", True, None])
+    def test_rejects_a_stage_that_is_not_an_integer(self, stage):
+        with pytest.raises(DomainError, match="stage"):
+            verify_operator_geometrically("mul", 0.5, 0.5, 2, stage=stage)
+
+    @pytest.mark.parametrize(
+        "tolerance", [float("nan"), float("inf"), -0.05, 0.0, -0.0, True, False, "0.05", None]
+    )
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            verify_operator_geometrically("mul", 0.5, 0.5, 2, stage=6, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [1, np.float64(0.05), 1e-300])
+    def test_accepts_finite_positive_tolerances(self, tolerance):
+        report = verify_operator_geometrically("mul", 0.5, 0.5, 2, stage=6, tolerance=tolerance)
+        assert report.status in ("pass", "fail")
+        assert report.tolerance == tolerance
+
+
+@pytest.mark.parametrize("tag", [["add"], None, 1, "ADD"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tag: emit_operator_grid(tag, 4, 2),
+        lambda tag: check_gamma_consistency(tag, 0.5, 0.5, 2),
+        lambda tag: verify_operator_geometrically(tag, 0.5, 0.5, 2),
+    ],
+    ids=["emit_operator_grid", "check_gamma_consistency", "verify_operator_geometrically"],
+)
+def test_unknown_operator_tags_raise_domain_error(entry, tag):
+    with pytest.raises(DomainError, match="unknown operator tag"):
+        entry(tag)
