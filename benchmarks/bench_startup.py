@@ -6,7 +6,7 @@ Every case is one fresh interpreter: a bare one, ``import cantordim``,
 four ``op`` operators, ``pow``, ``ddgamma``, ``bounds``) and one numpy-bound
 command (``verify``). CLI cases run as ``python -m cantordim.cli ...``.
 Each case records its best-of-N wall time and, from one more run of the
-same work in a ``-c`` probe, whether numpy was loaded. With ``--baseline
+same work in a ``-c`` probe, whether numpy and ``dataclasses`` were loaded. With ``--baseline
 DIR`` the cases also run against a second checkout (for example a clone of
 the parent commit), alternating between the two trees, and both go into
 the file.
@@ -64,11 +64,15 @@ def wall_s(argv, tree, env) -> float:
     return time.perf_counter() - t0
 
 
-def numpy_loaded(code, tree, env) -> bool:
-    probe = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+WATCHED = ("numpy", "dataclasses")
+
+
+def loaded(code, tree, env) -> dict:
+    """Module -> whether the work in ``code`` leaves it imported, for each WATCHED module."""
+    probe = f"{code}\nimport sys\nprint(*[m in sys.modules for m in {WATCHED!r}])"
     out = subprocess.run([sys.executable, "-c", probe], cwd=tree, env=env, check=True,
                          capture_output=True, text=True)
-    return out.stdout.splitlines()[-1] == "True"
+    return dict(zip(WATCHED, (v == "True" for v in out.stdout.splitlines()[-1].split())))
 
 
 def main():
@@ -94,18 +98,20 @@ def main():
 
     results = []
     for name, kind, argv, probe in plan:
+        found = {label: loaded(probe, trees[label], envs[label]) for label in trees}
         row = {
             "case": name,
             "kind": kind,
             "argv": ["python", *argv],
             "best_ms": {label: best[name, label] * 1e3 for label in trees},
-            "numpy_loaded": {label: numpy_loaded(probe, trees[label], envs[label])
-                             for label in trees},
+            **{f"{m}_loaded": {label: found[label][m] for label in trees} for m in WATCHED},
         }
         results.append(row)
         times = "  ".join(f"{label} {ms:7.1f} ms" for label, ms in row["best_ms"].items())
-        loaded = "  ".join(f"{label} {'numpy' if v else '-'}" for label, v in row["numpy_loaded"].items())
-        print(f"{name:28s} {times}   {loaded}")
+        names = "  ".join(
+            f"{label} {','.join(m for m in WATCHED if found[label][m]) or '-'}" for label in trees
+        )
+        print(f"{name:28s} {times}   {names}")
 
     report = {
         "topic": "startup",

@@ -20,13 +20,13 @@ segment). The void set (d = 0) is absorbing for add, sub and mul.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
     check_arity,
     check_dimension,
     check_index,
+    check_scale,
     dimension_from_scale,
     scale_from_dimension,
 )
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OpResult:
+class OpResult(NamedTuple):
     """Result dimension plus its realization in the shared n-adic family.
 
     ``gamma`` is the scale factor of the result for the arity the operator
@@ -141,7 +140,7 @@ def _materialize(n: int, d: float) -> OpResult:
 def _apply(tag: str, d_a: float, d_b: float, n: int) -> OpResult:
     """Check the operands, apply the zero-operand rule and the domain, then the D formula."""
     row = OPERATOR_TABLE[tag]
-    check_arity(n)
+    n = check_arity(n)
     d_a = check_dimension(d_a)
     d_b = check_dimension(d_b)
     if d_a == 0.0 or d_b == 0.0:
@@ -199,11 +198,9 @@ def int_pow(d_a: float, k: int, n: int) -> OpResult:
     k = 0 returns the unit segment, except for the void set whose zeroth
     power is rejected (its gamma-space definition is meaningless).
     """
-    check_arity(n)
+    n = check_arity(n)
     d_a = check_dimension(d_a)
     k = check_index(k, "power exponent")
-    if k < 0:
-        raise DomainError(f"power exponent must be >= 0, got {k}")
     if k == 0:
         if d_a == 0.0:
             raise OpDomainError(
@@ -228,10 +225,8 @@ def d_dimension_d_scale(n: int, gamma: float) -> float:
     are excluded (the closed form blows up at 0 and the domain ends at 1/n),
     and so is a gamma so small that the slope overflows binary64.
     """
-    check_arity(n)
-    gamma = float(gamma)
-    if math.isnan(gamma) or not 0.0 < gamma < 1.0 / n:
-        raise DomainError(f"derivative requires 0 < gamma < 1/{n}, got {gamma!r}")
+    n = check_arity(n)
+    gamma = check_scale(n, gamma)
     lg = math.log(gamma)
     slope = math.log(n) / (gamma * lg * lg)
     if not math.isfinite(slope):

@@ -207,10 +207,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CantorDimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CantorDimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,13 +12,17 @@ gamma = 1/N is the unit segment U (D = 1).
 The lacunarity bounds of the symmetric layout are scalar rules on
 (N, gamma) as well and live here, so scalar callers never load numpy;
 ``geometry`` re-exports them.
+
+The ``check_*`` functions are the argument gate: every public entry of the
+package checks its arguments with them, so each type, range and cap rule is
+written once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -26,30 +30,57 @@ from .errors import DomainError
 #: absolute tolerance used for all equality-style checks in this package
 ABS_TOL = 1e-12
 
+#: largest arity: up to 2**53 every N is exact in binary64 and 1.0 / N correctly rounded
+MAX_ARITY = 2**53
 
-def check_index(value, what: str) -> int:
-    """Coerce an integral value (int, numpy integer) to int; bools are rejected."""
-    if isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+
+def check_index(value, what: str, low: int = 0, high: float = math.inf) -> int:
+    """An integer (int or numpy integer, not bool) in [low, high] as an int."""
     try:
-        return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
     except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        shown = value if value.bit_length() < 64 else f"an integer of {value.bit_length()} bits"
+        raise DomainError(f"{what} must lie in [{low}, {high}], got {shown}")
+    return value
+
+
+def check_real(value, what: str, low=-math.inf, high=math.inf, ends: str = "[]") -> float:
+    """A real (int, float or numpy real, not bool) between low and high as a float.
+
+    ``ends`` marks each end closed ("[", "]") or open ("(", ")"). NaN and an
+    integer beyond binary64 are rejected.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{what} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError(f"{what} does not fit in binary64") from None
+    above = low <= value if ends[0] == "[" else low < value
+    below = value <= high if ends[1] == "]" else value < high
+    if not (above and below):  # NaN fails both
+        raise DomainError(f"{what} must lie in {ends[0]}{low!r}, {high!r}{ends[1]}, got {value!r}")
+    return value
 
 
 def check_arity(n) -> int:
-    """Validate the copy count N (integer, at least 2)."""
-    n = check_index(n, "arity")
-    if n < 2:
-        raise DomainError(f"arity must be >= 2 (n=1 is degenerate), got {n}")
-    return n
+    """The copy count N, an integer in [2, MAX_ARITY] (N = 1 is degenerate)."""
+    return check_index(n, "arity", 2, MAX_ARITY)
 
 
 def check_dimension(d) -> float:
-    d = float(d)
-    if not 0.0 <= d <= 1.0 or math.isnan(d):
-        raise DomainError(f"dimension must lie in [0, 1], got {d!r}")
-    return d
+    """A dimension in [0, 1]."""
+    return check_real(d, "dimension", 0, 1)
+
+
+def check_scale(n: int, gamma, closed: bool = False) -> float:
+    """A scale factor of the checked arity n: in [0, 1/n] if closed, else in (0, 1/n)."""
+    return check_real(gamma, "gamma", 0, 1.0 / n, "[]" if closed else "()")
 
 
 def dimension_from_scale(n: int, gamma: float) -> float:
@@ -59,14 +90,11 @@ def dimension_from_scale(n: int, gamma: float) -> float:
     gamma = 1/n (unit segment) gives 1.0. Comparisons against 1/n use the
     rounded binary64 bound and fail closed.
     """
-    check_arity(n)
-    gamma = float(gamma)
-    gmax = 1.0 / n
-    if math.isnan(gamma) or gamma < 0.0 or gamma > gmax:
-        raise DomainError(f"gamma must lie in [0, 1/{n}], got {gamma!r}")
+    n = check_arity(n)
+    gamma = check_scale(n, gamma, closed=True)
     if gamma == 0.0:
         return 0.0
-    if gamma == gmax:
+    if gamma == 1.0 / n:
         return 1.0
     return math.log(n) / -math.log(gamma)
 
@@ -89,7 +117,7 @@ def scale_from_dimension(n: int, d: float) -> ScaleResult:
     returns the void scale 0.0 (no underflow flag: it is the true value)
     and d = 1 returns exactly 1/n.
     """
-    check_arity(n)
+    n = check_arity(n)
     d = check_dimension(d)
     if d == 0.0:
         return ScaleResult(0.0, False)
@@ -116,20 +144,17 @@ def lacunarity_bounds(n: int, gamma: float) -> LacunarityBounds:
     where the central wells join. Undefined for n in {2, 3} (no intra-block
     gaps to widen; the formulas divide by zero).
     """
-    check_arity(n)
+    n = check_arity(n)
     if n < 4:
         raise DomainError(f"lacunarity bounds are undefined for n={n} (need n >= 4)")
-    gamma = float(gamma)
-    if math.isnan(gamma) or not 0.0 < gamma < 1.0 / n:
-        raise DomainError(f"bounds require 0 < gamma < 1/{n}, got {gamma!r}")
+    gamma = check_scale(n, gamma)
     free = 1.0 - n * gamma
     eps_reg = free / (n - 1)
     eps_max = free / (n - 2) if n % 2 == 0 else free / (n - 3)
     return LacunarityBounds(0.0, eps_reg, eps_max)
 
 
-@dataclass(frozen=True)
-class FractalSpec:
+class FractalSpec(NamedTuple):
     """An (N, gamma) family member together with its cached dimension.
 
     Plain record: instances built by hand may be inconsistent, which is what
@@ -143,7 +168,7 @@ class FractalSpec:
 
     @classmethod
     def from_scale(cls, n: int, gamma: float) -> "FractalSpec":
-        return cls(n, float(gamma), dimension_from_scale(n, gamma))
+        return cls(n, check_scale(check_arity(n), gamma, True), dimension_from_scale(n, gamma))
 
     @classmethod
     def from_dimension(cls, n: int, d: float) -> "FractalSpec":
@@ -158,8 +183,7 @@ class Violation(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -173,26 +197,24 @@ class ValidationReport:
 
 
 def validate_spec(spec: FractalSpec) -> ValidationReport:
-    """Report every violated invariant of a FractalSpec (empty report = valid)."""
+    """Report every violated invariant of a FractalSpec (empty report = valid).
+
+    Each field goes through its gate check; without a valid arity, gamma is held to [0, 1].
+    """
     found = []
-    n_ok = isinstance(spec.n, int) and not isinstance(spec.n, bool) and spec.n >= 2
-    if not n_ok:
-        found.append(Violation("arity", f"arity must be an integer >= 2, got {spec.n!r}"))
-    gamma = float(spec.gamma)
-    d = float(spec.d)
-    if math.isnan(gamma) or gamma < 0.0 or (n_ok and gamma > 1.0 / spec.n):
-        bound = f"1/{spec.n}" if n_ok else "1/N"
-        found.append(Violation("gamma_range", f"gamma must lie in [0, {bound}], got {gamma!r}"))
-    if math.isnan(d) or not 0.0 <= d <= 1.0:
-        found.append(Violation("dim_range", f"dimension must lie in [0, 1], got {d!r}"))
-    elif n_ok and not (math.isnan(gamma) or gamma < 0.0 or gamma > 1.0 / spec.n):
-        expected = dimension_from_scale(spec.n, gamma)
+
+    def gate(code, check, *args):
+        try:
+            return check(*args)
+        except DomainError as exc:
+            found.append(Violation(code, str(exc)))
+
+    n = gate("arity", check_arity, spec.n)
+    gamma = gate("gamma_range", check_scale, n or 1, spec.gamma, True)
+    d = gate("dim_range", check_dimension, spec.d)
+    if None not in (n, gamma, d):
+        expected = dimension_from_scale(n, gamma)
         if abs(expected - d) > ABS_TOL:
-            found.append(
-                Violation(
-                    "d_gamma_mismatch",
-                    f"d={d!r} disagrees with dimension_from_scale(n={spec.n}, "
-                    f"gamma={gamma!r})={expected!r}",
-                )
-            )
+            message = f"d={d!r} disagrees with dimension_from_scale(n={n}, gamma={gamma!r})"
+            found.append(Violation("d_gamma_mismatch", f"{message}={expected!r}"))
     return ValidationReport(tuple(found))

@@ -16,7 +16,6 @@ and at 1e-6 of a cell it sits three orders below any genuine geometry.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import _kernels_py
 from .arith import OPERATORS, operator_row
-from .core import check_index
+from .core import check_index, check_real
 from .errors import CapExceeded, DomainError, FitDegenerate
 from .geometry import CantorParams, IntervalSet, construct_prefractal, regular_epsilon
 
@@ -34,14 +33,16 @@ SNAP_ETA = 1e-6
 #: cells must be indexable in exact int64 arithmetic
 DELTA_FLOOR = 1e-15
 
+#: most box sizes in one ladder, and the largest per_level, start_level and stage
+LADDER_CAP = 10_000
+
 
 class BoxCountSample(NamedTuple):
     delta: float
     count: int
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(NamedTuple):
     d_hat: float
     stderr: float
     samples: tuple[BoxCountSample, ...]
@@ -49,11 +50,7 @@ class DimensionEstimate:
 
 def box_count(intervals: IntervalSet, delta: float) -> int:
     """Number of grid cells [k*delta, (k+1)*delta) meeting the set with positive measure."""
-    delta = float(delta)
-    if math.isnan(delta) or not 0.0 < delta <= 1.0:
-        raise DomainError(f"box size must lie in (0, 1], got {delta!r}")
-    if delta < DELTA_FLOOR:
-        raise DomainError(f"box size {delta!r} below {DELTA_FLOOR}: cell indices overflow")
+    delta = check_real(delta, "box size", DELTA_FLOOR, 1)
     return _kernels_py.box_count(
         intervals.starts, intervals.ends, delta, SNAP_ETA, intervals._box_layout
     )
@@ -68,12 +65,17 @@ def scale_ladder(
     per_level=1 gives the construction's natural scales. Larger values sample
     several phases of the log-periodic count oscillation per level, and
     start_level=2 drops the coarsest level, whose grid alignment is atypical;
-    both choices stabilize the fitted slope on short ladders.
+    both choices stabilize the fitted slope on short ladders. Over LADDER_CAP
+    sizes is a CapExceeded, a size below DELTA_FLOOR a DomainError.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"ladder requires 0 < gamma < 1, got {gamma!r}")
-    if per_level < 1 or start_level < 1 or stage < start_level:
-        raise DomainError("ladder requires per_level >= 1 and 1 <= start_level <= stage")
+    gamma = check_real(gamma, "ladder gamma", 0, 1, "()")
+    per_level = check_index(per_level, "per_level", 1, LADDER_CAP)
+    start_level = check_index(start_level, "start_level", 1, LADDER_CAP)
+    stage = check_index(stage, "stage", start_level, LADDER_CAP)
+    if per_level * (stage - start_level) >= LADDER_CAP:
+        raise CapExceeded(f"the ladder would exceed the cap of {LADDER_CAP} box sizes")
+    if gamma**stage < DELTA_FLOOR:
+        raise DomainError(f"the ladder ends at {gamma**stage!r}, below {DELTA_FLOOR}")
     return [
         gamma ** (j / per_level)
         for j in range(per_level * start_level, per_level * stage + 1)
@@ -93,12 +95,8 @@ def estimate_dimension(
         params = intervals.params
         if params is None:
             raise DomainError("no deltas given and the set carries no construction parameters")
-        if params.stage < 3:
-            raise DomainError(
-                f"default ladder gamma**(1..{params.stage}) has fewer than 3 box sizes"
-            )
         deltas = scale_ladder(params.gamma, params.stage)
-    deltas = [float(d) for d in deltas]
+    deltas = [check_real(d, "box size", DELTA_FLOOR, 1) for d in deltas]
     if len(set(deltas)) < 3:
         raise DomainError("need at least 3 distinct box sizes")
     samples = tuple(BoxCountSample(d, box_count(intervals, d)) for d in deltas)
@@ -165,12 +163,8 @@ def verify_operator_geometrically(
     positive real raise.
     """
     operator_row(op_tag)
-    stage = check_index(stage, "stage")
-    if stage < 3:
-        raise DomainError(f"verification needs stage >= 3, got {stage}")
-    positive = isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0.0
-    if isinstance(tolerance, bool) or not positive:
-        raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    stage = check_index(stage, "stage", 3)
+    tolerance = check_real(tolerance, "tolerance", 0, math.inf, "()")
     result = OPERATORS[op_tag](d_a, d_b, n)
 
     def unverifiable(reason):

@@ -22,14 +22,13 @@ index, so rounding error does not accumulate across stages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import _kernels_py
-from .core import check_arity, check_index
+from .core import check_arity, check_index, check_real, check_scale
 # the bounds are pure scalar math and live in core; re-exported here
 from .core import LacunarityBounds, lacunarity_bounds  # noqa: F401
 from .errors import CapExceeded, DomainError, InvariantError
@@ -50,29 +49,23 @@ DEFAULT_CAP = 10_000_000
 
 def regular_epsilon(n: int, gamma: float) -> float:
     """eps_reg where it exists, else the forced 0.0 of the n in {2,3} layouts."""
-    if n >= 4:
-        return lacunarity_bounds(n, gamma).eps_reg
-    check_arity(n)
-    return 0.0
+    n = check_arity(n)
+    gamma = check_scale(n, gamma)
+    return lacunarity_bounds(n, gamma).eps_reg if n >= 4 else 0.0
 
 
-def _validate_family(n: int, gamma: float, epsilon: float) -> None:
-    check_arity(n)
-    gamma = float(gamma)
-    if math.isnan(gamma) or not 0.0 < gamma < 1.0 / n:
-        raise DomainError(f"geometry requires 0 < gamma < 1/{n}, got {gamma!r}")
-    epsilon = float(epsilon)
-    if math.isnan(epsilon) or epsilon < 0.0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
+def _validate_family(n: int, gamma: float, epsilon: float) -> tuple[int, float, float]:
+    n = check_arity(n)
+    gamma = check_scale(n, gamma)
+    epsilon = check_real(epsilon, "epsilon", 0)
     if n < 4:
         if epsilon != 0.0:
             raise DomainError(f"epsilon plays no role for n={n} and must be 0, got {epsilon!r}")
-        return
-    eps_max = lacunarity_bounds(n, gamma).eps_max
-    if epsilon > eps_max:
+    elif epsilon > (eps_max := lacunarity_bounds(n, gamma).eps_max):
         raise DomainError(
             f"epsilon beyond eps_max would make a gap negative: {epsilon!r} > {eps_max!r}"
         )
+    return n, gamma, epsilon
 
 
 @dataclass(frozen=True)
@@ -85,14 +78,10 @@ class CantorParams:
     stage: int = 0
 
     def __post_init__(self):
-        _validate_family(self.n, self.gamma, self.epsilon)
+        n, gamma, epsilon = _validate_family(self.n, self.gamma, self.epsilon)
         stage = check_index(self.stage, "stage")
-        if stage < 0:
-            raise DomainError(f"stage must be >= 0, got {stage}")
-        object.__setattr__(self, "n", check_index(self.n, "arity"))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "stage", stage)
+        for field, value in (("n", n), ("gamma", gamma), ("epsilon", epsilon), ("stage", stage)):
+            object.__setattr__(self, field, value)
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,8 @@ class Interval:
     end: float
 
     def __post_init__(self):
-        if not (0.0 <= self.start < self.end <= 1.0):
+        start, end = check_real(self.start, "start"), check_real(self.end, "end")
+        if not (0.0 <= start < end <= 1.0):
             raise InvariantError(f"need 0 <= start < end <= 1, got [{self.start}, {self.end}]")
 
     @property
@@ -178,10 +168,11 @@ class IntervalSet:
 
 
 def stage_one_offsets(n: int, gamma: float, epsilon: float = 0.0) -> list[float]:
-    """Left endpoints of the n stage-1 copies, ascending; first 0, last 1-gamma."""
-    _validate_family(n, gamma, epsilon)
-    gamma = float(gamma)
-    step = gamma + float(epsilon)
+    """Left endpoints of the n <= DEFAULT_CAP stage-1 copies, ascending; first 0, last 1-gamma."""
+    n, gamma, epsilon = _validate_family(n, gamma, epsilon)
+    if n > DEFAULT_CAP:
+        raise CapExceeded(f"n = {n} exceeds the cap of {DEFAULT_CAP} copies")
+    step = gamma + epsilon
     m = n // 2 if n % 2 == 0 else (n - 1) // 2
     left = [i * step for i in range(m)]
     right = [1.0 - gamma - i * step for i in range(m - 1, -1, -1)]
@@ -197,7 +188,9 @@ def construct_prefractal(params: CantorParams, cap: int = DEFAULT_CAP) -> Interv
     length gamma**S. Positions come from the closed-form digit expansion, so
     stages are not constructed recursively and rounding does not compound.
     """
-    count = params.n**params.stage
+    cap = check_index(cap, "cap")
+    # n >= 2, so a stage beyond the bit length of the cap is over it; n**stage is not formed
+    count = params.n**params.stage if params.stage <= cap.bit_length() else float("inf")
     if count > cap:
         raise CapExceeded(f"n**stage = {count} exceeds the cap of {cap} intervals")
     width = 1.0

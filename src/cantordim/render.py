@@ -11,13 +11,13 @@ so each center is formatted once and no Python call is made per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import operator_row
 from .core import check_arity, check_index
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded
 from .geometry import DEFAULT_CAP, CantorParams, construct_prefractal
 from .serialize import _BLOCK, format_rows
 
@@ -40,12 +40,11 @@ def render_stages_svg(params: CantorParams, max_stage: int, cap: int = DEFAULT_C
     """One bar row per stage 0..max_stage with the scale factor (and, when it
     plays a role, the outermost gap) annotated on the stage-1 row."""
     max_stage = check_index(max_stage, "max_stage")
-    if max_stage < 0:
-        raise DomainError(f"max_stage must be >= 0, got {max_stage}")
-    rows = []
-    for s in range(max_stage + 1):
-        stage_params = CantorParams(params.n, params.gamma, params.epsilon, s)
-        rows.append(construct_prefractal(stage_params, cap=cap))
+    # deepest stage first, so a stage over the cap or too deep fails before any row is built
+    rows = [
+        construct_prefractal(CantorParams(params.n, params.gamma, params.epsilon, s), cap=cap)
+        for s in range(max_stage, -1, -1)
+    ][::-1]
 
     height = _TOP + (max_stage + 1) * (_BAR_H + _ROW_GAP)
     out = [
@@ -94,8 +93,7 @@ def _measure(t0: float, t1: float, y: float, label: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # operator grid sheets
 
-@dataclass(frozen=True)
-class GridSheet:
+class GridSheet(NamedTuple):
     """Operator surface sampled at cell centers of an R x R grid over (0,1)^2.
 
     values[i, j] holds op(centers[i], centers[j]); cells outside the
@@ -126,9 +124,7 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
     """
     check_arity(n)
     row = operator_row(op_tag)
-    resolution = check_index(resolution, "resolution")
-    if resolution < 2:
-        raise DomainError(f"resolution must be >= 2, got {resolution}")
+    resolution = check_index(resolution, "resolution", 2)
     if resolution**2 > DEFAULT_CAP:
         raise CapExceeded(f"resolution**2 = {resolution**2} exceeds the cap of {DEFAULT_CAP} cells")
     centers = (np.arange(resolution) + 0.5) / resolution

@@ -101,8 +101,8 @@ def _parse_json(text: str) -> IntervalSet:
     fields = [doc.get(k) for k in _HEADER]
     if all(v is not None for v in fields):
         try:
-            params = CantorParams(fields[0], float(fields[1]), float(fields[2]), fields[3])
-        except (DomainError, OverflowError) as exc:
+            params = CantorParams(*fields)
+        except DomainError as exc:
             raise InvariantError(f"invalid construction parameters in document: {exc}")
     try:
         values = np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw))
@@ -147,5 +147,7 @@ def import_intervals(data, format: str = "json") -> IntervalSet:
     """Parse a document produced by export_intervals, validating all invariants."""
     if format not in _FORMATS:
         raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
+    if not isinstance(data, (str, bytes)):
+        raise DomainError(f"data must be str or bytes, got {type(data).__name__}")
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     return _parse_json(text) if format == "json" else _parse_csv(text)

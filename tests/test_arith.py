@@ -244,6 +244,13 @@ class TestIntPow:
 
 
 class TestOpResultInvariant:
+    def test_record_repr_equality_and_immutability(self):
+        r = add(0.5, 0.5, 2)
+        assert repr(r) == "OpResult(d=0.25, gamma=0.0625, underflow=False)"
+        assert r == add(0.5, 0.5, 2) and r != mul(0.5, 0.6, 2)
+        with pytest.raises(AttributeError):
+            r.d = 0.5
+
     def test_gamma_in_context_realizes_d(self, rng):
         # whenever the underflow flag is clear, (n, gamma) reproduces d
         for _ in range(300):

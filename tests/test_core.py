@@ -1,5 +1,7 @@
 """Dimension/scale duality: formulas, boundaries, round trips, validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cantordim import (
     scale_from_dimension,
     validate_spec,
 )
+from cantordim.core import MAX_ARITY, check_arity, check_index, check_real, check_scale
 
 # independent 50-digit oracle values (mpmath), rounded to nearest binary64
 LN5_LN10 = 0.6989700043360189
@@ -113,6 +116,22 @@ class TestValidateSpec:
         report = validate_spec(FractalSpec(3, 1 / 9, 0.73))
         assert [v.code for v in report.violations] == ["d_gamma_mismatch"]
 
+    @pytest.mark.parametrize("gamma", ["x", None, "0.3", True, 10**400])
+    def test_gamma_that_is_not_a_real_is_reported(self, gamma):
+        report = validate_spec(FractalSpec(2, gamma, 0.5))
+        assert [v.code for v in report.violations] == ["gamma_range"]
+        assert "gamma" in str(report)
+
+    @pytest.mark.parametrize("d", ["x", None, b"0.5", False])
+    def test_dimension_that_is_not_a_real_is_reported(self, d):
+        report = validate_spec(FractalSpec(4, 0.25, d))
+        assert [v.code for v in report.violations] == ["dim_range"]
+
+    def test_numpy_integer_arity_and_capped_arity(self):
+        assert validate_spec(FractalSpec(np.int64(5), 0.1, LN5_LN10)).ok
+        report = validate_spec(FractalSpec(2**53 + 1, 0.0, 0.0))
+        assert [v.code for v in report.violations] == ["arity"]
+
     def test_multiple_violations_all_listed(self):
         report = validate_spec(FractalSpec(1, -0.5, 2.0))
         assert {v.code for v in report.violations} == {"arity", "gamma_range", "dim_range"}
@@ -124,3 +143,66 @@ class TestValidateSpec:
             assert validate_spec(FractalSpec.from_dimension(n, d)).ok
             g = float(rng.uniform(1e-6, 1.0 / n))
             assert validate_spec(FractalSpec.from_scale(n, g)).ok
+
+
+class TestGate:
+    def test_index_accepts_numpy_integers_and_rejects_bools_and_floats(self):
+        assert check_index(np.int64(7), "k") == 7 and type(check_index(np.uint8(7), "k")) is int
+        for value in (True, np.bool_(False), 7.0, "7", None):
+            with pytest.raises(DomainError, match="k must be an integer"):
+                check_index(value, "k")
+
+    def test_index_range(self):
+        assert check_index(0, "k") == 0 and check_index(10**400, "k") == 10**400
+        with pytest.raises(DomainError, match=r"k must lie in \[2, 5\], got 6"):
+            check_index(6, "k", 2, 5)
+        with pytest.raises(DomainError):
+            check_index(-1, "k")
+        # beyond the 4300 digits Python prints, the message gives the bit length
+        with pytest.raises(DomainError, match="an integer of 16610 bits"):
+            check_index(10**5000, "k", 0, 5)
+
+    def test_arity_cap(self):
+        assert check_arity(MAX_ARITY) == 2**53
+        for n in (MAX_ARITY + 1, 10**400, 1):
+            with pytest.raises(DomainError, match="arity"):
+                check_arity(n)
+
+    def test_real_accepts_numpy_reals_and_rejects_the_rest(self):
+        assert check_real(np.float32(0.5), "x") == 0.5 and type(check_real(np.float64(1), "x")) is float
+        assert check_real(3, "x") == 3.0 and check_real(-math.inf, "x") == -math.inf
+        for value in (True, np.bool_(True), "0.5", b"0.5", None, 1j, [0.5]):
+            with pytest.raises(DomainError, match="x must be a real number"):
+                check_real(value, "x")
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), math.nan, np.float64(math.nan)])
+    def test_real_rejects_overflow_and_nan(self, value):
+        with pytest.raises(DomainError):
+            check_real(value, "x")
+
+    def test_real_ends(self):
+        assert check_real(0.0, "x", 0, 1) == 0.0 and check_real(1, "x", 0, 1) == 1.0
+        with pytest.raises(DomainError, match=r"x must lie in \(0, 1\], got 0.0"):
+            check_real(0.0, "x", 0, 1, "(]")
+        with pytest.raises(DomainError, match=r"x must lie in \[0, 1\), got 1.0"):
+            check_real(1.0, "x", 0, 1, "[)")
+
+    def test_scale_is_open_unless_closed(self):
+        assert check_scale(4, 0.25, closed=True) == 0.25
+        assert check_scale(4, 0.0, closed=True) == 0.0
+        for gamma in (0.0, 0.25, math.nextafter(0.25, 1)):
+            with pytest.raises(DomainError, match="gamma must lie in"):
+                check_scale(4, gamma)
+        assert check_scale(4, math.nextafter(0.25, 0)) < 0.25
+
+    def test_records_keep_repr_equality_and_immutability(self):
+        spec = FractalSpec(5, 0.1, LN5_LN10)
+        assert repr(spec) == f"FractalSpec(n=5, gamma=0.1, d={LN5_LN10!r})"
+        assert spec == FractalSpec(5, 0.1, LN5_LN10) and spec != FractalSpec(5, 0.1, 0.5)
+        report = validate_spec(spec)
+        assert repr(report) == "ValidationReport(violations=())"
+        assert report == validate_spec(FractalSpec(5, 0.1, LN5_LN10))
+        with pytest.raises(AttributeError):
+            spec.n = 3
+        with pytest.raises(AttributeError):
+            report.violations = ()

@@ -13,6 +13,7 @@ from cantordim import (
     construct_prefractal,
     gap_widths,
     lacunarity_bounds,
+    regular_epsilon,
     stage_one_offsets,
 )
 
@@ -46,6 +47,14 @@ class TestLacunarityBounds:
     def test_rejects_gamma_at_family_bound(self):
         with pytest.raises(DomainError):
             lacunarity_bounds(4, 0.25)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("gamma", [0.9, 0.0, "0.3", None, True, float("nan")])
+    def test_regular_epsilon_checks_gamma_for_every_arity(self, n, gamma):
+        # n in {2, 3} forces eps = 0.0, but an invalid gamma still raises
+        with pytest.raises(DomainError):
+            regular_epsilon(n, gamma)
+        assert regular_epsilon(n, 0.1) == (lacunarity_bounds(n, 0.1).eps_reg if n >= 4 else 0.0)
 
 
 class TestStageOneOffsets:

@@ -1,5 +1,8 @@
 """Lazy package exports: scalar commands run without numpy, every export resolves.
 
+The scalar path also leaves ``dataclasses`` (and the ``inspect`` it imports)
+unloaded: its records are named tuples.
+
 Checks that depend on what has been imported run in a fresh interpreter,
 since this test process has long loaded numpy.
 """
@@ -34,6 +37,13 @@ def numpy_loaded_after(code: str) -> bool:
     return fresh(code + NUMPY_LOADED) == "True"
 
 
+DATACLASSES_LOADED = "\nimport sys\nprint('dataclasses' in sys.modules or 'inspect' in sys.modules)\n"
+
+
+def dataclasses_loaded_after(code: str) -> bool:
+    return fresh(code + DATACLASSES_LOADED) == "True"
+
+
 SCALAR_COMMANDS = [
     ["dim", "--n", "3", "--gamma", "0.1"],
     ["scale", "--n", "2", "--d", "0.5"],
@@ -46,20 +56,24 @@ SCALAR_COMMANDS = [
 
 def test_import_cantordim_leaves_numpy_unloaded():
     assert not numpy_loaded_after("import cantordim")
+    assert not dataclasses_loaded_after("import cantordim")
 
 
 def test_import_cli_leaves_numpy_unloaded():
     assert not numpy_loaded_after("import cantordim.cli")
+    assert not dataclasses_loaded_after("import cantordim.cli")
 
 
 @pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=lambda a: "-".join(a[:2]) if a[0] == "op" else a[0])
 def test_scalar_command_leaves_numpy_unloaded(argv):
     assert not numpy_loaded_after(f"from cantordim.cli import main\nassert main({argv!r}) == 0")
+    assert not dataclasses_loaded_after(f"from cantordim.cli import main\nassert main({argv!r}) == 0")
 
 
 def test_refused_scalar_command_leaves_numpy_unloaded():
     argv = ["op", "sub", "--da", "0.4", "--db", "0.5", "--n", "2"]
     assert not numpy_loaded_after(f"from cantordim.cli import main\nassert main({argv!r}) == 1")
+    assert not dataclasses_loaded_after(f"from cantordim.cli import main\nassert main({argv!r}) == 1")
 
 
 def test_numpy_bound_command_loads_numpy():
