@@ -1,44 +1,51 @@
 #!/usr/bin/env python3
-"""Time the numpy kernel against the slow reference; write BENCH_boxcount.json.
+"""Time construction, box counting, the fit and verification; write BENCH_boxcount.json.
 
-Two kinds of case: the million-interval ladders (4 box sizes per level) and
-the verify ladder (16 sizes per level, coarsest level dropped, as
-``verify_operator_geometrically`` uses) on sets as large as the verifier's
-largest tier. One million-interval ladder is repeated with a few neighbouring
-intervals swapped, so the set is not ordered and the count takes its general
-path (running maximum and clip). The kernel's box counting is timed next to
-the seed's numpy sweep kept in ``tests/reference_kernel.py``, and its
-interval construction on its own: there is one construction backend. The
-kernel's counts are checked equal to the reference's before anything is
-timed. The kernel's ladder time includes the per-set layout it computes
-once, as ``estimate_dimension`` does.
+Four layers, each case timed in worker processes of every tree:
 
-Usage: python benchmarks/bench_backends.py [--repeats N]
+- construct: ``construct_prefractal`` of the ordered million-interval sets;
+- box count: the million-interval ladders (4 box sizes per level) and the
+  verify ladder (16 sizes per level, coarsest level dropped, as
+  ``verify_operator_geometrically`` uses) on sets as large as the verifier's
+  largest tier. One million-interval ladder is repeated with a few
+  neighbouring intervals swapped, so the set is not ordered and the count
+  takes its general path (running maximum and clip). A ladder's time
+  includes the per-set layout the kernel computes once, as
+  ``estimate_dimension`` does, and the layout's size is reported per set;
+- fit: ``estimate_dimension`` on the verify ladder of the same four sets,
+  each call on a fresh set (made untimed), so that it builds the layout too;
+- verify: ``verify_operator_geometrically`` (``mul``) at the stage of each
+  tier of the benchmark's verify workload, for arities 2-5.
+
+The ladders are also timed with the seed's numpy sweep kept in
+``tests/reference_kernel.py``, in this process. Before anything is timed,
+every tree's counts must equal the reference's, and the trees must agree
+on every construction (SHA-256 of its arrays), estimate and report. With ``--baseline DIR`` the cases also run
+against a second checkout (for example a clone of the parent commit),
+alternating which tree goes first; a case's time is the best over
+``--repeats`` workers per tree.
+
+Usage: python benchmarks/bench_backends.py [--repeats N] [--baseline DIR]
 Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
 """
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from _host import git_rev, machine
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from cantordim import _kernels_py, lacunarity_bounds, scale_ladder, stage_one_offsets  # noqa: E402
-from cantordim.estimation import SNAP_ETA  # noqa: E402
-from reference_kernel import box_count as reference_count  # noqa: E402
 
 OUT = ROOT / "BENCH_boxcount.json"
 
 # (n, dimension, epsilon mode, stage, box sizes per level, first level,
 #  neighbouring pairs swapped)
-CASES = [
+LADDERS = [
     (2, 0.63, None, 20, 4, 1, 0),   # ~1.0e6 intervals
     (2, 0.63, None, 20, 4, 1, 8),   # the same, not ordered
     (4, 0.70, "reg", 10, 4, 1, 0),  # ~1.0e6 intervals
@@ -50,23 +57,45 @@ CASES = [
     (4, 0.75, "reg", 8, 16, 2, 0),  # 65536 intervals
     (5, 0.90, "reg", 7, 16, 2, 0),  # 78125 intervals
 ]
+FITS = [case for case in LADDERS if case[4] == 16]
+# the stages of the small, medium and large tiers of perfbench's verify workload
+TIERS = {"small": {2: 10, 3: 7, 4: 6, 5: 5},
+         "medium": {2: 13, 3: 9, 4: 7, 5: 6},
+         "large": {2: 15, 3: 10, 4: 8, 5: 7}}
+VERIFY_OPERANDS = (0.8, 0.8)  # mul: D_C = 0.64
+FAST_CALLS = 5  # calls per worker of a fit or verify case, which take milliseconds
 
 
-def best_of(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), result
+def set_name(case):
+    n, dim, eps_mode, stage = case[:4]
+    return f"n={n} D={dim} eps={eps_mode or 0} stage={stage}"
 
 
-def ladder_counts(starts, ends, deltas):
-    layout = _kernels_py.set_layout(starts, ends)
-    return [_kernels_py.box_count(starts, ends, d, SNAP_ETA, layout) for d in deltas]
+def ladder_name(case):
+    order = ", not ordered" if case[6] else ""
+    return f"{set_name(case)} {case[4]}/level{order}"
 
 
-def run_case(case, repeats):
+def cases():
+    """(case name, layer, case) in the order a worker runs them."""
+    for case in LADDERS:
+        if case[4] == 4 and not case[6]:
+            yield "construct " + set_name(case), "geometry.construct", case
+    for case in LADDERS:
+        yield "count " + ladder_name(case), "estimation.box_count", case
+    for case in FITS:
+        yield "fit " + ladder_name(case), "estimation.fit", case
+    for tier, stages in TIERS.items():
+        for n, stage in stages.items():
+            yield f"verify {tier} n={n} stage={stage}", "estimation.verify", (n, stage)
+
+
+def build_set(case):
+    """The case's starts, ends, params and box sizes, with the cantordim on sys.path."""
+    import numpy as np
+    from cantordim import CantorParams, _kernels_py, lacunarity_bounds, scale_ladder
+    from cantordim.geometry import stage_one_offsets
+
     n, dim, eps_mode, stage, per_level, start_level, swaps = case
     gamma = n ** (-1.0 / dim)
     eps = 0.0
@@ -77,65 +106,164 @@ def run_case(case, repeats):
     width = 1.0
     for _ in range(stage):
         width *= gamma
-    deltas = scale_ladder(gamma, stage, per_level, start_level)
-
-    t_construct, starts = best_of(
-        lambda: _kernels_py.prefractal_starts(offsets, gamma, stage), repeats
-    )
+    starts = _kernels_py.prefractal_starts(offsets, gamma, stage)
     ends = np.minimum(starts + width, 1.0)
     for i in np.linspace(1, len(starts) - 1, swaps, dtype=np.int64):
         starts[[i - 1, i]] = starts[[i, i - 1]]
         ends[[i - 1, i]] = ends[[i, i - 1]]
-    ordered = _kernels_py.set_layout(starts, ends).ordered
-    if ordered != (swaps == 0):
-        raise SystemExit("swapping neighbours left the set ordered")
-    want = [reference_count(starts, ends, d, SNAP_ETA) for d in deltas]
-    if ladder_counts(starts, ends, deltas) != want:
-        raise SystemExit("box counts differ from the reference")
+    params = CantorParams(n, gamma, eps, stage)
+    return starts, ends, params, scale_ladder(gamma, stage, per_level, start_level)
 
-    t_ref, _ = best_of(lambda: [reference_count(starts, ends, d, SNAP_ETA) for d in deltas], repeats)
-    t_new, _ = best_of(lambda: ladder_counts(starts, ends, deltas), repeats)
-    ladder_ms = {"reference": t_ref * 1e3, _kernels_py.BACKEND: t_new * 1e3}
-    return {
-        "n": n,
-        "dimension": dim,
-        "epsilon": eps_mode or "0",
-        "stage": stage,
-        "intervals": len(starts),
-        "ordered": ordered,
-        "ladder": f"{per_level} per level from level {start_level}",
-        "box_sizes": len(deltas),
-        "occupied_cells": sum(want),
-        "counts_equal_to_reference": True,
-        "construct_best_ms": t_construct * 1e3,
-        "ladder_best_ms": ladder_ms,
-        "speedup_over_reference": t_ref / t_new,
-    }
+
+def worker(mode: str) -> None:
+    """Run every case in this interpreter; print times or results as JSON.
+
+    A time is the best of the worker's calls; a result is what the trees
+    must agree on: a construction's digest, the counts of a ladder, an
+    estimate's slope and a report's status and estimate.
+    """
+    import hashlib
+
+    import cantordim
+    from cantordim import (IntervalSet, _kernels_py, construct_prefractal, estimate_dimension,
+                           verify_operator_geometrically)
+    from cantordim.estimation import SNAP_ETA
+
+    def ladder(starts, ends, deltas):
+        layout = _kernels_py.set_layout(starts, ends)
+        counts = [_kernels_py.box_count(starts, ends, d, SNAP_ETA, layout) for d in deltas]
+        return counts, sum(getattr(field, "nbytes", 0) for field in layout)
+
+    result = {}
+    for name, layer, case in cases():
+        # prepare() runs untimed before each call(prepared)
+        prepare = lambda: None  # noqa: E731
+        if layer == "estimation.verify":
+            n, stage = case
+            call = lambda _: verify_operator_geometrically(  # noqa: E731
+                "mul", *VERIFY_OPERANDS, n, stage
+            )
+            answer = lambda r: [r.status, r.d_hat]  # noqa: E731
+        else:
+            starts, ends, params, deltas = build_set(case)
+            if layer == "geometry.construct":
+                call = lambda _: construct_prefractal(params)  # noqa: E731
+                answer = lambda r: hashlib.sha256(  # noqa: E731
+                    r.starts.tobytes() + r.ends.tobytes()).hexdigest()
+            elif layer == "estimation.box_count":
+                call = lambda _: ladder(starts, ends, deltas)  # noqa: E731
+                answer = lambda r: {"counts": r[0], "layout_bytes": r[1]}  # noqa: E731
+            else:
+                prepare = lambda: IntervalSet(starts, ends, params)  # noqa: E731
+                call = lambda s: estimate_dimension(s, deltas)  # noqa: E731
+                answer = lambda r: r.d_hat  # noqa: E731
+        best = float("inf")
+        for _ in range(FAST_CALLS if layer != "estimation.box_count" else 1):
+            prepared = prepare()
+            t0 = time.perf_counter()
+            out = call(prepared)
+            best = min(best, time.perf_counter() - t0)
+        result[name] = best if mode == "time" else answer(out)
+    result["backend"] = cantordim.BACKEND
+    print(json.dumps(result))
+
+
+def run_worker(tree: Path, mode: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, __file__, "--worker", mode], cwd=tree, env=env,
+                         check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def reference_ladders(repeats):
+    """Ladder name -> (counts, best time) of the reference sweep, on this checkout's sets."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from cantordim.estimation import SNAP_ETA
+    from reference_kernel import box_count as reference_count
+
+    out = {}
+    for case in LADDERS:
+        starts, ends, _, deltas = build_set(case)
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            counts = [reference_count(starts, ends, d, SNAP_ETA) for d in deltas]
+            best = min(best, time.perf_counter() - t0)
+        out["count " + ladder_name(case)] = counts, best
+    return out
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="a second checkout to time against this one")
+    parser.add_argument("--worker", choices=("time", "result"), help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.worker:
+        worker(args.worker)
+        return
 
-    print(f"kernel: {_kernels_py.BACKEND} (numpy)")
+    trees = {"change": ROOT}
+    if args.baseline is not None:
+        trees = {"baseline": args.baseline.resolve(), "change": ROOT}
+    answers = {label: run_worker(tree, "result") for label, tree in trees.items()}
+    reference = reference_ladders(args.repeats)
+    plan = list(cases())
+    for name, layer, _ in plan:
+        got = {label: a[name] for label, a in answers.items()}
+        if layer == "estimation.box_count":
+            for label, a in got.items():
+                if a["counts"] != reference[name][0]:
+                    sys.exit(f"{name}: {label} box counts differ from the reference")
+        elif len({json.dumps(v) for v in got.values()}) != 1:
+            sys.exit(f"{name}: the trees give different results {got}")
+
+    best = {(name, label): float("inf") for name, _, _ in plan for label in trees}
+    for r in range(args.repeats):
+        # alternate which tree goes first, so slow phases of the host hit both
+        order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        for label in order:
+            times = run_worker(trees[label], "time")
+            for name, _, _ in plan:
+                best[name, label] = min(best[name, label], times[name])
+
     results = []
-    for case in CASES:
-        r = run_case(case, args.repeats)
-        results.append(r)
-        times = "  ".join(f"{k} {v:8.1f} ms" for k, v in r["ladder_best_ms"].items())
-        order = "" if r["ordered"] else ", not ordered"
-        print(f"n={r['n']} D={r['dimension']} eps={r['epsilon']} stage={r['stage']} "
-              f"({r['intervals']:,} intervals{order}, {r['box_sizes']} sizes, {r['ladder']}): "
-              f"{times}")
+    for name, layer, case in plan:
+        row = {"case": name, "layer": layer}
+        if layer == "estimation.verify":
+            row.update(n=case[0], stage=case[1], operands=list(VERIFY_OPERANDS))
+        else:
+            n, dim, eps_mode, stage, per_level, start_level, swaps = case
+            row.update(n=n, dimension=dim, epsilon=eps_mode or "0", stage=stage,
+                       intervals=n**stage)
+            if layer != "geometry.construct":
+                row.update(ordered=not swaps,
+                           ladder=f"{per_level} per level from level {start_level}")
+        row["best_ms"] = {label: round(best[name, label] * 1e3, 3) for label in trees}
+        if layer == "estimation.box_count":
+            counts, ref_s = reference[name]
+            row.update(box_sizes=len(counts), occupied_cells=sum(counts),
+                       counts_equal_to_reference=True)
+            row["best_ms"]["reference"] = round(ref_s * 1e3, 3)
+            row["layout_bytes"] = {label: answers[label][name]["layout_bytes"] for label in trees}
+        if "baseline" in trees:
+            row["speedup"] = round(best[name, "baseline"] / best[name, "change"], 2)
+        results.append(row)
+        times = "  ".join(f"{label} {ms:9.2f} ms" for label, ms in row["best_ms"].items())
+        print(f"{name:52s} {times}" + (f"   x{row['speedup']}" if "speedup" in row else ""))
+
     report = {
         "topic": "boxcount",
-        "kernel": _kernels_py.BACKEND,
-        "git_rev": git_rev(ROOT),
+        "trees": {label: {"git_rev": git_rev(tree), "backend": answers[label]["backend"]}
+                  for label, tree in trees.items()},
         **machine(),
         "repeats": args.repeats,
         "cases": results,
     }
+    if "baseline" in trees:
+        report["results_equal"] = True  # checked above, before timing
     OUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {OUT}")
 

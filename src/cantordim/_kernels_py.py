@@ -3,14 +3,19 @@
 ``prefractal_starts`` builds positions with a fixed sequence of float
 operations, so a construction is reproducible bit for bit. ``box_count``
 returns, for every box size down to ``estimation.DELTA_FLOOR``, the count of
-the sequential sweep kept in the tests as the slow reference, in one blocked
-pass over the intervals for every set, ordered or not; the tests compare
-counts exactly.
+the sequential sweep kept in the tests as the slow reference; the tests
+compare counts exactly. ``set_layout`` gathers, once per set, what every box
+size reuses. For an ordered set that includes a GapTable: the gaps sorted
+by width (by a 16-bit key), with the endpoints on either side of each. An ordered set whose
+intervals are all wider than the snap band is counted from the gaps at
+least half a cell wide alone, one sorted suffix of that table; every other
+set takes one blocked pass over its intervals.
 """
 
 import math
+import struct
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,18 +51,67 @@ def prefractal_starts(offsets, gamma, stage):
     return out
 
 
+#: a gap's sort key is the sign, exponent and 10 leading mantissa bits of its
+#: width's binary64 pattern, less those of 2**-52 and clipped to [0, KEY_TOP]:
+#: non-decreasing in the width, and 16 bits wide, so that one radix sort
+#: orders the gaps (a float64 argsort costs several times more)
+KEY_SHIFT = 42
+KEY_BASE = int(np.float64(2.0**-52).view(np.int64)) >> KEY_SHIFT
+KEY_TOP = 2**16 - 2  # above every width up to 1; 2**16 - 1 keys the sentinel
+
+
+class GapTable:
+    """The gaps of an ordered set, narrowest first, with the endpoints around each.
+
+    ``keys`` holds the sort keys of the gap widths starts[1:] - ends[:-1]
+    in ascending order and then the sentinel 2**16 - 1; ``after`` and
+    ``before`` hold the start after and the end before each gap in the same
+    order, and (starts[0], ends[-1]) under the sentinel. Tables are equal
+    when their arrays are, so two SetLayouts of one set compare equal.
+    """
+
+    __slots__ = ("keys", "after", "before")
+
+    def __init__(self, starts, ends):
+        keys = (starts[1:] - ends[:-1]).view(np.int64)
+        keys >>= KEY_SHIFT
+        keys -= KEY_BASE
+        keys = np.clip(keys, 0, KEY_TOP, out=keys).astype(np.uint16)
+        order = np.argsort(keys, kind="stable")  # a radix sort for 16-bit keys
+        self.keys = _gathered(keys, order, KEY_TOP + 1)
+        self.after = _gathered(starts[1:], order, starts[0])
+        self.before = _gathered(ends[:-1], order, ends[-1])
+
+    def __eq__(self, other):
+        return isinstance(other, GapTable) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__
+        )
+
+    @property
+    def nbytes(self):
+        return self.keys.nbytes + self.after.nbytes + self.before.nbytes
+
+
+def _gathered(values, order, last):
+    out = np.empty(len(values) + 1, dtype=values.dtype)
+    np.take(values, order, out=out[:-1])
+    out[-1] = last
+    return out
+
+
 class SetLayout(NamedTuple):
     """Facts about one interval set that ``box_count`` reuses at every box size."""
 
     ordered: bool  # starts and ends non-decreasing, ends >= starts, all inside [0, 1]
     min_len: float
     max_len: float
+    gaps: Optional[GapTable]  # the GapTable of an ordered set, else None
 
 
 def set_layout(starts, ends):
-    """The SetLayout of a set: a few linear passes, made once per set."""
+    """The SetLayout of a set: a few linear passes and, if it is ordered, one sort."""
     if len(starts) == 0:
-        return SetLayout(False, 0.0, 0.0)
+        return SetLayout(False, 0.0, 0.0, None)
     lengths = ends - starts
     min_len, max_len = float(lengths.min()), float(lengths.max())
     ordered = bool(
@@ -67,7 +121,7 @@ def set_layout(starts, ends):
         and (starts[1:] >= starts[:-1]).all()
         and (ends[1:] >= ends[:-1]).all()
     )
-    return SetLayout(ordered, min_len, max_len)
+    return SetLayout(ordered, min_len, max_len, GapTable(starts, ends) if ordered else None)
 
 
 def box_count(starts, ends, delta, eta, layout=None):
@@ -87,10 +141,13 @@ def box_count(starts, ends, delta, eta, layout=None):
       hi_j < lo_j (the thin ones) take lo_j = hi_j = their midpoint cell.
     The count is the sequential sweep's: range j adds
     max(0, hi_j - max(lo_j - 1, reach_j)) cells, where reach_j is the highest
-    cell of any earlier range. One loop sums it over blocks of BLOCK
-    intervals, carrying reach from block to block. In an ordered set that is
-    thin-free or all-thin, hi never decreases, so reach_j is hi_{j-1} and no
-    term is negative; other sets take the running maximum and the clip.
+    cell of any earlier range.
+
+    An ordered thin-free set is counted from its gaps alone (``_gap_count``).
+    Every other set takes one loop over blocks of BLOCK intervals that
+    carries reach from block to block. In an ordered all-thin set hi never
+    decreases, so reach_j is hi_{j-1} and no term is negative; unordered and
+    mixed sets take the running maximum and the clip.
     """
     if len(starts) == 0:
         return 0
@@ -98,8 +155,10 @@ def box_count(starts, ends, delta, eta, layout=None):
         layout = set_layout(starts, ends)
     snap = eta * delta
     thin_free = layout.min_len > 2.0 * snap + THIN_SLACK
+    if layout.ordered and thin_free:
+        return _gap_count(layout.gaps, delta, snap)
     all_thin = layout.max_len < 2.0 * snap - THIN_SLACK
-    monotone = layout.ordered and (thin_free or all_thin)
+    monotone = layout.ordered and all_thin
     total, reach = 0.0, -math.inf
     for i in range(0, len(starts), BLOCK):
         s, e = starts[i:i + BLOCK], ends[i:i + BLOCK]
@@ -126,6 +185,58 @@ def box_count(starts, ends, delta, eta, layout=None):
         total += lo.sum()
         reach = top[-1]
     return int(total)
+
+
+def _gap_count(gaps, delta, snap):
+    """The count of an ordered thin-free set, from its GapTable.
+
+    There lo_j <= hi_j and hi never decreases, so the sweep's sum telescopes:
+
+        count = (hi_last - lo_first + 1) - sum over gaps j of e_j,
+        e_j = max(0, lo_{j+1} - hi_j - 1),
+
+    the empty cells between interval j and interval j+1. Only a gap whose
+    computed width g = fl(s - e) is at least delta/2 can have e_j > 0
+    (s = start_{j+1}, e = end_j), so one searchsorted finds the suffix of
+    ``gaps`` to count, and the sentinel row gives the span.
+
+    Proof. Let K = lo_{j+1} >= hi_j + 2. By the definitions of lo and hi,
+    fl(K*delta) <= a = fl(s + snap), and fl((K-1)*delta) >= b = fl(e - snap)
+    since K-1 > hi_j. The four values K*delta, (K-1)*delta, s + snap and
+    e - snap lie in (-2, 2), where one rounding moves a value by at most
+    u = 2**-53, so s - e = a - b - 2*snap ± 2u >= delta - 2*snap - 4u; and
+    s - e <= 1, so g >= s - e - u/2. With snap <= eta*delta*(1 + u):
+
+        g >= delta*(1 - 2*eta*(1 + u)) - 4.5u,
+
+    which is at least delta/2 when delta*(1/2 - 2*eta*(1 + u)) >= 4.5u,
+    that is for every delta >= 9.993e-16 at eta = SNAP_ETA = 1e-6. That
+    covers every admitted box size: at DELTA_FLOOR = 1e-15, about 4.5 ulps
+    of 1, with 0.08% to spare.
+
+    The keys are non-decreasing in the width, so every gap at least delta/2
+    wide has a key at least that of delta/2 (which lies in [1152, 52224]
+    for delta in [DELTA_FLOOR, 1], so no clip applies to it), and the suffix
+    from searchsorted(keys, key(delta/2)) holds all of them. It may also
+    hold gaps narrower than delta/2 by less than 2**-10 of it, the ones
+    sharing its key; like every narrower gap (and the ulp-negative gaps of
+    touching intervals, keyed 0) they have e_j = 0 and add nothing.
+
+    The rows are counted in blocks of BLOCK. Each row gives hi - lo + 1,
+    which is -e_j for a gap and the span (at least 1) for the sentinel, so
+    the count is the span plus the sum of min(0, hi - lo + 1) over the rows.
+    Every partial sum is an integer below 2**53, so the sum is exact.
+    """
+    bits = struct.unpack("<q", struct.pack("<d", 0.5 * delta))[0]
+    first = int(gaps.keys.searchsorted(np.uint16((bits >> KEY_SHIFT) - KEY_BASE)))
+    total, span = 0.0, 0.0
+    for i in range(first, len(gaps.keys), BLOCK):
+        lo, hi = _cell_ranges(gaps.after[i:i + BLOCK], gaps.before[i:i + BLOCK], delta, snap)
+        hi -= lo
+        hi += 1.0
+        span = hi[-1]  # the sentinel is the last row of the last block
+        total += np.minimum(hi, 0.0, out=hi).sum()
+    return int(total + span)
 
 
 def _cell_ranges(starts, ends, delta, snap):

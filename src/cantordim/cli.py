@@ -87,10 +87,10 @@ def _cmd_estimate(args) -> int:
     from .estimation import estimate_dimension, scale_ladder
     from .serialize import import_intervals
 
-    data = Path(args.infile).read_text(encoding="utf-8")
+    data = Path(args.infile).read_bytes()  # import_intervals decodes it
     fmt = args.format
     if fmt == "auto":
-        fmt = "json" if data.lstrip().startswith("{") else "csv"
+        fmt = "json" if data.lstrip().startswith(b"{") else "csv"
     intervals = import_intervals(data, fmt)
     deltas = args.deltas
     if deltas is None and args.per_level > 1:

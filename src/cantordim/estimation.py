@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,13 @@ from . import _kernels_py
 from .arith import OPERATORS, operator_row
 from .core import check_index, check_real
 from .errors import CapExceeded, DomainError, FitDegenerate
-from .geometry import CantorParams, IntervalSet, construct_prefractal, regular_epsilon
+from .geometry import (
+    CantorParams,
+    IntervalSet,
+    check_intervals,
+    construct_prefractal,
+    regular_epsilon,
+)
 
 #: occupancy snap band as a fraction of the cell size
 SNAP_ETA = 1e-6
@@ -50,6 +57,7 @@ class DimensionEstimate(NamedTuple):
 
 def box_count(intervals: IntervalSet, delta: float) -> int:
     """Number of grid cells [k*delta, (k+1)*delta) meeting the set with positive measure."""
+    check_intervals(intervals)
     delta = check_real(delta, "box size", DELTA_FLOOR, 1)
     return _kernels_py.box_count(
         intervals.starts, intervals.ends, delta, SNAP_ETA, intervals._box_layout
@@ -90,12 +98,20 @@ def estimate_dimension(
     Without an explicit ladder the set must carry construction parameters;
     the default is gamma**k for k = 1..stage. At least 3 distinct box sizes
     are required, and a spread of two decades or more gives a stable fit.
+    Over LADDER_CAP sizes is a CapExceeded.
     """
+    check_intervals(intervals)
     if deltas is None:
         params = intervals.params
         if params is None:
             raise DomainError("no deltas given and the set carries no construction parameters")
         deltas = scale_ladder(params.gamma, params.stage)
+    try:
+        deltas = list(islice(deltas, LADDER_CAP + 1))
+    except TypeError:
+        raise DomainError(f"deltas must be a sequence of box sizes, got {deltas!r}") from None
+    if len(deltas) > LADDER_CAP:
+        raise CapExceeded(f"more than {LADDER_CAP} box sizes")
     deltas = [check_real(d, "box size", DELTA_FLOOR, 1) for d in deltas]
     if len(set(deltas)) < 3:
         raise DomainError("need at least 3 distinct box sizes")

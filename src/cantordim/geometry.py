@@ -99,6 +99,31 @@ class Interval:
         return self.end - self.start
 
 
+def check_params(value) -> CantorParams:
+    """A CantorParams, or DomainError."""
+    if not isinstance(value, CantorParams):
+        raise DomainError(f"params must be CantorParams, got {type(value).__name__}")
+    return value
+
+
+def check_intervals(value) -> IntervalSet:
+    """An IntervalSet, or DomainError."""
+    if not isinstance(value, IntervalSet):
+        raise DomainError(f"intervals must be an IntervalSet, got {type(value).__name__}")
+    return value
+
+
+def _endpoints(values, what: str) -> np.ndarray:
+    """Integer or real array-likes as contiguous float64; anything else is an InvariantError."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise InvariantError(f"{what} must be a 1-d array of real numbers") from None
+    if array.dtype.kind not in "iuf":
+        raise InvariantError(f"{what} must hold real numbers, got dtype {array.dtype}")
+    return np.ascontiguousarray(array, dtype=np.float64)
+
+
 class IntervalSet:
     """Sorted, pairwise-disjoint closed subintervals of [0, 1].
 
@@ -111,9 +136,10 @@ class IntervalSet:
     __slots__ = ("starts", "ends", "params", "_layout")
 
     def __init__(self, starts, ends, params: Optional[CantorParams] = None):
-        starts = np.ascontiguousarray(starts, dtype=np.float64)
-        ends = np.ascontiguousarray(ends, dtype=np.float64)
+        starts, ends = _endpoints(starts, "starts"), _endpoints(ends, "ends")
         self._check(starts, ends)
+        if params is not None:
+            check_params(params)
         starts.flags.writeable = False
         ends.flags.writeable = False
         self.starts = starts
@@ -188,6 +214,7 @@ def construct_prefractal(params: CantorParams, cap: int = DEFAULT_CAP) -> Interv
     length gamma**S. Positions come from the closed-form digit expansion, so
     stages are not constructed recursively and rounding does not compound.
     """
+    check_params(params)
     cap = check_index(cap, "cap")
     # n >= 2, so a stage beyond the bit length of the cap is over it; n**stage is not formed
     count = params.n**params.stage if params.stage <= cap.bit_length() else float("inf")
@@ -215,7 +242,7 @@ def gap_widths(intervals: IntervalSet) -> np.ndarray:
     when positive; gaps at or below GAP_TOL are degenerate touches and are
     dropped.
     """
-    if len(intervals) == 0:
+    if len(check_intervals(intervals)) == 0:
         return np.array([1.0])
     inner = intervals.starts[1:] - intervals.ends[:-1]
     lead = intervals.starts[0]

@@ -18,7 +18,7 @@ import numpy as np
 from .arith import operator_row
 from .core import check_arity, check_index
 from .errors import CapExceeded
-from .geometry import DEFAULT_CAP, CantorParams, construct_prefractal
+from .geometry import DEFAULT_CAP, CantorParams, check_params, construct_prefractal
 from .serialize import _BLOCK, format_rows
 
 # ---------------------------------------------------------------------------
@@ -39,6 +39,7 @@ def _wd(t: float) -> str:
 def render_stages_svg(params: CantorParams, max_stage: int, cap: int = DEFAULT_CAP) -> str:
     """One bar row per stage 0..max_stage with the scale factor (and, when it
     plays a role, the outermost gap) annotated on the stage-1 row."""
+    check_params(params)
     max_stage = check_index(max_stage, "max_stage")
     # deepest stage first, so a stage over the cap or too deep fails before any row is built
     rows = [

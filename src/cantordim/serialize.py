@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels_py import BLOCK as _BLOCK
 from .errors import DomainError, InvariantError, ParseError
-from .geometry import CantorParams, IntervalSet
+from .geometry import CantorParams, IntervalSet, check_intervals
 
 _FORMATS = ("json", "csv")
 # header fields: the JSON types each accepts, and how an error names them
@@ -59,6 +59,7 @@ def export_intervals(intervals: IntervalSet, format: str = "json") -> str:
     """Serialize a set; round-trips bit-identically through import_intervals."""
     if format not in _FORMATS:
         raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
+    check_intervals(intervals)
     if format == "csv":
         rows = format_rows("%.17g,%.17g", "\n", intervals.starts, intervals.ends)
         return "\n".join(["start,end", *rows]) + "\n"
@@ -149,5 +150,8 @@ def import_intervals(data, format: str = "json") -> IntervalSet:
         raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
     if not isinstance(data, (str, bytes)):
         raise DomainError(f"data must be str or bytes, got {type(data).__name__}")
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"document is not UTF-8: {exc.reason}", f"byte {exc.start}") from None
     return _parse_json(text) if format == "json" else _parse_csv(text)

@@ -237,6 +237,92 @@ def test_layout_is_computed_once_per_set():
     assert s._box_layout.ordered
 
 
+# -- the gap path: ordered thin-free sets are counted from their gaps of width >= delta/2
+
+
+def wide_gaps(starts, ends, delta):
+    """How many gaps are at least delta/2 wide; the set must take the gap path."""
+    starts, ends = np.asarray(starts, float), np.asarray(ends, float)
+    layout = kernel.set_layout(starts, ends)
+    assert layout.ordered and layout.min_len > 2 * SNAP_ETA * delta + kernel.THIN_SLACK
+    return int((starts[1:] - ends[:-1] >= delta / 2).sum())
+
+
+ONE_CELL_AT_A_POWER_OF_TWO = 0.125 / (1 - 2 * SNAP_ETA)
+
+
+@pytest.mark.parametrize(
+    "delta", [0.1, 1 / 7, 0.125, ONE_CELL_AT_A_POWER_OF_TWO, 1e-3, 1e-6, 2**-40, DELTA_FLOOR]
+)
+def test_gaps_ulps_from_the_thresholds(blocks, delta):
+    # pairs of intervals around up to 30 boundaries k*delta, with a gap a few ulps
+    # from delta*(1 - 2*SNAP_ETA) (one empty cell or none) or from delta/2; a power
+    # of two as delta or as delta*(1 - 2*SNAP_ETA) puts the gaps that hold one
+    # empty cell at the lower edge of a gap key, so a threshold too high misses them
+    snap = SNAP_ETA * delta
+    width = max(delta / 4, 20 * kernel.THIN_SLACK)  # wider than the snap band
+    step = math.ceil(2 * width / delta) + 2
+    first = math.ceil(0.9 / delta) if delta < 1e-9 else 1  # tiny cells near 1: coarse ulps
+    cells = [k for k in range(first, first + 30 * step, step) if (k + 1) * delta + width <= 1.0]
+    for end_ulps in range(-3, 4):
+        for start_ulps in range(-3, 4):
+            for one_cell in (True, False):
+                starts, ends = [], []
+                for k in cells:
+                    end = nudged(k * delta + snap, end_ulps)
+                    start = (k + 1) * delta - snap if one_cell else end + delta / 2
+                    start = nudged(start, start_ulps)
+                    starts += [end - width, start]
+                    ends += [end, start + width]
+                wide_gaps(starts, ends, delta)
+                assert_counts_match(starts, ends, [delta, nudged(delta, 1)])
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_touching_gaps_of_eps_max_sets(blocks, n):
+    negative = 0
+    for dim in (0.5, 0.8, 0.95):
+        gamma = n ** (-1.0 / dim)
+        stage = max(1, int(math.log(3000) / math.log(n)))
+        s = construct_prefractal(CantorParams(n, gamma, lacunarity_bounds(n, gamma).eps_max, stage))
+        negative += int((s.starts[1:] - s.ends[:-1] < 0.0).sum())
+        deltas = scale_ladder(gamma, stage, per_level=4) + [1.0, 1e-9, DELTA_FLOOR]
+        assert_counts_match(s.starts, s.ends, deltas)
+    assert negative > 0  # some touching gaps came out ulp-negative
+
+
+def test_sets_of_one_and_two_intervals(rng, blocks):
+    deltas = [1.0, nudged(1.0, -1), 0.5, 0.1, 1e-3, 1e-9, DELTA_FLOOR, nudged(DELTA_FLOOR, 1)]
+    for _ in range(40):
+        start, end = np.sort(rng.uniform(0.0, 1.0, 2))
+        assert_counts_match([start], [end], deltas)
+    for delta in deltas:
+        snap = SNAP_ETA * delta
+        width = max(delta / 4, 20 * kernel.THIN_SLACK)
+        for gap in (delta / 2, delta * (1 - 2 * SNAP_ETA), delta, 3 * delta):
+            if 2 * width + gap > 1.0:
+                continue
+            for _ in range(10):
+                end = float(rng.uniform(width, 1.0 - gap - width))
+                k = math.floor(end / delta)
+                end = float(rng.choice([end, k * delta + snap, k * delta - snap]))
+                start = end + nudged(gap, int(rng.integers(-3, 4)))
+                if width <= end and start + width <= 1.0:
+                    assert_counts_match([end - width, start], [end, start + width], [delta])
+
+
+def test_wide_suffix_across_small_blocks(rng):
+    with blocks_of("small"):
+        for _ in range(10):
+            points = np.sort(rng.uniform(0.0, 1.0, 1000))
+            starts, ends = points[0::2], points[1::2]
+            gaps = np.sort(starts[1:] - ends[:-1])
+            for q in (0.2, 0.5, 0.8):
+                delta = min(2 * float(gaps[int(q * len(gaps))]), 1.0)
+                assert 2 * BLOCKS["small"] < wide_gaps(starts, ends, delta) < len(starts) - 1
+                assert_counts_match(starts, ends, [delta, nudged(delta, -1), nudged(delta, 1)])
+
+
 @st.composite
 def grid_sets(draw):
     """Ordered sets whose endpoints sit on, or ulps from, one grid's boundaries."""

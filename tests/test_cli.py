@@ -151,6 +151,14 @@ class TestFileCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("data", [b"x\xff", b"{\xff"])
+    def test_estimate_undecodable_file(self, tmp_path, capsys, data):
+        target = tmp_path / "set.csv"
+        target.write_bytes(data)
+        code, out, err = run(capsys, "estimate", "--in", str(target))
+        assert (code, out) == (1, "")
+        assert err == "error: document is not UTF-8: invalid start byte (byte 1)\n"
+
     def test_verify_pass(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--op", "mul", "--da", "0.5", "--db", "0.5", "--n", "2",

@@ -6,7 +6,9 @@ catalogue (bools, strings, None, signed zeros, subnormals, NaN, infinities,
 an integer beyond binary64, numpy scalars) or lies 0-3 steps from one of the
 parameter's bounds. The call must return a value that passes the entry's
 invariants or raise a documented error. Parameters that take arrays or
-library objects (interval sets, parameter records) keep their valid value.
+library objects (interval sets, parameter records, box-size sequences) draw
+from the same catalogue and from a list of wrong objects, malformed arrays
+and edge cases (an empty set, a set of one interval) instead of bounds.
 """
 
 import math
@@ -65,6 +67,19 @@ def near(*bounds):
 
 
 SET = construct_prefractal(CantorParams(3, 0.2, 0.0, 3))  # 27 intervals
+# drawn for an interval-set parameter: two valid edge cases, then wrong objects
+SETS = [
+    IntervalSet([], []), IntervalSet([0.25], [0.5]), SET.params, SET.starts,
+    (SET.starts, SET.ends), [SET],
+]
+# drawn for a parameter-record parameter
+PARAMS = [CantorParams(2, 0.3, 0.0, 0), SET, (3, 0.2, 0.0, 3), {"n": 3, "gamma": 0.2}]
+# drawn for an endpoint array: valid ones, then malformed ones
+ARRAYS = [
+    [0], (0.25,), np.array([0.25]), [np.float32(0.25)], np.array([1], dtype=np.uint8), [],
+    ["a"], ["0.25"], [[0.25]], [0.25, [0.5]], [10**400], [1 + 0j], [True], [None],
+    np.array([0.25, 0.3]),
+]
 D_B = 0.6
 SUB_BOUND = D_B / (1.0 + D_B)
 ARITY = near(2, MAX_ARITY)
@@ -119,13 +134,27 @@ def full_set(r, a):
     return isinstance(r, IntervalSet) and len(r) == 27
 
 
+def built_set(r, a):
+    p = r.params
+    return isinstance(p, CantorParams) and len(r) == p.n**p.stage
+
+
+def interval_set(r, a):
+    return (
+        isinstance(r, IntervalSet)
+        and r.starts.dtype == r.ends.dtype == np.float64
+        and (r.params is None or isinstance(r.params, CantorParams))
+    )
+
+
 def resolved_set(r, a):
     stage = a["stage"]
     return len(r) == 2**stage and r.lengths().min() >= RESOLUTION_FLOOR / 2
 
 
 def count(r, a):
-    return type(r) is int and 1 <= r <= 1.0 / a["delta"] + 1
+    low = 1 if len(a["intervals"]) else 0
+    return type(r) is int and low <= r <= 1.0 / a["delta"] + 1
 
 
 def estimate(r, a):
@@ -240,18 +269,39 @@ ENTRIES = {
         lambda cap: construct_prefractal(SET.params, cap), dict(cap=27), dict(cap=near(0, 27)),
         full_set,
     ),
+    "construct_prefractal[params]": Entry(
+        lambda params: construct_prefractal(params, 27), dict(params=SET.params),
+        dict(params=PARAMS), built_set,
+    ),
     "construct_prefractal[stage]": Entry(  # 0.01**7 is below RESOLUTION_FLOOR
         lambda stage: construct_prefractal(CantorParams(2, 0.01, 0.0, stage)), dict(stage=3),
         dict(stage=near(6, 7)), resolved_set,
     ),
     "box_count": Entry(
-        lambda delta: cantordim.box_count(SET, delta), dict(delta=0.1),
-        dict(delta=near(0.0, DELTA_FLOOR, 1.0)), count,
+        cantordim.box_count, dict(intervals=SET, delta=0.1),
+        dict(intervals=SETS, delta=near(0.0, DELTA_FLOOR, 1.0)), count,
     ),
     "estimate_dimension": Entry(  # the hostile value is the first box size of the ladder
         lambda first: cantordim.estimate_dimension(SET, [first, 0.04, 0.008, 0.0016]),
         dict(first=0.2), dict(first=near(0.0, DELTA_FLOOR, 1.0)), estimate,
         errors=(FitDegenerate,),
+    ),
+    "estimate_dimension[objects]": Entry(  # deltas=None: the default ladder of SET
+        cantordim.estimate_dimension, dict(intervals=SET, deltas=None),
+        dict(intervals=SETS, deltas=[
+            0.5, [0.2, 0.04, 0.008], (0.2, 0.04, 0.008), np.array([0.2, 0.04, 0.008]),
+            [0.2, 0.2, 0.2], [], [0.2, 0.04] * (LADDER_CAP // 2 + 1), {0.2: 1}, [[0.2]],
+        ]),
+        estimate, errors=(FitDegenerate,),
+    ),
+    "IntervalSet": Entry(
+        IntervalSet, dict(starts=[0.25], ends=[0.5], params=None),
+        dict(starts=ARRAYS, ends=ARRAYS, params=PARAMS), interval_set,
+        errors=(InvariantError,),
+    ),
+    "gap_widths": Entry(
+        cantordim.gap_widths, dict(intervals=SET), dict(intervals=SETS),
+        lambda r, a: isinstance(r, np.ndarray) and (r > 0.0).all(),
     ),
     "scale_ladder": Entry(
         cantordim.scale_ladder, dict(gamma=0.2, stage=3, per_level=2, start_level=1),
@@ -276,13 +326,22 @@ ENTRIES = {
         dict(max_stage=2, cap=9), dict(max_stage=near(0), cap=near(0, 9)),
         lambda r, a: r.startswith("<?xml"),
     ),
+    "render_stages_svg[params]": Entry(
+        lambda params: cantordim.render_stages_svg(params, 2, 9), dict(params=SET.params),
+        dict(params=PARAMS), lambda r, a: r.startswith("<?xml"),
+    ),
     "export_intervals": Entry(
         lambda format: cantordim.export_intervals(SET, format), dict(format="csv"),
         dict(format=["json", "JSON", "svg"]), lambda r, a: r.endswith("\n"),
     ),
+    "export_intervals[intervals]": Entry(
+        lambda intervals: cantordim.export_intervals(intervals, "json"), dict(intervals=SET),
+        dict(intervals=SETS), lambda r, a: r.endswith("}\n"),
+    ),
     "import_intervals": Entry(
         cantordim.import_intervals, dict(data=cantordim.export_intervals(SET), format="json"),
-        dict(data=['{"intervals": []}', "start,end\n"], format=["csv", "yaml"]),
+        dict(data=['{"intervals": []}', "start,end\n", b"\xff", b"start,end\n\xe9,1\n"],
+             format=["csv", "yaml"]),
         lambda r, a: isinstance(r, IntervalSet), errors=(ParseError, InvariantError),
     ),
 }
@@ -291,7 +350,6 @@ ENTRIES = {
 UNWALKED = {
     "BoxCountSample", "DimensionEstimate", "GridSheet", "LacunarityBounds", "OpResult",
     "ScaleResult", "ValidationReport", "VerificationReport",
-    "IntervalSet", "gap_widths",  # take arrays and interval sets only
     "available_backends",  # takes no argument
 }
 

@@ -118,6 +118,12 @@ class TestImportErrors:
         with pytest.raises(ParseError):
             import_intervals('{"intervals": [[0, 0.5, 1]]}')
 
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    @pytest.mark.parametrize("data", [b"\xff", b"start,end\n0,0.5\n\xe9\n", b'{"intervals": \xc3'])
+    def test_undecodable_bytes(self, data, format):
+        with pytest.raises(ParseError, match=r"not UTF-8.*\(byte \d+\)"):
+            import_intervals(data, format)
+
     @pytest.mark.parametrize("row", ["[false, true]", "[0, true]", "[false, 0.5]"])
     def test_boolean_coordinates(self, row):
         with pytest.raises(ParseError):
