@@ -1,10 +1,26 @@
-"""Provenance shared by the benchmark scripts: git revision and machine."""
+"""What the benchmark scripts share: running a checkout, git revision and machine."""
 
+import json
 import os
 import platform
 import subprocess
+import sys
 
 import numpy as np
+
+
+def tree_env(tree):
+    """The environment with the checkout at ``tree``'s ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_worker(script, tree, mode):
+    """The JSON that ``script --worker mode`` prints when run against the checkout at ``tree``."""
+    out = subprocess.run([sys.executable, str(script), "--worker", mode], cwd=tree,
+                         env=tree_env(tree), check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
 
 
 def git_rev(tree):

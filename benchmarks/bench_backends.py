@@ -7,11 +7,9 @@ Four layers, each case timed in worker processes of every tree:
 - box count: the million-interval ladders (4 box sizes per level) and the
   verify ladder (16 sizes per level, coarsest level dropped, as
   ``verify_operator_geometrically`` uses) on sets as large as the verifier's
-  largest tier. One million-interval ladder is repeated with a few
-  neighbouring intervals swapped, so the set is not ordered and the count
-  takes its general path (running maximum and clip). A ladder's time
-  includes the per-set layout the kernel computes once, as
-  ``estimate_dimension`` does, and the layout's size is reported per set;
+  largest tier. A ladder's time includes the per-set layout the kernel
+  computes once, as ``estimate_dimension`` does, and the layout's size is
+  reported per set;
 - fit: ``estimate_dimension`` on the verify ladder of the same four sets,
   each call on a fresh set (made untimed), so that it builds the layout too;
 - verify: ``verify_operator_geometrically`` (``mul``) at the stage of each
@@ -20,10 +18,10 @@ Four layers, each case timed in worker processes of every tree:
 The ladders are also timed with the seed's numpy sweep kept in
 ``tests/reference_kernel.py``, in this process. Before anything is timed,
 every tree's counts must equal the reference's, and the trees must agree
-on every construction (SHA-256 of its arrays), estimate and report. With ``--baseline DIR`` the cases also run
-against a second checkout (for example a clone of the parent commit),
-alternating which tree goes first; a case's time is the best over
-``--repeats`` workers per tree.
+on every construction (SHA-256 of its arrays), estimate and report. With
+``--baseline DIR`` the cases also run against a second checkout (for
+example a clone of the parent commit), alternating which tree goes first; a
+case's time is the best over ``--repeats`` workers per tree.
 
 Usage: python benchmarks/bench_backends.py [--repeats N] [--baseline DIR]
 Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
@@ -31,31 +29,27 @@ Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from _host import git_rev, machine
+from _host import git_rev, machine, run_worker
 
 ROOT = Path(__file__).resolve().parent.parent
 
 OUT = ROOT / "BENCH_boxcount.json"
 
-# (n, dimension, epsilon mode, stage, box sizes per level, first level,
-#  neighbouring pairs swapped)
+# (n, dimension, epsilon mode, stage, box sizes per level, first level)
 LADDERS = [
-    (2, 0.63, None, 20, 4, 1, 0),   # ~1.0e6 intervals
-    (2, 0.63, None, 20, 4, 1, 8),   # the same, not ordered
-    (4, 0.70, "reg", 10, 4, 1, 0),  # ~1.0e6 intervals
-    (10, 0.55, "reg", 6, 4, 1, 0),  # 1.0e6 intervals
-    (5, 0.80, "max", 9, 4, 1, 0),   # ~2.0e6 intervals
+    (2, 0.63, None, 20, 4, 1),   # ~1.0e6 intervals
+    (4, 0.70, "reg", 10, 4, 1),  # ~1.0e6 intervals
+    (10, 0.55, "reg", 6, 4, 1),  # 1.0e6 intervals
+    (5, 0.80, "max", 9, 4, 1),   # ~2.0e6 intervals
     # the verify ladder at the stages of the verifier's largest tier
-    (2, 0.45, None, 15, 16, 2, 0),  # 32768 intervals
-    (3, 0.60, None, 10, 16, 2, 0),  # 59049 intervals
-    (4, 0.75, "reg", 8, 16, 2, 0),  # 65536 intervals
-    (5, 0.90, "reg", 7, 16, 2, 0),  # 78125 intervals
+    (2, 0.45, None, 15, 16, 2),  # 32768 intervals
+    (3, 0.60, None, 10, 16, 2),  # 59049 intervals
+    (4, 0.75, "reg", 8, 16, 2),  # 65536 intervals
+    (5, 0.90, "reg", 7, 16, 2),  # 78125 intervals
 ]
 FITS = [case for case in LADDERS if case[4] == 16]
 # the stages of the small, medium and large tiers of perfbench's verify workload
@@ -72,14 +66,13 @@ def set_name(case):
 
 
 def ladder_name(case):
-    order = ", not ordered" if case[6] else ""
-    return f"{set_name(case)} {case[4]}/level{order}"
+    return f"{set_name(case)} {case[4]}/level"
 
 
 def cases():
     """(case name, layer, case) in the order a worker runs them."""
     for case in LADDERS:
-        if case[4] == 4 and not case[6]:
+        if case[4] == 4:
             yield "construct " + set_name(case), "geometry.construct", case
     for case in LADDERS:
         yield "count " + ladder_name(case), "estimation.box_count", case
@@ -96,7 +89,7 @@ def build_set(case):
     from cantordim import CantorParams, _kernels_py, lacunarity_bounds, scale_ladder
     from cantordim.geometry import stage_one_offsets
 
-    n, dim, eps_mode, stage, per_level, start_level, swaps = case
+    n, dim, eps_mode, stage, per_level, start_level = case
     gamma = n ** (-1.0 / dim)
     eps = 0.0
     if eps_mode and n >= 4:
@@ -108,9 +101,6 @@ def build_set(case):
         width *= gamma
     starts = _kernels_py.prefractal_starts(offsets, gamma, stage)
     ends = np.minimum(starts + width, 1.0)
-    for i in np.linspace(1, len(starts) - 1, swaps, dtype=np.int64):
-        starts[[i - 1, i]] = starts[[i, i - 1]]
-        ends[[i - 1, i]] = ends[[i, i - 1]]
     params = CantorParams(n, gamma, eps, stage)
     return starts, ends, params, scale_ladder(gamma, stage, per_level, start_level)
 
@@ -168,14 +158,6 @@ def worker(mode: str) -> None:
     print(json.dumps(result))
 
 
-def run_worker(tree: Path, mode: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, __file__, "--worker", mode], cwd=tree, env=env,
-                         check=True, capture_output=True, text=True)
-    return json.loads(out.stdout)
-
-
 def reference_ladders(repeats):
     """Ladder name -> (counts, best time) of the reference sweep, on this checkout's sets."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -208,7 +190,7 @@ def main():
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
-    answers = {label: run_worker(tree, "result") for label, tree in trees.items()}
+    answers = {label: run_worker(__file__, tree, "result") for label, tree in trees.items()}
     reference = reference_ladders(args.repeats)
     plan = list(cases())
     for name, layer, _ in plan:
@@ -225,7 +207,7 @@ def main():
         # alternate which tree goes first, so slow phases of the host hit both
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in order:
-            times = run_worker(trees[label], "time")
+            times = run_worker(__file__, trees[label], "time")
             for name, _, _ in plan:
                 best[name, label] = min(best[name, label], times[name])
 
@@ -235,12 +217,11 @@ def main():
         if layer == "estimation.verify":
             row.update(n=case[0], stage=case[1], operands=list(VERIFY_OPERANDS))
         else:
-            n, dim, eps_mode, stage, per_level, start_level, swaps = case
+            n, dim, eps_mode, stage, per_level, start_level = case
             row.update(n=n, dimension=dim, epsilon=eps_mode or "0", stage=stage,
                        intervals=n**stage)
             if layer != "geometry.construct":
-                row.update(ordered=not swaps,
-                           ladder=f"{per_level} per level from level {start_level}")
+                row["ladder"] = f"{per_level} per level from level {start_level}"
         row["best_ms"] = {label: round(best[name, label] * 1e3, 3) for label in trees}
         if layer == "estimation.box_count":
             counts, ref_s = reference[name]

@@ -19,13 +19,11 @@ Writes BENCH_documents.json at the root of the checkout and prints a summary.
 import argparse
 import hashlib
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from _host import git_rev, machine
+from _host import git_rev, machine, run_worker
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_documents.json"
@@ -83,14 +81,6 @@ def worker(mode: str) -> None:
     print(json.dumps(result))
 
 
-def run_worker(tree: Path, mode: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, __file__, "--worker", mode], cwd=tree, env=env,
-                         check=True, capture_output=True, text=True)
-    return json.loads(out.stdout)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -105,7 +95,7 @@ def main():
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
-    digests = {label: run_worker(tree, "digest") for label, tree in trees.items()}
+    digests = {label: run_worker(__file__, tree, "digest") for label, tree in trees.items()}
     plan = list(cases())
     for name, _, _ in plan:
         values = {label: d[name] for label, d in digests.items()}
@@ -117,7 +107,7 @@ def main():
         # alternate which tree goes first, so slow phases of the host hit both
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in order:
-            times = run_worker(trees[label], "time")
+            times = run_worker(__file__, trees[label], "time")
             for name, _, _ in plan:
                 best[name, label] = min(best[name, label], times[name])
 

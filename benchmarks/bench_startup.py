@@ -17,13 +17,12 @@ Writes BENCH_startup.json at the root of the checkout and prints a summary.
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from _host import git_rev, machine
+from _host import git_rev, machine, tree_env
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_startup.json"
@@ -49,12 +48,6 @@ def cases():
             name = "cantordim " + " ".join(argv[:2] if argv[0] == "op" else argv[:1])
             probe = f"from cantordim.cli import main\nmain({argv!r})"
             yield name, kind, ["-m", "cantordim.cli", *argv], probe
-
-
-def tree_env(tree: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
-    return env
 
 
 def wall_s(argv, tree, env) -> float:

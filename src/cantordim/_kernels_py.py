@@ -4,18 +4,19 @@
 operations, so a construction is reproducible bit for bit. ``box_count``
 returns, for every box size down to ``estimation.DELTA_FLOOR``, the count of
 the sequential sweep kept in the tests as the slow reference; the tests
-compare counts exactly. ``set_layout`` gathers, once per set, what every box
-size reuses. For an ordered set that includes a GapTable: the gaps sorted
-by width (by a 16-bit key), with the endpoints on either side of each. An ordered set whose
-intervals are all wider than the snap band is counted from the gaps at
-least half a cell wide alone, one sorted suffix of that table; every other
-set takes one blocked pass over its intervals.
+compare counts exactly. It takes the arrays of an IntervalSet, whose starts
+and ends are both sorted. ``set_layout`` gathers, once per set, what every
+box size reuses: the shortest and longest interval, and the gaps sorted by
+width (by a 16-bit key), with the endpoints on either side of each. A set
+whose intervals are all wider than the snap band is counted from the gaps
+at least half a cell wide alone, one sorted suffix of those rows; every
+other set takes one blocked pass over its intervals.
 """
 
 import math
 import struct
 import sys
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,38 +61,6 @@ KEY_BASE = int(np.float64(2.0**-52).view(np.int64)) >> KEY_SHIFT
 KEY_TOP = 2**16 - 2  # above every width up to 1; 2**16 - 1 keys the sentinel
 
 
-class GapTable:
-    """The gaps of an ordered set, narrowest first, with the endpoints around each.
-
-    ``keys`` holds the sort keys of the gap widths starts[1:] - ends[:-1]
-    in ascending order and then the sentinel 2**16 - 1; ``after`` and
-    ``before`` hold the start after and the end before each gap in the same
-    order, and (starts[0], ends[-1]) under the sentinel. Tables are equal
-    when their arrays are, so two SetLayouts of one set compare equal.
-    """
-
-    __slots__ = ("keys", "after", "before")
-
-    def __init__(self, starts, ends):
-        keys = (starts[1:] - ends[:-1]).view(np.int64)
-        keys >>= KEY_SHIFT
-        keys -= KEY_BASE
-        keys = np.clip(keys, 0, KEY_TOP, out=keys).astype(np.uint16)
-        order = np.argsort(keys, kind="stable")  # a radix sort for 16-bit keys
-        self.keys = _gathered(keys, order, KEY_TOP + 1)
-        self.after = _gathered(starts[1:], order, starts[0])
-        self.before = _gathered(ends[:-1], order, ends[-1])
-
-    def __eq__(self, other):
-        return isinstance(other, GapTable) and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__
-        )
-
-    @property
-    def nbytes(self):
-        return self.keys.nbytes + self.after.nbytes + self.before.nbytes
-
-
 def _gathered(values, order, last):
     out = np.empty(len(values) + 1, dtype=values.dtype)
     np.take(values, order, out=out[:-1])
@@ -100,28 +69,38 @@ def _gathered(values, order, last):
 
 
 class SetLayout(NamedTuple):
-    """Facts about one interval set that ``box_count`` reuses at every box size."""
+    """Facts about one IntervalSet that ``box_count`` reuses at every box size.
 
-    ordered: bool  # starts and ends non-decreasing, ends >= starts, all inside [0, 1]
+    ``keys`` holds the sort keys of the gap widths starts[1:] - ends[:-1] in
+    ascending order and then the sentinel 2**16 - 1; ``after`` and
+    ``before`` hold the start after and the end before each gap in the same
+    order, and (starts[0], ends[-1]) under the sentinel.
+    """
+
     min_len: float
     max_len: float
-    gaps: Optional[GapTable]  # the GapTable of an ordered set, else None
+    keys: np.ndarray
+    after: np.ndarray
+    before: np.ndarray
 
 
 def set_layout(starts, ends):
-    """The SetLayout of a set: a few linear passes and, if it is ordered, one sort."""
+    """The SetLayout of a set: a few linear passes and one radix sort of the gap keys."""
     if len(starts) == 0:
-        return SetLayout(False, 0.0, 0.0, None)
+        return SetLayout(0.0, 0.0, *(np.empty(0),) * 3)
     lengths = ends - starts
-    min_len, max_len = float(lengths.min()), float(lengths.max())
-    ordered = bool(
-        starts[0] >= 0.0
-        and ends[-1] <= 1.0
-        and min_len >= 0.0
-        and (starts[1:] >= starts[:-1]).all()
-        and (ends[1:] >= ends[:-1]).all()
+    keys = (starts[1:] - ends[:-1]).view(np.int64)
+    keys >>= KEY_SHIFT
+    keys -= KEY_BASE
+    keys = np.clip(keys, 0, KEY_TOP, out=keys).astype(np.uint16)
+    order = np.argsort(keys, kind="stable")  # a radix sort for 16-bit keys
+    return SetLayout(
+        float(lengths.min()),
+        float(lengths.max()),
+        _gathered(keys, order, KEY_TOP + 1),
+        _gathered(starts[1:], order, starts[0]),
+        _gathered(ends[:-1], order, ends[-1]),
     )
-    return SetLayout(ordered, min_len, max_len, GapTable(starts, ends) if ordered else None)
 
 
 def box_count(starts, ends, delta, eta, layout=None):
@@ -129,36 +108,49 @@ def box_count(starts, ends, delta, eta, layout=None):
 
     A cell is occupied when its overlap with an interval exceeds eta*delta;
     intervals thinner than the snap band are assigned their midpoint cell.
-    ``layout`` is the set's SetLayout when the caller keeps one.
+    The intervals must lie in [0, 1] with starts and ends both
+    non-decreasing, as those of an IntervalSet do. ``layout`` is the set's
+    SetLayout when the caller keeps one.
 
-    Interval j covers the cells lo_j..hi_j by one of three rules:
-    - thin-free set (every interval wider than the snap band): lo_j is the
-      largest k with fl(k*delta) <= start_j + snap and hi_j the largest k
-      with fl(k*delta) < end_j - snap, so lo_j <= hi_j;
-    - all-thin set (every interval clearly thinner): each interval sits inside
-      its midpoint cell with room to spare, and lo_j = hi_j = that cell;
-    - mixed set: lo_j and hi_j as for a thin-free set, and the rows with
-      hi_j < lo_j (the thin ones) take lo_j = hi_j = their midpoint cell.
-    The count is the sequential sweep's: range j adds
-    max(0, hi_j - max(lo_j - 1, reach_j)) cells, where reach_j is the highest
-    cell of any earlier range.
+    Interval j covers the cells lo_j..hi_j. With a = fl(start_j + snap) and
+    b = fl(end_j - snap), lo_j is the largest k with fl(k*delta) <= a and
+    hi_j the largest k with fl(k*delta) < b; a row with hi_j < lo_j is thin
+    and takes lo_j = hi_j = its midpoint cell, the others are wide. In an
+    all-thin set (every interval clearly thinner than the snap band) every
+    row takes its midpoint cell. The count is the sequential sweep's: range
+    j adds max(0, hi_j - max(lo_j - 1, reach_j)) cells, where reach_j is the
+    highest cell of any earlier range.
 
-    An ordered thin-free set is counted from its gaps alone (``_gap_count``).
-    Every other set takes one loop over blocks of BLOCK intervals that
-    carries reach from block to block. In an ordered all-thin set hi never
-    decreases, so reach_j is hi_{j-1} and no term is negative; unordered and
-    mixed sets take the running maximum and the clip.
+    A thin-free set (every interval wider than the snap band) is counted
+    from its gaps alone (``_gap_count``). Every other set takes one loop over
+    blocks of BLOCK intervals that carries reach from block to block, with
+    reach_j = hi_{j-1} and no clip at 0: hi never decreases, and hi_j >= lo_j
+    on every row, so each term hi_j - max(lo_j - 1, hi_{j-1}) is at least 0.
+
+    Proof that hi never decreases. Rounding is monotone, so a, b, the lo and
+    hi of a wide row and the midpoint cell fl(fl(start + end)*0.5 / delta)
+    are non-decreasing in start and end. A thin row straddles the boundary
+    K = lo_j: fl(K*delta) <= a, and fl(K*delta) >= b since K > hi_j. Its
+    endpoints lie within snap + 2u of K*delta (u = 2**-53 bounds one
+    rounding of a value in (-2, 2)), its computed midpoint m within
+    snap + 3u, and fl(m/delta) within eta + 4u/delta + 2u < 0.45 of K for
+    every delta >= DELTA_FLOOR, so its midpoint cell is K - 1 or K. For
+    consecutive rows i = j - 1 and j:
+    - wide -> wide: b_i <= b_j, so hi_i <= hi_j;
+    - thin -> thin: both take their midpoint cells, non-decreasing;
+    - wide -> thin: fl(hi_i*delta) < b_i <= b_j <= fl(K*delta), so
+      hi_i < K, and the midpoint cell of j is at least K - 1 >= hi_i;
+    - thin -> wide: the midpoint cell of i is at most K = lo_i <= lo_j <= hi_j.
+    In an all-thin set every pair is thin -> thin.
     """
     if len(starts) == 0:
         return 0
     if layout is None:
         layout = set_layout(starts, ends)
     snap = eta * delta
-    thin_free = layout.min_len > 2.0 * snap + THIN_SLACK
-    if layout.ordered and thin_free:
-        return _gap_count(layout.gaps, delta, snap)
+    if layout.min_len > 2.0 * snap + THIN_SLACK:
+        return _gap_count(layout, delta, snap)
     all_thin = layout.max_len < 2.0 * snap - THIN_SLACK
-    monotone = layout.ordered and all_thin
     total, reach = 0.0, -math.inf
     for i in range(0, len(starts), BLOCK):
         s, e = starts[i:i + BLOCK], ends[i:i + BLOCK]
@@ -167,28 +159,19 @@ def box_count(starts, ends, delta, eta, layout=None):
             lo = hi.copy()
         else:
             lo, hi = _cell_ranges(s, e, delta, snap)
-            if not thin_free:
-                thin = hi < lo
-                mid = _midpoint_cells(s, e, delta)
-                lo, hi = np.where(thin, mid, lo), np.where(thin, mid, hi)
-        if monotone:
-            top = hi
-        else:
-            top = np.maximum.accumulate(hi)
-            np.maximum(top, reach, out=top)
+            thin = hi < lo
+            mid = _midpoint_cells(s, e, delta)
+            lo, hi = np.where(thin, mid, lo), np.where(thin, mid, hi)
         lo -= 1.0
         lo[0] = max(lo[0], reach)
-        np.maximum(lo[1:], top[:-1], out=lo[1:])
-        np.subtract(hi, lo, out=lo)
-        if not monotone:
-            np.maximum(lo, 0.0, out=lo)
-        total += lo.sum()
-        reach = top[-1]
+        np.maximum(lo[1:], hi[:-1], out=lo[1:])
+        total += np.subtract(hi, lo, out=lo).sum()
+        reach = hi[-1]
     return int(total)
 
 
-def _gap_count(gaps, delta, snap):
-    """The count of an ordered thin-free set, from its GapTable.
+def _gap_count(layout, delta, snap):
+    """The count of a thin-free set, from the gap arrays of its SetLayout.
 
     There lo_j <= hi_j and hi never decreases, so the sweep's sum telescopes:
 
@@ -198,7 +181,7 @@ def _gap_count(gaps, delta, snap):
     the empty cells between interval j and interval j+1. Only a gap whose
     computed width g = fl(s - e) is at least delta/2 can have e_j > 0
     (s = start_{j+1}, e = end_j), so one searchsorted finds the suffix of
-    ``gaps`` to count, and the sentinel row gives the span.
+    the gap rows to count, and the sentinel row gives the span.
 
     Proof. Let K = lo_{j+1} >= hi_j + 2. By the definitions of lo and hi,
     fl(K*delta) <= a = fl(s + snap), and fl((K-1)*delta) >= b = fl(e - snap)
@@ -228,10 +211,10 @@ def _gap_count(gaps, delta, snap):
     Every partial sum is an integer below 2**53, so the sum is exact.
     """
     bits = struct.unpack("<q", struct.pack("<d", 0.5 * delta))[0]
-    first = int(gaps.keys.searchsorted(np.uint16((bits >> KEY_SHIFT) - KEY_BASE)))
+    first = int(layout.keys.searchsorted(np.uint16((bits >> KEY_SHIFT) - KEY_BASE)))
     total, span = 0.0, 0.0
-    for i in range(first, len(gaps.keys), BLOCK):
-        lo, hi = _cell_ranges(gaps.after[i:i + BLOCK], gaps.before[i:i + BLOCK], delta, snap)
+    for i in range(first, len(layout.keys), BLOCK):
+        lo, hi = _cell_ranges(layout.after[i:i + BLOCK], layout.before[i:i + BLOCK], delta, snap)
         hi -= lo
         hi += 1.0
         span = hi[-1]  # the sentinel is the last row of the last block

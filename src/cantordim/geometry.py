@@ -114,23 +114,28 @@ def check_intervals(value) -> IntervalSet:
 
 
 def _endpoints(values, what: str) -> np.ndarray:
-    """Integer or real array-likes as contiguous float64; anything else is an InvariantError."""
+    """A contiguous float64 copy of an integer or real array-like, else an InvariantError.
+
+    The copy keeps the checked values out of reach of the caller's array.
+    """
     try:
         array = np.asarray(values)
     except ValueError:  # ragged nesting
         raise InvariantError(f"{what} must be a 1-d array of real numbers") from None
     if array.dtype.kind not in "iuf":
         raise InvariantError(f"{what} must hold real numbers, got dtype {array.dtype}")
-    return np.ascontiguousarray(array, dtype=np.float64)
+    return np.array(array, dtype=np.float64, order="C")
 
 
 class IntervalSet:
-    """Sorted, pairwise-disjoint closed subintervals of [0, 1].
+    """Closed subintervals of [0, 1], sorted by start and by end, pairwise disjoint.
 
-    Backed by read-only float64 arrays ``starts``/``ends``. Disjointness is
-    checked to OVERLAP_TOL so that the exact-touch degeneracy at eps_max
-    (whose gap is a few ulp of rounding residue) is admitted while genuine
-    overlaps are rejected.
+    Backed by read-only float64 arrays ``starts``/``ends``, copies of the
+    caller's. Disjointness is checked to OVERLAP_TOL so that the exact-touch
+    degeneracy at eps_max (whose gap is a few ulp of rounding residue) is
+    admitted while genuine overlaps are rejected. An interval nested in the
+    one before it within that tolerance ends before it, so the sort by end
+    rejects it; the box-count kernel relies on both sorts.
     """
 
     __slots__ = ("starts", "ends", "params", "_layout")
@@ -156,8 +161,8 @@ class IntervalSet:
             raise InvariantError("interval endpoints must be finite")
         if starts[0] < 0.0 or ends[-1] > 1.0 or (starts >= ends).any():
             raise InvariantError("need 0 <= start < end <= 1 for every interval")
-        if (starts[1:] < starts[:-1]).any():
-            raise InvariantError("intervals must be sorted by start")
+        if (starts[1:] < starts[:-1]).any() or (ends[1:] < ends[:-1]).any():
+            raise InvariantError("intervals must be sorted by start and by end")
         if (starts[1:] - ends[:-1] < -OVERLAP_TOL).any():
             raise InvariantError(f"intervals overlap by more than {OVERLAP_TOL}")
 

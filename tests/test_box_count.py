@@ -1,7 +1,8 @@
 """Exact parity of the numpy box-count kernel with the slow reference sweep.
 
-The kernel's one blocked count picks its cell rule from properties of the
-set and the box size. Every case runs with the default block size and with blocks of 37
+The kernel counts sets whose starts and ends are both sorted, as those of an
+IntervalSet are, and picks its path from properties of the set and the box
+size. Every case runs with the default block size and with blocks of 37
 intervals (see BLOCKS), and each count must equal
 ``reference_kernel.box_count`` exactly.
 """
@@ -18,12 +19,12 @@ from reference_kernel import box_count as reference_count
 from cantordim import (
     CantorParams,
     IntervalSet,
-    box_count,
     construct_prefractal,
     lacunarity_bounds,
     scale_ladder,
 )
 from cantordim import _kernels_py as kernel
+from cantordim.errors import InvariantError
 from cantordim.estimation import DELTA_FLOOR, SNAP_ETA
 from cantordim.geometry import OVERLAP_TOL
 
@@ -50,6 +51,8 @@ def blocks(request):
 def assert_counts_match(starts, ends, deltas):
     starts = np.ascontiguousarray(starts, dtype=np.float64)
     ends = np.ascontiguousarray(ends, dtype=np.float64)
+    # the kernel's precondition, which every IntervalSet meets
+    assert (np.diff(starts) >= 0.0).all() and (np.diff(ends) >= 0.0).all()
     layout = kernel.set_layout(starts, ends)
     for delta in deltas:
         want = reference_count(starts, ends, delta, SNAP_ETA)
@@ -148,63 +151,15 @@ def test_mixed_thin_and_wide_intervals(rng, blocks):
         starts = starts[np.diff(starts, prepend=-1.0) > 3 * band]
         widths = np.where(rng.random(len(starts)) < 0.5, band / 3, 3 * band)
         assert_counts_match(starts, starts + widths, [delta, delta / 7])
-    # longer than one 37-interval block: the first interval covers every cell
-    # of the second block, whose thin and wide intervals add nothing
-    for delta in (0.05, 1e-3):
-        band = 2 * SNAP_ETA * delta
-        starts = np.concatenate(
-            [[0.1], np.sort(rng.uniform(0.91, 0.99, 36)), np.sort(rng.uniform(0.15, 0.85, 60))]
-        )
-        widths = np.where(np.arange(len(starts)) % 2 == 0, band / 3, 3 * band)
-        ends = starts + widths
-        ends[0] = 0.9
-        assert not kernel.set_layout(starts, ends).ordered
-        assert_counts_match(starts, ends, [delta, delta / 7])
 
 
-def test_ends_not_monotone_within_overlap_tol(blocks):
-    # the second interval starts inside the first and ends before it does
+def test_ends_not_monotone_within_overlap_tol():
+    # the second interval starts inside the first and ends before it does:
+    # the overlap is within OVERLAP_TOL, but the ends are not sorted
     starts = np.array([0.1, 0.3 - OVERLAP_TOL / 2, 0.6])
     ends = np.array([0.3, 0.3 - OVERLAP_TOL / 4, 0.7])
-    s = IntervalSet(starts, ends)
-    assert not s._box_layout.ordered
-    deltas = [1.0, 0.3, 0.1, 0.3 - OVERLAP_TOL / 3, 1e-6]
-    assert_counts_match(s.starts, s.ends, deltas)
-    for delta in deltas:
-        assert box_count(s, delta) == reference_count(s.starts, s.ends, delta, SNAP_ETA)
-
-
-def test_thin_intervals_with_starts_out_of_order(blocks):
-    # equal ends, the second interval wider: its midpoint falls a cell lower,
-    # so distinct midpoint cells would count a cell the sweep does not
-    delta = 0.1
-    snap = SNAP_ETA * delta
-    end = 3 * delta + snap / 4
-    starts, ends = np.array([end - snap / 10, end - snap]), np.array([end, end])
-    assert not kernel.set_layout(starts, ends).ordered
-    assert_counts_match(starts, ends, [delta])
-
-
-def test_unsorted_and_nested_intervals(rng, blocks):
-    # the sweep only counts cells above its running maximum, so an interval
-    # nested in an earlier one adds nothing
-    for _ in range(20):
-        m = int(rng.integers(2, 60))
-        pairs = np.sort(rng.uniform(0.0, 1.0, (m, 2)), axis=1)
-        deltas = [1.0, *rng.uniform(1e-3, 0.5, 4)]
-        assert_counts_match(pairs[:, 0], pairs[:, 1], deltas)
-    # sets longer than one 37-interval block, so the running maximum crosses
-    # block boundaries; in the last one an interval of the first block covers
-    # every cell of the second
-    deltas = [1.0, 0.1, 0.013, 1e-3]
-    for m in (38, 75, 200):
-        pairs = np.sort(rng.uniform(0.0, 1.0, (m, 2)), axis=1)
-        assert_counts_match(pairs[:, 0], pairs[:, 1], deltas)
-    first = np.sort(rng.uniform(0.0, 0.1, (37, 2)), axis=1)
-    first[5] = [0.1, 0.9]
-    second = np.sort(rng.uniform(0.15, 0.85, (40, 2)), axis=1)
-    pairs = np.concatenate([first, second, [[0.5, 0.95]]])
-    assert_counts_match(pairs[:, 0], pairs[:, 1], deltas)
+    with pytest.raises(InvariantError, match="sorted by start and by end"):
+        IntervalSet(starts, ends)
 
 
 def test_runs_of_equal_ends_just_above_a_boundary(blocks):
@@ -230,22 +185,26 @@ def test_box_sizes_at_one_and_near_the_floor(blocks):
     assert_counts_match(s.starts, s.ends, deltas)
 
 
+def same_layout(a, b):
+    """Whether two SetLayouts hold equal fields (arrays by value)."""
+    return all(map(np.array_equal, a, b))
+
+
 def test_layout_is_computed_once_per_set():
     s = construct_prefractal(CantorParams(2, 1 / 3, 0.0, 6))
     assert s._box_layout is s._box_layout
-    assert s._box_layout == kernel.set_layout(s.starts, s.ends)
-    assert s._box_layout.ordered
+    assert same_layout(s._box_layout, kernel.set_layout(s.starts, s.ends))
 
 
-# -- the gap path: ordered thin-free sets are counted from their gaps of width >= delta/2
+# -- the gap path: thin-free sets are counted from their gaps of width >= delta/2
 
 
 def wide_gaps(starts, ends, delta):
     """How many gaps are at least delta/2 wide; the set must take the gap path."""
-    starts, ends = np.asarray(starts, float), np.asarray(ends, float)
-    layout = kernel.set_layout(starts, ends)
-    assert layout.ordered and layout.min_len > 2 * SNAP_ETA * delta + kernel.THIN_SLACK
-    return int((starts[1:] - ends[:-1] >= delta / 2).sum())
+    s = IntervalSet(starts, ends)
+    assert same_layout(s._box_layout, kernel.set_layout(s.starts, s.ends))
+    assert s._box_layout.min_len > 2 * SNAP_ETA * delta + kernel.THIN_SLACK
+    return int((s.starts[1:] - s.ends[:-1] >= delta / 2).sum())
 
 
 ONE_CELL_AT_A_POWER_OF_TWO = 0.125 / (1 - 2 * SNAP_ETA)
@@ -359,22 +318,9 @@ def constructed_sets(draw):
     return s.starts, s.ends, draw(st.sampled_from(scale_ladder(gamma, stage, 3) + extremes))
 
 
-@st.composite
-def unsorted_end_sets(draw):
-    """Grid-aligned sets with one end moved a few ulps below its predecessor's."""
-    starts, ends, delta = draw(grid_sets())
-    if len(ends) > 1:
-        i = draw(st.integers(1, len(ends) - 1))
-        lowered = nudged(float(ends[i - 1]), -draw(st.integers(1, 3)))
-        if lowered > starts[i]:
-            ends = ends.copy()
-            ends[i] = lowered
-    return starts, ends, delta
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    st.one_of(grid_sets(), constructed_sets(), unsorted_end_sets()),
+    st.one_of(grid_sets(), constructed_sets()),
     st.sampled_from(sorted(BLOCKS)),
     st.integers(-2, 2),
 )

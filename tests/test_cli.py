@@ -159,6 +159,17 @@ class TestFileCommands:
         assert (code, out) == (1, "")
         assert err == "error: document is not UTF-8: invalid start byte (byte 1)\n"
 
+    @pytest.mark.parametrize("name, data", [
+        ("set.csv", "start,end\n0.1,0.3\n0.2999999999995,0.29999999999975\n0.6,0.7\n"),
+        ("set.json", '{"intervals": [[0.1, 0.3], [0.2999999999995, 0.29999999999975]]}'),
+    ])
+    def test_estimate_nested_set(self, tmp_path, capsys, name, data):
+        target = tmp_path / name
+        target.write_text(data)
+        code, out, err = run(capsys, "estimate", "--in", str(target), "--deltas", "0.5", "0.1")
+        assert (code, out) == (1, "")
+        assert err == "error: intervals must be sorted by start and by end\n"
+
     def test_verify_pass(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--op", "mul", "--da", "0.5", "--db", "0.5", "--n", "2",

@@ -253,3 +253,15 @@ class TestIntervalSet:
         s = IntervalSet(np.array([0.1]), np.array([0.2]))
         with pytest.raises(ValueError):
             s.starts[0] = 0.0
+
+    def test_set_owns_its_arrays(self):
+        # a write through the base of a view leaves the checked set unchanged
+        full = np.array([0.1, 0.6])
+        s = IntervalSet(full[:], np.array([0.2, 0.7]))
+        full[1] = 0.3
+        assert s.starts.tolist() == [0.1, 0.6]
+        # and the caller's own array stays writeable
+        a = np.array([0.1, 0.6])
+        IntervalSet(a, np.array([0.2, 0.7]))
+        a[0] = 0.05
+        assert a[0] == 0.05

@@ -105,6 +105,15 @@ class TestImportErrors:
         with pytest.raises(InvariantError):
             import_intervals("start,end\n0.5,0.6\n0,0.1\n", "csv")
 
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_nested_rows(self, format):
+        # the second row lies inside the first, within OVERLAP_TOL of its end
+        rows = [[0.1, 0.3], [0.2999999999995, 0.29999999999975], [0.6, 0.7]]
+        doc = (json.dumps({"intervals": rows}) if format == "json"
+               else "start,end\n" + "".join(f"{s!r},{e!r}\n" for s, e in rows))
+        with pytest.raises(InvariantError, match="sorted by start and by end"):
+            import_intervals(doc, format)
+
     def test_out_of_unit_range(self):
         with pytest.raises(InvariantError):
             import_intervals("start,end\n0.5,1.2\n", "csv")
