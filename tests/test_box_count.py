@@ -19,6 +19,7 @@ from reference_kernel import box_count as reference_count
 from cantordim import (
     CantorParams,
     IntervalSet,
+    box_count,
     construct_prefractal,
     lacunarity_bounds,
     scale_ladder,
@@ -153,13 +154,20 @@ def test_mixed_thin_and_wide_intervals(rng, blocks):
         assert_counts_match(starts, starts + widths, [delta, delta / 7])
 
 
-def test_ends_not_monotone_within_overlap_tol():
+def test_ends_not_monotone_within_overlap_tol(blocks):
     # the second interval starts inside the first and ends before it does:
     # the overlap is within OVERLAP_TOL, but the ends are not sorted
     starts = np.array([0.1, 0.3 - OVERLAP_TOL / 2, 0.6])
     ends = np.array([0.3, 0.3 - OVERLAP_TOL / 4, 0.7])
     with pytest.raises(InvariantError, match="sorted by start and by end"):
         IntervalSet(starts, ends)
+    # the same overlap with the ends in order is a set, and is counted as one
+    ends[1] = 0.3 + OVERLAP_TOL / 4
+    s = IntervalSet(starts, ends)
+    deltas = [1.0, 0.3, 0.1, 0.3 - OVERLAP_TOL / 3, 1e-6]
+    assert_counts_match(s.starts, s.ends, deltas)
+    for delta in deltas:
+        assert box_count(s, delta) == reference_count(s.starts, s.ends, delta, SNAP_ETA)
 
 
 def test_runs_of_equal_ends_just_above_a_boundary(blocks):
