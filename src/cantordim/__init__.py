@@ -60,7 +60,6 @@ _EXPORTS = {
     ),
     "geometry": (
         "CantorParams",
-        "Interval",
         "IntervalSet",
         "construct_prefractal",
         "gap_widths",

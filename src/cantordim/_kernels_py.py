@@ -6,14 +6,13 @@ returns, for every box size down to ``estimation.DELTA_FLOOR``, the count of
 the sequential sweep kept in the tests as the slow reference; the tests
 compare counts exactly. It takes the arrays of an IntervalSet, whose starts
 and ends are both sorted. ``set_layout`` gathers, once per set, what every
-box size reuses: the shortest and longest interval, and the gaps sorted by
-width (by a 16-bit key), with the endpoints on either side of each. A set
-whose intervals are all wider than the snap band is counted from the gaps
-at least half a cell wide alone, one sorted suffix of those rows; every
-other set takes one blocked pass over its intervals.
+box size reuses: the shortest interval, and the gaps sorted by width (by a
+16-bit key), with the interval on either side of each. Every set is counted
+from its gaps at least half a cell wide, one sorted suffix of those rows;
+at a size where some interval may be thinner than the snap band, each row
+also tests its two neighbours for thinness.
 """
 
-import math
 import struct
 import sys
 from typing import NamedTuple
@@ -27,12 +26,12 @@ def available_backends():
     """Name -> kernel module; the numpy kernel is the only one."""
     return {BACKEND: sys.modules[__name__]}
 
-#: intervals per block of the count: small temporaries are reused by
+#: gap rows per block of the count: small temporaries are reused by
 #: the allocator, large ones cost fresh pages on every call
 BLOCK = 16384
 
-#: absolute slack on the thin test: it covers the rounding of a = start + snap,
-#: b = end - snap and the interval midpoint (a few ulp of 1) many times over
+#: absolute slack on the thin-free test: an interval wider than 2*snap + THIN_SLACK
+#: has a = start + snap below b = end - snap, whose rounding costs a few ulp of 1
 THIN_SLACK = 1e-14
 
 
@@ -72,33 +71,35 @@ class SetLayout(NamedTuple):
     """Facts about one IntervalSet that ``box_count`` reuses at every box size.
 
     ``keys`` holds the sort keys of the gap widths starts[1:] - ends[:-1] in
-    ascending order and then the sentinel 2**16 - 1; ``after`` and
-    ``before`` hold the start after and the end before each gap in the same
-    order, and (starts[0], ends[-1]) under the sentinel.
+    ascending order and then the sentinel 2**16 - 1. In the same order,
+    ``after_start`` and ``after_end`` hold the interval after each gap and
+    ``before_start`` and ``before_end`` the interval before it; under the
+    sentinel they hold the first and the last interval.
     """
 
     min_len: float
-    max_len: float
     keys: np.ndarray
-    after: np.ndarray
-    before: np.ndarray
+    after_start: np.ndarray
+    after_end: np.ndarray
+    before_start: np.ndarray
+    before_end: np.ndarray
 
 
 def set_layout(starts, ends):
     """The SetLayout of a set: a few linear passes and one radix sort of the gap keys."""
     if len(starts) == 0:
-        return SetLayout(0.0, 0.0, *(np.empty(0),) * 3)
-    lengths = ends - starts
+        return SetLayout(0.0, *(np.empty(0),) * 5)
     keys = (starts[1:] - ends[:-1]).view(np.int64)
     keys >>= KEY_SHIFT
     keys -= KEY_BASE
     keys = np.clip(keys, 0, KEY_TOP, out=keys).astype(np.uint16)
     order = np.argsort(keys, kind="stable")  # a radix sort for 16-bit keys
     return SetLayout(
-        float(lengths.min()),
-        float(lengths.max()),
+        float((ends - starts).min()),
         _gathered(keys, order, KEY_TOP + 1),
         _gathered(starts[1:], order, starts[0]),
+        _gathered(ends[1:], order, ends[0]),
+        _gathered(starts[:-1], order, starts[-1]),
         _gathered(ends[:-1], order, ends[-1]),
     )
 
@@ -113,19 +114,12 @@ def box_count(starts, ends, delta, eta, layout=None):
     SetLayout when the caller keeps one.
 
     Interval j covers the cells lo_j..hi_j. With a = fl(start_j + snap) and
-    b = fl(end_j - snap), lo_j is the largest k with fl(k*delta) <= a and
-    hi_j the largest k with fl(k*delta) < b; a row with hi_j < lo_j is thin
-    and takes lo_j = hi_j = its midpoint cell, the others are wide. In an
-    all-thin set (every interval clearly thinner than the snap band) every
-    row takes its midpoint cell. The count is the sequential sweep's: range
-    j adds max(0, hi_j - max(lo_j - 1, reach_j)) cells, where reach_j is the
+    b = fl(end_j - snap), the ends rule takes lo_j, the largest k with
+    fl(k*delta) <= a, and hi_j, the largest k with fl(k*delta) < b; a row
+    with hi_j < lo_j is thin and takes lo_j = hi_j = its midpoint cell, the
+    others are wide. The count is the sequential sweep's: range j adds
+    max(0, hi_j - max(lo_j - 1, reach_j)) cells, where reach_j is the
     highest cell of any earlier range.
-
-    A thin-free set (every interval wider than the snap band) is counted
-    from its gaps alone (``_gap_count``). Every other set takes one loop over
-    blocks of BLOCK intervals that carries reach from block to block, with
-    reach_j = hi_{j-1} and no clip at 0: hi never decreases, and hi_j >= lo_j
-    on every row, so each term hi_j - max(lo_j - 1, hi_{j-1}) is at least 0.
 
     Proof that hi never decreases. Rounding is monotone, so a, b, the lo and
     hi of a wide row and the midpoint cell fl(fl(start + end)*0.5 / delta)
@@ -141,39 +135,9 @@ def box_count(starts, ends, delta, eta, layout=None):
     - wide -> thin: fl(hi_i*delta) < b_i <= b_j <= fl(K*delta), so
       hi_i < K, and the midpoint cell of j is at least K - 1 >= hi_i;
     - thin -> wide: the midpoint cell of i is at most K = lo_i <= lo_j <= hi_j.
-    In an all-thin set every pair is thin -> thin.
-    """
-    if len(starts) == 0:
-        return 0
-    if layout is None:
-        layout = set_layout(starts, ends)
-    snap = eta * delta
-    if layout.min_len > 2.0 * snap + THIN_SLACK:
-        return _gap_count(layout, delta, snap)
-    all_thin = layout.max_len < 2.0 * snap - THIN_SLACK
-    total, reach = 0.0, -math.inf
-    for i in range(0, len(starts), BLOCK):
-        s, e = starts[i:i + BLOCK], ends[i:i + BLOCK]
-        if all_thin:
-            hi = _midpoint_cells(s, e, delta)
-            lo = hi.copy()
-        else:
-            lo, hi = _cell_ranges(s, e, delta, snap)
-            thin = hi < lo
-            mid = _midpoint_cells(s, e, delta)
-            lo, hi = np.where(thin, mid, lo), np.where(thin, mid, hi)
-        lo -= 1.0
-        lo[0] = max(lo[0], reach)
-        np.maximum(lo[1:], hi[:-1], out=lo[1:])
-        total += np.subtract(hi, lo, out=lo).sum()
-        reach = hi[-1]
-    return int(total)
 
-
-def _gap_count(layout, delta, snap):
-    """The count of a thin-free set, from the gap arrays of its SetLayout.
-
-    There lo_j <= hi_j and hi never decreases, so the sweep's sum telescopes:
+    So reach_j = hi_{j-1}, and as lo_j <= hi_j on every row, range j + 1
+    adds hi_{j+1} - hi_j - e_j and the sum telescopes:
 
         count = (hi_last - lo_first + 1) - sum over gaps j of e_j,
         e_j = max(0, lo_{j+1} - hi_j - 1),
@@ -183,19 +147,23 @@ def _gap_count(layout, delta, snap):
     (s = start_{j+1}, e = end_j), so one searchsorted finds the suffix of
     the gap rows to count, and the sentinel row gives the span.
 
-    Proof. Let K = lo_{j+1} >= hi_j + 2. By the definitions of lo and hi,
-    fl(K*delta) <= a = fl(s + snap), and fl((K-1)*delta) >= b = fl(e - snap)
-    since K-1 > hi_j. The four values K*delta, (K-1)*delta, s + snap and
-    e - snap lie in (-2, 2), where one rounding moves a value by at most
-    u = 2**-53, so s - e = a - b - 2*snap ± 2u >= delta - 2*snap - 4u; and
-    s - e <= 1, so g >= s - e - u/2. With snap <= eta*delta*(1 + u):
+    Proof, for ends-rule cells first. Let K = lo_{j+1} >= hi_j + 2. By the
+    definitions of lo and hi, fl(K*delta) <= a = fl(s + snap), and
+    fl((K-1)*delta) >= b = fl(e - snap) since K-1 > hi_j. The four values
+    K*delta, (K-1)*delta, s + snap and e - snap lie in (-2, 2), so
+    s - e = a - b - 2*snap ± 2u >= delta - 2*snap - 4u; and s - e <= 1, so
+    g >= s - e - u/2. With snap <= eta*delta*(1 + u):
 
         g >= delta*(1 - 2*eta*(1 + u)) - 4.5u,
 
     which is at least delta/2 when delta*(1/2 - 2*eta*(1 + u)) >= 4.5u,
     that is for every delta >= 9.993e-16 at eta = SNAP_ETA = 1e-6. That
     covers every admitted box size: at DELTA_FLOOR = 1e-15, about 4.5 ulps
-    of 1, with 0.08% to spare.
+    of 1, with 0.08% to spare. A thin neighbour only shrinks e_j: a thin
+    interval j+1 takes K - 1 or K for its ends-rule lo K, never more, and a
+    thin interval j takes at least its ends-rule lo minus 1, which is at
+    least its ends-rule hi. So a gap with e_j > 0 has a positive ends-rule
+    e_j as well, and the bound holds for every row.
 
     The keys are non-decreasing in the width, so every gap at least delta/2
     wide has a key at least that of delta/2 (which lies in [1152, 52224]
@@ -205,16 +173,36 @@ def _gap_count(layout, delta, snap):
     sharing its key; like every narrower gap (and the ulp-negative gaps of
     touching intervals, keyed 0) they have e_j = 0 and add nothing.
 
-    The rows are counted in blocks of BLOCK. Each row gives hi - lo + 1,
-    which is -e_j for a gap and the span (at least 1) for the sentinel, so
-    the count is the span plus the sum of min(0, hi - lo + 1) over the rows.
-    Every partial sum is an integer below 2**53, so the sum is exact.
+    A row reads its gap's neighbours from the layout. At a thin-free size,
+    where every interval is wider than 2*snap + THIN_SLACK, no row is thin
+    and the ends rule on s and e gives lo_{j+1} and hi_j. At every other
+    size the row also finds hi_{j+1} and lo_j and runs the sweep's thin
+    test on both neighbours. The rows are counted in blocks of BLOCK. Each
+    row gives hi - lo + 1, which is -e_j for a gap and the span (at least 1)
+    for the sentinel, so the count is the span plus the sum of
+    min(0, hi - lo + 1) over the rows. Every partial sum is an integer
+    below 2**53, so the sum is exact.
     """
+    if len(starts) == 0:
+        return 0
+    if layout is None:
+        layout = set_layout(starts, ends)
+    snap = eta * delta
+    thin_free = layout.min_len > 2.0 * snap + THIN_SLACK
     bits = struct.unpack("<q", struct.pack("<d", 0.5 * delta))[0]
     first = int(layout.keys.searchsorted(np.uint16((bits >> KEY_SHIFT) - KEY_BASE)))
     total, span = 0.0, 0.0
     for i in range(first, len(layout.keys), BLOCK):
-        lo, hi = _cell_ranges(layout.after[i:i + BLOCK], layout.before[i:i + BLOCK], delta, snap)
+        rows = slice(i, i + BLOCK)
+        lo, hi = _cell_ranges(layout.after_start[rows], layout.before_end[rows], delta, snap)
+        if not thin_free:
+            before_lo, after_hi = _cell_ranges(
+                layout.before_start[rows], layout.after_end[rows], delta, snap
+            )
+            mid = _midpoint_cells(layout.after_start[rows], layout.after_end[rows], delta)
+            np.copyto(lo, mid, where=after_hi < lo)
+            mid = _midpoint_cells(layout.before_start[rows], layout.before_end[rows], delta)
+            np.copyto(hi, mid, where=hi < before_lo)
         hi -= lo
         hi += 1.0
         span = hi[-1]  # the sentinel is the last row of the last block

@@ -20,6 +20,7 @@ segment). The void set (d = 0) is absorbing for add, sub and mul.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -50,7 +51,7 @@ class OpResult(NamedTuple):
 
     ``gamma`` is the scale factor of the result for the arity the operator
     was evaluated under. ``underflow`` marks results that binary64 cannot
-    hold: gamma below the smallest positive binary64 (reported as 0.0 while
+    hold: gamma below the smallest normal binary64 (reported as 0.0 while
     d stays exact), or a d of positive operands that rounds to 0.0 (d and
     gamma both reported as 0.0; this is not the void set).
     """
@@ -255,7 +256,7 @@ def check_gamma_consistency(op_tag: str, d_a: float, d_b: float, n: int) -> floa
     if op_tag == "sub" and gb == 0.0:
         raise DomainError("gamma route undefined for a void subtrahend (gamma_A/0)")
     gc = row.gamma(ga, gb, d_b)
-    if gc == 0.0:
+    if gc < sys.float_info.min:  # zero or subnormal: too few bits to read D back
         if d_formula > 0.0:
             raise DomainError("result gamma underflows binary64; gamma route unavailable")
         d_gamma = 0.0

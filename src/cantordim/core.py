@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -103,7 +104,8 @@ class ScaleResult(NamedTuple):
     """Scale factor with an underflow marker.
 
     ``underflow`` is set when the true value n**(-1/d) falls below the
-    smallest positive binary64 and is reported as 0.0.
+    smallest normal binary64, ``sys.float_info.min``, and is reported as
+    0.0: a subnormal gamma keeps too few significant bits to realize d.
     """
 
     gamma: float
@@ -124,7 +126,7 @@ def scale_from_dimension(n: int, d: float) -> ScaleResult:
     if d == 1.0:
         return ScaleResult(1.0 / n, False)
     gamma = math.exp(-math.log(n) / d)
-    if gamma == 0.0:
+    if gamma < sys.float_info.min:
         return ScaleResult(0.0, True)
     # exp can round one ulp above the binary64 bound for d a few ulps below 1
     return ScaleResult(min(gamma, 1.0 / n), False)

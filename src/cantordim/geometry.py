@@ -23,7 +23,7 @@ index, so rounding error does not accumulate across stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,21 +84,6 @@ class CantorParams:
             object.__setattr__(self, field, value)
 
 
-@dataclass(frozen=True)
-class Interval:
-    start: float
-    end: float
-
-    def __post_init__(self):
-        start, end = check_real(self.start, "start"), check_real(self.end, "end")
-        if not (0.0 <= start < end <= 1.0):
-            raise InvariantError(f"need 0 <= start < end <= 1, got [{self.start}, {self.end}]")
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
-
 def check_params(value) -> CantorParams:
     """A CantorParams, or DomainError."""
     if not isinstance(value, CantorParams):
@@ -135,7 +120,8 @@ class IntervalSet:
     degeneracy at eps_max (whose gap is a few ulp of rounding residue) is
     admitted while genuine overlaps are rejected. An interval nested in the
     one before it within that tolerance ends before it, so the sort by end
-    rejects it; the box-count kernel relies on both sorts.
+    rejects it. The box-count kernel relies on both sorts: with them it counts
+    every set from its gaps alone, at every box size.
     """
 
     __slots__ = ("starts", "ends", "params", "_layout")
@@ -168,13 +154,6 @@ class IntervalSet:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def __iter__(self) -> Iterator[Interval]:
-        for s, e in zip(self.starts, self.ends):
-            yield Interval(float(s), float(e))
-
-    def __getitem__(self, i) -> Interval:
-        return Interval(float(self.starts[i]), float(self.ends[i]))
 
     @property
     def _box_layout(self):

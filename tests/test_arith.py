@@ -265,10 +265,17 @@ class TestOpResultInvariant:
                 assert dimension_from_scale(n, r.gamma) == pytest.approx(r.d, abs=TOL)
 
     def test_underflow_flag_set_for_tiny_results(self):
-        r = mul(0.01, 0.01, 8)  # gamma = 8**-10000
-        assert r.underflow
-        assert r.gamma == 0.0
-        assert r.d == pytest.approx(1e-4, abs=TOL)
+        for op, tag, d_a, d_b, n, d in (
+            (mul, "mul", 0.01, 0.01, 8, 1e-4),  # gamma = 8**-10000
+            # gamma = 3**(-1/d) = 2.96e-309 is subnormal: too few bits to realize d
+            (sub, "sub", 0.0014746433533864456, 0.03176135791002077, 3, 0.0015464429213329952),
+        ):
+            r = op(d_a, d_b, n)
+            assert r.underflow
+            assert r.gamma == 0.0
+            assert r.d == pytest.approx(d, abs=TOL)
+            with pytest.raises(DomainError, match="underflows"):
+                check_gamma_consistency(tag, d_a, d_b, n)
 
     @pytest.mark.parametrize(
         "call",

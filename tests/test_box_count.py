@@ -1,10 +1,10 @@
 """Exact parity of the numpy box-count kernel with the slow reference sweep.
 
 The kernel counts sets whose starts and ends are both sorted, as those of an
-IntervalSet are, and picks its path from properties of the set and the box
-size. Every case runs with the default block size and with blocks of 37
-intervals (see BLOCKS), and each count must equal
-``reference_kernel.box_count`` exactly.
+IntervalSet are, from their gap rows; whether a row tests its neighbours for
+thinness depends on the set's shortest interval and the box size. Every case
+runs with the default block size and with blocks of 37 rows (see BLOCKS),
+and each count must equal ``reference_kernel.box_count`` exactly.
 """
 
 import math
@@ -29,7 +29,7 @@ from cantordim.errors import InvariantError
 from cantordim.estimation import DELTA_FLOOR, SNAP_ETA
 from cantordim.geometry import OVERLAP_TOL
 
-# block size of the one-pass count: 37 puts block boundaries inside every set
+# gap rows per block of the count: 37 puts block boundaries inside every set
 BLOCKS = {"default": kernel.BLOCK, "small": 37}
 
 
@@ -122,7 +122,7 @@ def test_widths_at_the_thin_boundary(blocks, delta):
     for ulps in (-4, -1, 0, 1, 4):
         width = nudged(band, ulps)
         assert_counts_match(starts, starts + width, [delta])
-    # just past the slack on either side, where the fast paths take over
+    # just past the slack on either side: thin at every row, then thin-free
     for width in (band - 2 * kernel.THIN_SLACK, band + 2 * kernel.THIN_SLACK):
         assert_counts_match(starts, starts + width, [delta])
     widths = np.array([nudged(band, int(u)) for u in np.arange(m) % 9 - 4])
@@ -133,7 +133,7 @@ def test_widths_at_the_thin_boundary(blocks, delta):
 def test_widths_just_under_the_band_at_boundaries(blocks, delta):
     # an interval a few ulps narrower than the snap band, ending just above a
     # boundary, can keep its lo cell while its midpoint rounds into the next
-    # cell: the thin test's slack must send such sets to the general sweep
+    # cell: the thin-free test's slack must leave such sets to the thin test
     snap = SNAP_ETA * delta
     band = 2 * snap
     for k in range(1, min(60, int(1 / delta))):
@@ -204,14 +204,14 @@ def test_layout_is_computed_once_per_set():
     assert same_layout(s._box_layout, kernel.set_layout(s.starts, s.ends))
 
 
-# -- the gap path: thin-free sets are counted from their gaps of width >= delta/2
+# -- every set is counted from its gaps of width >= delta/2
 
 
-def wide_gaps(starts, ends, delta):
-    """How many gaps are at least delta/2 wide; the set must take the gap path."""
+def wide_gaps(starts, ends, delta, thin_free=True):
+    """How many gaps are at least delta/2 wide, in a set that is thin-free at delta or not."""
     s = IntervalSet(starts, ends)
     assert same_layout(s._box_layout, kernel.set_layout(s.starts, s.ends))
-    assert s._box_layout.min_len > 2 * SNAP_ETA * delta + kernel.THIN_SLACK
+    assert (s._box_layout.min_len > 2 * SNAP_ETA * delta + kernel.THIN_SLACK) == thin_free
     return int((s.starts[1:] - s.ends[:-1] >= delta / 2).sum())
 
 
@@ -225,24 +225,36 @@ def test_gaps_ulps_from_the_thresholds(blocks, delta):
     # pairs of intervals around up to 30 boundaries k*delta, with a gap a few ulps
     # from delta*(1 - 2*SNAP_ETA) (one empty cell or none) or from delta/2; a power
     # of two as delta or as delta*(1 - 2*SNAP_ETA) puts the gaps that hold one
-    # empty cell at the lower edge of a gap key, so a threshold too high misses them
+    # empty cell at the lower edge of a gap key, so a threshold too high misses them.
+    # A thin neighbour, a few ulps under snap/3 or 2*snap wide, before the gap,
+    # after it or on both sides, takes its midpoint cell; such widths are
+    # representable at every delta only near 0
     snap = SNAP_ETA * delta
-    width = max(delta / 4, 20 * kernel.THIN_SLACK)  # wider than the snap band
-    step = math.ceil(2 * width / delta) + 2
-    first = math.ceil(0.9 / delta) if delta < 1e-9 else 1  # tiny cells near 1: coarse ulps
-    cells = [k for k in range(first, first + 30 * step, step) if (k + 1) * delta + width <= 1.0]
-    for end_ulps in range(-3, 4):
-        for start_ulps in range(-3, 4):
-            for one_cell in (True, False):
-                starts, ends = [], []
-                for k in cells:
-                    end = nudged(k * delta + snap, end_ulps)
-                    start = (k + 1) * delta - snap if one_cell else end + delta / 2
-                    start = nudged(start, start_ulps)
-                    starts += [end - width, start]
-                    ends += [end, start + width]
-                wide_gaps(starts, ends, delta)
-                assert_counts_match(starts, ends, [delta, nudged(delta, 1)])
+    wide = max(delta / 4, 20 * kernel.THIN_SLACK)  # wider than the snap band
+    step = math.ceil(2 * wide / delta) + 2
+    thin = [nudged(snap / 3, -2), nudged(2 * snap, -3)]
+    widths = [(wide, wide)] + [pair for w in thin for pair in ((w, wide), (wide, w), (w, w))]
+    for before, after in widths:
+        thin_free = before == after == wide
+        if delta >= 1e-9:
+            first = 1
+        elif thin_free:
+            first = math.ceil(0.9 / delta)  # tiny cells near 1: coarse ulps
+        else:
+            first = step  # near 0, with room for a wide neighbour below the first cell
+        cells = [k for k in range(first, first + 30 * step, step) if (k + 1) * delta + wide <= 1.0]
+        for end_ulps in range(-3, 4):
+            for start_ulps in range(-3, 4):
+                for one_cell in (True, False):
+                    starts, ends = [], []
+                    for k in cells:
+                        end = nudged(k * delta + snap, end_ulps)
+                        start = (k + 1) * delta - snap if one_cell else end + delta / 2
+                        start = nudged(start, start_ulps)
+                        starts += [end - before, start]
+                        ends += [end, start + after]
+                    wide_gaps(starts, ends, delta, thin_free)
+                    assert_counts_match(starts, ends, [delta, nudged(delta, 1)])
 
 
 @pytest.mark.parametrize("n", range(4, 10))

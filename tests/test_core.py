@@ -73,9 +73,11 @@ class TestScaleFromDimension:
         assert gamma == pytest.approx(0.1, abs=1e-12)
 
     def test_underflow_flagged_not_raised(self):
-        gamma, underflow = scale_from_dimension(2, 1e-4)  # 2**-10000
-        assert gamma == 0.0
-        assert underflow
+        # 2**-10000, and the subnormal 3**(-1/d) = 2.96e-309
+        for n, d in ((2, 1e-4), (3, 0.0015464429213329952)):
+            gamma, underflow = scale_from_dimension(n, d)
+            assert gamma == 0.0
+            assert underflow
 
     @pytest.mark.parametrize("d", [-0.01, 1.01, float("nan")])
     def test_rejects_out_of_range_dimension(self, d):

@@ -118,10 +118,6 @@ def params(r, a):
     return types == [int, float, float, int] and 0.0 < r.gamma < 1.0 / r.n and r.epsilon >= 0.0
 
 
-def interval(r, a):
-    return 0.0 <= r.start < r.end <= 1.0
-
-
 def offsets(r, a):
     return len(r) == check_arity(a["n"]) and r[0] == 0.0 and r == sorted(r) and r[-1] <= 1.0
 
@@ -246,10 +242,6 @@ ENTRIES = {
         CantorParams, dict(n=5, gamma=0.1, epsilon=0.05, stage=2),
         dict(n=ARITY, gamma=near(0.0, 1 / 5), epsilon=near(0.0, EPS_MAX), stage=near(0)),
         params,
-    ),
-    "Interval": Entry(
-        cantordim.Interval, dict(start=0.25, end=0.5),
-        dict(start=near(0.0, 0.5), end=near(0.25, 1.0)), interval, errors=(InvariantError,),
     ),
     "regular_epsilon": Entry(
         cantordim.regular_epsilon, dict(n=5, gamma=0.1), dict(n=ARITY, gamma=near(0.0, 1 / 5)),
@@ -411,7 +403,6 @@ PROBES = {  # each once returned a value or raised a generic error
     "construct_prefractal(CantorParams(2, 0.3, 0, 10**400))":
         lambda: construct_prefractal(CantorParams(2, 0.3, 0, 10**400)),
     "import_intervals(None)": lambda: cantordim.import_intervals(None),
-    "Interval('0', 1)": lambda: cantordim.Interval("0", 1),
 }
 
 

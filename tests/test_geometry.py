@@ -8,7 +8,6 @@ from cantordim import (
     CapExceeded,
     DomainError,
     InvariantError,
-    Interval,
     IntervalSet,
     construct_prefractal,
     gap_widths,
@@ -228,15 +227,6 @@ class TestGapWidths:
 
 
 class TestIntervalSet:
-    def test_interval_record_validation(self):
-        Interval(0.25, 0.5)
-        with pytest.raises(InvariantError):
-            Interval(0.5, 0.5)
-        with pytest.raises(InvariantError):
-            Interval(-0.1, 0.5)
-        with pytest.raises(InvariantError):
-            Interval(0.5, 1.1)
-
     def test_rejects_unsorted(self):
         with pytest.raises(InvariantError):
             IntervalSet(np.array([0.5, 0.0]), np.array([0.6, 0.1]))
