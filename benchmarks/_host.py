@@ -1,8 +1,9 @@
-"""What the benchmark scripts share: running a checkout, git revision and machine."""
+"""What the benchmark scripts share: running checkouts, paired timings, git revision, machine."""
 
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
@@ -21,6 +22,38 @@ def run_worker(script, tree, mode):
     out = subprocess.run([sys.executable, str(script), "--worker", mode], cwd=tree,
                          env=tree_env(tree), check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
+
+
+def paired_times(script, trees, pairs, rows):
+    """label -> row -> the row's time in each of ``pairs`` workers of the tree at label.
+
+    Pair i runs one ``script --worker time`` per tree, the trees in order
+    when i is even and in reverse when it is odd, so that a slow phase of the
+    host hits both sides of a pair.
+    """
+    times = {label: {row: [] for row in rows} for label in trees}
+    for i in range(pairs):
+        for label in list(trees) if i % 2 == 0 else list(reversed(trees)):
+            out = run_worker(script, trees[label], "time")
+            for row in rows:
+                times[label][row].append(out[row])
+    return times
+
+
+def paired_ratio(baseline, change):
+    """The per-pair ratios baseline/change of a row's times: median, IQR and verdict.
+
+    A ratio above 1 means the change is faster. ``speedup`` is the median
+    ratio when the interquartile range excludes 1, and "within noise" when
+    the pairs cannot tell the two trees apart.
+    """
+    ratios = [b / c for b, c in zip(baseline, change)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {
+        "ratio_median": round(median, 3),
+        "ratio_iqr": [round(q1, 3), round(q3, 3)],
+        "speedup": round(median, 2) if q1 > 1.0 or q3 < 1.0 else "within noise",
+    }
 
 
 def git_rev(tree):

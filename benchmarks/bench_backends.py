@@ -7,21 +7,30 @@ Four layers, each case timed in worker processes of every tree:
 - box count: the million-interval ladders (4 box sizes per level) and the
   verify ladder (16 sizes per level, coarsest level dropped, as
   ``verify_operator_geometrically`` uses) on sets as large as the verifier's
-  largest tier. A ladder's time includes the per-set layout the kernel
-  computes once, as ``estimate_dimension`` does, and the layout's size is
-  reported per set;
-- fit: ``estimate_dimension`` on the verify ladder of the same four sets,
-  each call on a fresh set (made untimed), so that it builds the layout too;
+  largest tier, each through the tree's own ladder entry (``box_counts``
+  where the kernel has it, one ``box_count`` per size otherwise). A
+  ladder's time includes the per-set layout the kernel computes once, and
+  the layout's size is reported per set. One more row times a single public
+  ``box_count`` call, the middle size of the natural ladder, on the
+  117,649-interval set of the benchmark's documents workload (layout
+  computed untimed);
+- fit: ``estimate_dimension``, one ``box_count`` per size, on the verify
+  ladder of the four verify-sized sets and on the natural ladder of the
+  documents set, each call on a fresh set (made untimed), so that it builds
+  the layout too;
 - verify: ``verify_operator_geometrically`` (``mul``) at the stage of each
   tier of the benchmark's verify workload, for arities 2-5.
 
-The ladders are also timed with the seed's numpy sweep kept in
-``tests/reference_kernel.py``, in this process. Before anything is timed,
-every tree's counts must equal the reference's, and the trees must agree
-on every construction (SHA-256 of its arrays), estimate and report. With
-``--baseline DIR`` the cases also run against a second checkout (for
-example a clone of the parent commit), alternating which tree goes first; a
-case's time is the best over ``--repeats`` workers per tree.
+The ladders and the single size are also counted with the seed's numpy sweep
+kept in ``tests/reference_kernel.py``, in this process, and timed best of
+REFERENCE_REPEATS. Before anything is timed, every tree's counts must equal the
+reference's, and the trees must agree on every construction (SHA-256 of its
+arrays), estimate and report. With ``--baseline DIR`` the cases also run
+against a second checkout (for example a clone of the parent commit): each
+of ``--repeats`` pairs runs one worker per tree, alternating which goes
+first. A row gives each tree's median time and the median and interquartile
+range of the per-pair ratios baseline/change; it claims a ``speedup`` only
+when that range excludes 1, and reads "within noise" otherwise.
 
 Usage: python benchmarks/bench_backends.py [--repeats N] [--baseline DIR]
 Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
@@ -29,11 +38,12 @@ Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
 
-from _host import git_rev, machine, run_worker
+from _host import git_rev, machine, paired_ratio, paired_times, run_worker
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,13 +61,20 @@ LADDERS = [
     (4, 0.75, "reg", 8, 16, 2),  # 65536 intervals
     (5, 0.90, "reg", 7, 16, 2),  # 78125 intervals
 ]
-FITS = [case for case in LADDERS if case[4] == 16]
+# the set of the documents workload (n = 7, stage 6) and its natural ladder
+DOCUMENT = (7, 0.70, "reg", 6, 1, 1)  # 117649 intervals
+FITS = [case for case in LADDERS if case[4] == 16] + [DOCUMENT]
 # the stages of the small, medium and large tiers of perfbench's verify workload
 TIERS = {"small": {2: 10, 3: 7, 4: 6, 5: 5},
          "medium": {2: 13, 3: 9, 4: 7, 5: 6},
          "large": {2: 15, 3: 10, 4: 8, 5: 7}}
 VERIFY_OPERANDS = (0.8, 0.8)  # mul: D_C = 0.64
-FAST_CALLS = 5  # calls per worker of a fit or verify case, which take milliseconds
+# calls per worker of a case, best of them; the rest take one call
+CALLS = {"one size": 50, "fit": 5, "verify": 5}
+REFERENCE_REPEATS = 3
+LAYERS = {"construct": "geometry.construct", "ladder": "estimation.box_count",
+          "one size": "estimation.box_count", "fit": "estimation.fit",
+          "verify": "estimation.verify"}
 
 
 def set_name(case):
@@ -70,17 +87,18 @@ def ladder_name(case):
 
 
 def cases():
-    """(case name, layer, case) in the order a worker runs them."""
+    """(case name, kind, case) in the order a worker runs them."""
     for case in LADDERS:
         if case[4] == 4:
-            yield "construct " + set_name(case), "geometry.construct", case
+            yield "construct " + set_name(case), "construct", case
     for case in LADDERS:
-        yield "count " + ladder_name(case), "estimation.box_count", case
+        yield "count " + ladder_name(case), "ladder", case
+    yield f"count one size {set_name(DOCUMENT)}", "one size", DOCUMENT
     for case in FITS:
-        yield "fit " + ladder_name(case), "estimation.fit", case
+        yield "fit " + ladder_name(case), "fit", case
     for tier, stages in TIERS.items():
         for n, stage in stages.items():
-            yield f"verify {tier} n={n} stage={stage}", "estimation.verify", (n, stage)
+            yield f"verify {tier} n={n} stage={stage}", "verify", (n, stage)
 
 
 def build_set(case):
@@ -105,6 +123,11 @@ def build_set(case):
     return starts, ends, params, scale_ladder(gamma, stage, per_level, start_level)
 
 
+def one_size(deltas):
+    """The box size of the single-size row: the middle of the ladder."""
+    return deltas[len(deltas) // 2]
+
+
 def worker(mode: str) -> None:
     """Run every case in this interpreter; print times or results as JSON.
 
@@ -115,20 +138,28 @@ def worker(mode: str) -> None:
     import hashlib
 
     import cantordim
-    from cantordim import (IntervalSet, _kernels_py, construct_prefractal, estimate_dimension,
-                           verify_operator_geometrically)
+    from cantordim import (IntervalSet, _kernels_py, box_count, construct_prefractal,
+                           estimate_dimension, verify_operator_geometrically)
     from cantordim.estimation import SNAP_ETA
 
     def ladder(starts, ends, deltas):
         layout = _kernels_py.set_layout(starts, ends)
-        counts = [_kernels_py.box_count(starts, ends, d, SNAP_ETA, layout) for d in deltas]
+        if hasattr(_kernels_py, "box_counts"):
+            counts = _kernels_py.box_counts(layout, deltas, SNAP_ETA)
+        else:
+            counts = [_kernels_py.box_count(starts, ends, d, SNAP_ETA, layout) for d in deltas]
         return counts, sum(getattr(field, "nbytes", 0) for field in layout)
 
+    def laid_out(starts, ends, params):
+        s = IntervalSet(starts, ends, params)
+        s._box_layout  # noqa: B018 - computed once per set, before the timed call
+        return s
+
     result = {}
-    for name, layer, case in cases():
+    for name, kind, case in cases():
         # prepare() runs untimed before each call(prepared)
         prepare = lambda: None  # noqa: E731
-        if layer == "estimation.verify":
+        if kind == "verify":
             n, stage = case
             call = lambda _: verify_operator_geometrically(  # noqa: E731
                 "mul", *VERIFY_OPERANDS, n, stage
@@ -136,19 +167,23 @@ def worker(mode: str) -> None:
             answer = lambda r: [r.status, r.d_hat]  # noqa: E731
         else:
             starts, ends, params, deltas = build_set(case)
-            if layer == "geometry.construct":
+            if kind == "construct":
                 call = lambda _: construct_prefractal(params)  # noqa: E731
                 answer = lambda r: hashlib.sha256(  # noqa: E731
                     r.starts.tobytes() + r.ends.tobytes()).hexdigest()
-            elif layer == "estimation.box_count":
+            elif kind == "ladder":
                 call = lambda _: ladder(starts, ends, deltas)  # noqa: E731
                 answer = lambda r: {"counts": r[0], "layout_bytes": r[1]}  # noqa: E731
+            elif kind == "one size":
+                prepare = lambda: laid_out(starts, ends, params)  # noqa: E731
+                call = lambda s: box_count(s, one_size(deltas))  # noqa: E731
+                answer = lambda r: {"counts": [r]}  # noqa: E731
             else:
                 prepare = lambda: IntervalSet(starts, ends, params)  # noqa: E731
                 call = lambda s: estimate_dimension(s, deltas)  # noqa: E731
                 answer = lambda r: r.d_hat  # noqa: E731
         best = float("inf")
-        for _ in range(FAST_CALLS if layer != "estimation.box_count" else 1):
+        for _ in range(CALLS.get(kind, 1)):
             prepared = prepare()
             t0 = time.perf_counter()
             out = call(prepared)
@@ -158,27 +193,32 @@ def worker(mode: str) -> None:
     print(json.dumps(result))
 
 
-def reference_ladders(repeats):
-    """Ladder name -> (counts, best time) of the reference sweep, on this checkout's sets."""
+def reference_counts():
+    """Counted case name -> (counts, best time) of the reference sweep, on this checkout's sets."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from cantordim.estimation import SNAP_ETA
     from reference_kernel import box_count as reference_count
 
     out = {}
-    for case in LADDERS:
+    for name, kind, case in cases():
+        if kind not in ("ladder", "one size"):
+            continue
         starts, ends, _, deltas = build_set(case)
+        if kind == "one size":
+            deltas = [one_size(deltas)]
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(REFERENCE_REPEATS):
             t0 = time.perf_counter()
             counts = [reference_count(starts, ends, d, SNAP_ETA) for d in deltas]
             best = min(best, time.perf_counter() - t0)
-        out["count " + ladder_name(case)] = counts, best
+        out[name] = counts, best
     return out
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=10,
+                        help="worker pairs (one worker per tree without --baseline)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="a second checkout to time against this one")
     parser.add_argument("--worker", choices=("time", "result"), help=argparse.SUPPRESS)
@@ -186,61 +226,60 @@ def main():
     if args.worker:
         worker(args.worker)
         return
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
 
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
     answers = {label: run_worker(__file__, tree, "result") for label, tree in trees.items()}
-    reference = reference_ladders(args.repeats)
+    reference = reference_counts()
     plan = list(cases())
-    for name, layer, _ in plan:
+    for name, kind, _ in plan:
         got = {label: a[name] for label, a in answers.items()}
-        if layer == "estimation.box_count":
+        if name in reference:
             for label, a in got.items():
                 if a["counts"] != reference[name][0]:
                     sys.exit(f"{name}: {label} box counts differ from the reference")
         elif len({json.dumps(v) for v in got.values()}) != 1:
             sys.exit(f"{name}: the trees give different results {got}")
 
-    best = {(name, label): float("inf") for name, _, _ in plan for label in trees}
-    for r in range(args.repeats):
-        # alternate which tree goes first, so slow phases of the host hit both
-        order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for label in order:
-            times = run_worker(__file__, trees[label], "time")
-            for name, _, _ in plan:
-                best[name, label] = min(best[name, label], times[name])
-
+    times = paired_times(__file__, trees, args.repeats, [name for name, _, _ in plan])
     results = []
-    for name, layer, case in plan:
-        row = {"case": name, "layer": layer}
-        if layer == "estimation.verify":
+    for name, kind, case in plan:
+        row = {"case": name, "layer": LAYERS[kind]}
+        if kind == "verify":
             row.update(n=case[0], stage=case[1], operands=list(VERIFY_OPERANDS))
         else:
             n, dim, eps_mode, stage, per_level, start_level = case
             row.update(n=n, dimension=dim, epsilon=eps_mode or "0", stage=stage,
                        intervals=n**stage)
-            if layer != "geometry.construct":
+            if kind in ("ladder", "fit"):
                 row["ladder"] = f"{per_level} per level from level {start_level}"
-        row["best_ms"] = {label: round(best[name, label] * 1e3, 3) for label in trees}
-        if layer == "estimation.box_count":
+        row["median_ms"] = {label: round(statistics.median(times[label][name]) * 1e3, 3)
+                            for label in trees}
+        if name in reference:
             counts, ref_s = reference[name]
             row.update(box_sizes=len(counts), occupied_cells=sum(counts),
-                       counts_equal_to_reference=True)
-            row["best_ms"]["reference"] = round(ref_s * 1e3, 3)
-            row["layout_bytes"] = {label: answers[label][name]["layout_bytes"] for label in trees}
+                       counts_equal_to_reference=True, reference_best_ms=round(ref_s * 1e3, 3))
+            if kind == "one size":
+                row["box_size"] = one_size(build_set(case)[3])
+            else:
+                row["layout_bytes"] = {label: answers[label][name]["layout_bytes"]
+                                       for label in trees}
         if "baseline" in trees:
-            row["speedup"] = round(best[name, "baseline"] / best[name, "change"], 2)
+            row.update(paired_ratio(times["baseline"][name], times["change"][name]))
         results.append(row)
-        times = "  ".join(f"{label} {ms:9.2f} ms" for label, ms in row["best_ms"].items())
-        print(f"{name:52s} {times}" + (f"   x{row['speedup']}" if "speedup" in row else ""))
+        shown = "  ".join(f"{label} {ms:9.3f} ms" for label, ms in row["median_ms"].items())
+        verdict = row.get("speedup", "")
+        print(f"{name:52s} {shown}" + (f"   {verdict}" if verdict != "" else ""))
 
     report = {
         "topic": "boxcount",
         "trees": {label: {"git_rev": git_rev(tree), "backend": answers[label]["backend"]}
                   for label, tree in trees.items()},
         **machine(),
-        "repeats": args.repeats,
+        "pairs" if "baseline" in trees else "repeats": args.repeats,
         "cases": results,
     }
     if "baseline" in trees:

@@ -5,12 +5,13 @@ operations, so a construction is reproducible bit for bit. ``box_count``
 returns, for every box size down to ``estimation.DELTA_FLOOR``, the count of
 the sequential sweep kept in the tests as the slow reference; the tests
 compare counts exactly. It takes the arrays of an IntervalSet, whose starts
-and ends are both sorted. ``set_layout`` gathers, once per set, what every
-box size reuses: the shortest interval, and the gaps sorted by width (by a
-16-bit key), with the interval on either side of each. Every set is counted
-from its gaps at least half a cell wide, one sorted suffix of those rows;
-at a size where some interval may be thinner than the snap band, each row
-also tests its two neighbours for thinness.
+and ends are both sorted, and is the one-size case of ``box_counts``, which
+counts a whole ladder of box sizes in one call. ``set_layout`` gathers, once
+per set, what every box size reuses: the shortest interval, and the gaps
+sorted by width (by a 16-bit key), with the interval on either side of
+each. Every set is counted from its gaps at least half a cell wide, one
+sorted suffix of those rows; at a size where some interval may be thinner
+than the snap band, each row also tests its two neighbours for thinness.
 """
 
 import struct
@@ -26,8 +27,8 @@ def available_backends():
     """Name -> kernel module; the numpy kernel is the only one."""
     return {BACKEND: sys.modules[__name__]}
 
-#: gap rows per block of the count: small temporaries are reused by
-#: the allocator, large ones cost fresh pages on every call
+#: cells per block of the count (box sizes times gap rows): every block of a
+#: call reuses one scratch of this many cells
 BLOCK = 16384
 
 #: absolute slack on the thin-free test: an interval wider than 2*snap + THIN_SLACK
@@ -177,71 +178,131 @@ def box_count(starts, ends, delta, eta, layout=None):
     where every interval is wider than 2*snap + THIN_SLACK, no row is thin
     and the ends rule on s and e gives lo_{j+1} and hi_j. At every other
     size the row also finds hi_{j+1} and lo_j and runs the sweep's thin
-    test on both neighbours. The rows are counted in blocks of BLOCK. Each
-    row gives hi - lo + 1, which is -e_j for a gap and the span (at least 1)
-    for the sentinel, so the count is the span plus the sum of
-    min(0, hi - lo + 1) over the rows. Every partial sum is an integer
-    below 2**53, so the sum is exact.
+    test on both neighbours. Each row gives hi - lo + 1, which is -e_j for a
+    gap and the span (at least 1) for the sentinel, so the count is the span
+    plus the sum of min(0, hi - lo + 1) over the rows. Every partial sum is
+    an integer below 2**53, so the sum is exact in any order.
+
+    ``box_counts`` counts a whole ladder this way, several sizes per numpy
+    call, and this function is its one-size case. It orders the sizes by
+    the length of their suffixes and packs neighbours greedily into groups:
+    r sizes share blocks of the rows of the longest suffix among them, as
+    (r, rows) arrays with delta and snap as (r, 1) columns, while
+    r * rows <= BLOCK. A size whose suffix is longer than BLOCK forms a
+    group alone and runs BLOCK rows at a time. Two facts make the counts
+    those of one size at a time. A row before a size's own suffix adds
+    exactly 0: its gap is narrower than delta/2, so e_j = 0 by the bound
+    above, with or without the thin test. And the thin test is a no-op at a
+    thin-free size: there every interval has a < b, so fl(lo*delta) <= a < b
+    gives hi >= lo, and no neighbour is thin. So a group runs the thin test
+    when any of its sizes needs it.
     """
     if len(starts) == 0:
         return 0
     if layout is None:
         layout = set_layout(starts, ends)
-    snap = eta * delta
-    thin_free = layout.min_len > 2.0 * snap + THIN_SLACK
-    bits = struct.unpack("<q", struct.pack("<d", 0.5 * delta))[0]
-    first = int(layout.keys.searchsorted(np.uint16((bits >> KEY_SHIFT) - KEY_BASE)))
-    total, span = 0.0, 0.0
-    for i in range(first, len(layout.keys), BLOCK):
-        rows = slice(i, i + BLOCK)
-        lo, hi = _cell_ranges(layout.after_start[rows], layout.before_end[rows], delta, snap)
-        if not thin_free:
-            before_lo, after_hi = _cell_ranges(
-                layout.before_start[rows], layout.after_end[rows], delta, snap
-            )
-            mid = _midpoint_cells(layout.after_start[rows], layout.after_end[rows], delta)
-            np.copyto(lo, mid, where=after_hi < lo)
-            mid = _midpoint_cells(layout.before_start[rows], layout.before_end[rows], delta)
-            np.copyto(hi, mid, where=hi < before_lo)
-        hi -= lo
-        hi += 1.0
-        span = hi[-1]  # the sentinel is the last row of the last block
-        total += np.minimum(hi, 0.0, out=hi).sum()
-    return int(total + span)
+    return box_counts(layout, (delta,), eta)[0]
 
 
-def _cell_ranges(starts, ends, delta, snap):
-    """Per-interval lo and hi cells, as exact integers held in float64.
+def box_counts(layout, deltas, eta):
+    """``box_count`` at every box size of ``deltas``, in one call on the set's SetLayout.
 
-    floor(x / delta) is at most one cell off. Comparing x with the rounded
-    boundaries fl(k*delta) on either side finds the few that are: the snap
-    keeps most endpoints far from a boundary. Both ends share one array, so
-    each step is one numpy call.
+    The sizes may come in any order and repeat; the counts, Python ints, come
+    in the same order. How the sizes share blocks is set out in ``box_count``.
     """
-    m = len(starts)
-    x = np.empty(2 * m)
-    np.add(starts, snap, out=x[:m])
-    np.subtract(ends, snap, out=x[m:])
-    k = x / delta
-    np.floor(k, out=k)
-    edge = k * delta
-    fix = np.empty(4 * m, dtype=bool)
-    high, low = fix[: 2 * m], fix[2 * m :]
-    np.greater(edge[:m], x[:m], out=high[:m])
-    np.greater_equal(edge[m:], x[m:], out=high[m:])
-    np.add(k, 1.0, out=edge)
+    deltas = [float(delta) for delta in deltas]
+    n, end = len(deltas), len(layout.keys)
+    if end == 0:
+        return [0] * n
+    halves = struct.unpack(f"<{n}q", struct.pack(f"<{n}d", *[0.5 * d for d in deltas]))
+    keys = np.array([(bits >> KEY_SHIFT) - KEY_BASE for bits in halves], dtype=np.uint16)
+    firsts = layout.keys.searchsorted(keys).tolist()
+    order = sorted(range(n), key=firsts.__getitem__, reverse=True)  # the shortest suffix first
+    groups, width = [], 0  # the sizes of a group share blocks of the rows of the longest suffix
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and (j + 1 - i) * (end - firsts[order[j]]) <= BLOCK:
+            j += 1
+        rows = end - firsts[order[j - 1]]
+        groups.append((order[i:j], rows))
+        width = max(width, (j - i) * min(rows, BLOCK // (j - i)))
+        i = j
+    # one scratch for every block: fresh temporaries for each block of a
+    # ladder cost more in page faults than the arithmetic
+    scratch, flags = np.empty(8 * width), np.empty(4 * width, dtype=bool)
+    counts = [0] * n
+    for sizes, rows in groups:
+        r = len(sizes)
+        snaps = [eta * deltas[k] for k in sizes]
+        thin_test = not all(layout.min_len > 2.0 * snap + THIN_SLACK for snap in snaps)
+        if r == 1:  # scalars take numpy's fastest loops
+            delta, snap = deltas[sizes[0]], snaps[0]
+        else:  # (r, 1) columns against the (r, rows) arrays
+            delta = np.array([deltas[k] for k in sizes])[:, None]
+            snap = eta * delta
+        step = BLOCK // r
+        total = 0.0
+        for first in range(end - rows, end, step):
+            block = slice(first, first + step)
+            m = min(step, end - first)
+            work = scratch[: 8 * r * m].reshape(4, 2, r, m)
+            fix = flags[: 4 * r * m].reshape(2, 2, r, m)
+            lo, hi = work[2, 0], work[2, 1]
+            _cell_ranges(layout.after_start[block], layout.before_end[block], delta, snap,
+                         work, fix, work[2])
+            if thin_test:
+                before_lo, after_hi = work[3, 0], work[3, 1]
+                _cell_ranges(layout.before_start[block], layout.after_end[block], delta, snap,
+                             work, fix, work[3])
+                thin, mid = fix[0, 0], work[1, 0]
+                np.less(after_hi, lo, out=thin)
+                _midpoint_cells(layout.after_start[block], layout.after_end[block], delta, mid)
+                np.copyto(lo, mid, where=thin)
+                np.less(hi, before_lo, out=thin)
+                _midpoint_cells(layout.before_start[block], layout.before_end[block], delta, mid)
+                np.copyto(hi, mid, where=thin)
+            hi -= lo
+            hi += 1.0
+            span = hi[:, -1].copy()  # the sentinel is the last row of the last block
+            total += np.minimum(hi, 0.0, out=hi).sum(axis=1)
+        for k, count in zip(sizes, (total + span).tolist()):
+            counts[k] = int(count)
+    return counts
+
+
+def _cell_ranges(starts, ends, delta, snap, work, fix, out):
+    """Lo and hi cells of the rows at one or more box sizes, as exact integers held in float64.
+
+    ``delta`` and ``snap`` are scalars, or (r, 1) columns of r sizes. ``out``
+    (2, r, rows) gets lo, then hi; ``work[0]``, ``work[1]`` (float),
+    ``fix[0]`` and ``fix[1]`` (bool) are scratch of its shape. floor(x /
+    delta) is at most one cell off. Comparing x with the rounded boundaries
+    fl(k*delta) on either side finds the few that are: the snap keeps most
+    endpoints far from a boundary. Both ends share one array, so each step
+    is one numpy call.
+    """
+    x, edge = work[0], work[1]
+    np.add(starts, snap, out=x[0])
+    np.subtract(ends, snap, out=x[1])
+    np.divide(x, delta, out=out)
+    np.floor(out, out=out)
+    np.multiply(out, delta, out=edge)
+    high, low = fix[0], fix[1]
+    np.greater(edge[0], x[0], out=high[0])
+    np.greater_equal(edge[1], x[1], out=high[1])
+    np.add(out, 1.0, out=edge)
     edge *= delta
-    np.less_equal(edge[:m], x[:m], out=low[:m])
-    np.less(edge[m:], x[m:], out=low[m:])
+    np.less_equal(edge[0], x[0], out=low[0])
+    np.less(edge[1], x[1], out=low[1])
     if np.count_nonzero(fix):
-        k -= high
-        k += low
-    return k[:m], k[m:]
+        out -= high
+        out += low
 
 
-def _midpoint_cells(starts, ends, delta):
-    cells = starts + ends
-    cells *= 0.5
-    cells /= delta
-    return np.floor(cells, out=cells)
-
+def _midpoint_cells(starts, ends, delta, out):
+    """The cell of each row's midpoint, into ``out``."""
+    half = starts + ends
+    half *= 0.5
+    np.divide(half, delta, out=out)
+    np.floor(out, out=out)

@@ -116,18 +116,29 @@ class IntervalSet:
     """Closed subintervals of [0, 1], sorted by start and by end, pairwise disjoint.
 
     Backed by read-only float64 arrays ``starts``/``ends``, copies of the
-    caller's. Disjointness is checked to OVERLAP_TOL so that the exact-touch
-    degeneracy at eps_max (whose gap is a few ulp of rounding residue) is
-    admitted while genuine overlaps are rejected. An interval nested in the
-    one before it within that tolerance ends before it, so the sort by end
-    rejects it. The box-count kernel relies on both sorts: with them it counts
-    every set from its gaps alone, at every box size.
+    caller's; ``construct_prefractal`` hands over the arrays it has just
+    built, which are checked and frozen without a copy. Disjointness is
+    checked to OVERLAP_TOL so that the exact-touch degeneracy at eps_max
+    (whose gap is a few ulp of rounding residue) is admitted while genuine
+    overlaps are rejected. An interval nested in the one before it within
+    that tolerance ends before it, so the sort by end rejects it. The
+    box-count kernel relies on both sorts: with them it counts every set
+    from its gaps alone, at every box size.
     """
 
     __slots__ = ("starts", "ends", "params", "_layout")
 
     def __init__(self, starts, ends, params: Optional[CantorParams] = None):
-        starts, ends = _endpoints(starts, "starts"), _endpoints(ends, "ends")
+        self._adopt(_endpoints(starts, "starts"), _endpoints(ends, "ends"), params)
+
+    @classmethod
+    def _owning(cls, starts, ends, params: Optional[CantorParams] = None) -> IntervalSet:
+        """A set over 1-d float64 arrays that no caller holds: checked and frozen, not copied."""
+        intervals = cls.__new__(cls)
+        intervals._adopt(starts, ends, params)
+        return intervals
+
+    def _adopt(self, starts, ends, params):
         self._check(starts, ends)
         if params is not None:
             check_params(params)
@@ -216,7 +227,7 @@ def construct_prefractal(params: CantorParams, cap: int = DEFAULT_CAP) -> Interv
     starts = _kernels_py.prefractal_starts(offsets, params.gamma, params.stage)
     # the last end telescopes to 1 exactly in real arithmetic; clamp the ulp spill
     ends = np.minimum(starts + width, 1.0)
-    return IntervalSet(starts, ends, params)
+    return IntervalSet._owning(starts, ends, params)
 
 
 def gap_widths(intervals: IntervalSet) -> np.ndarray:

@@ -3,8 +3,10 @@
 The kernel counts sets whose starts and ends are both sorted, as those of an
 IntervalSet are, from their gap rows; whether a row tests its neighbours for
 thinness depends on the set's shortest interval and the box size. Every case
-runs with the default block size and with blocks of 37 rows (see BLOCKS),
-and each count must equal ``reference_kernel.box_count`` exactly.
+runs with the default block size and with blocks of 37 cells (see BLOCKS),
+and each count must equal ``reference_kernel.box_count`` exactly, one size
+at a time (``box_count``) and as a whole ladder in one call (``box_counts``),
+where sizes share blocks.
 """
 
 import math
@@ -29,7 +31,8 @@ from cantordim.errors import InvariantError
 from cantordim.estimation import DELTA_FLOOR, SNAP_ETA
 from cantordim.geometry import OVERLAP_TOL
 
-# gap rows per block of the count: 37 puts block boundaries inside every set
+# cells (sizes x gap rows) per block of the count: 37 puts block boundaries
+# inside every set and packs only a few sizes into a block
 BLOCKS = {"default": kernel.BLOCK, "small": 37}
 
 
@@ -55,11 +58,15 @@ def assert_counts_match(starts, ends, deltas):
     # the kernel's precondition, which every IntervalSet meets
     assert (np.diff(starts) >= 0.0).all() and (np.diff(ends) >= 0.0).all()
     layout = kernel.set_layout(starts, ends)
+    wants = []
     for delta in deltas:
         want = reference_count(starts, ends, delta, SNAP_ETA)
         got = kernel.box_count(starts, ends, delta, SNAP_ETA, layout)
         assert got == want, f"delta={delta!r}: kernel {got}, reference {want}"
         assert kernel.box_count(starts, ends, delta, SNAP_ETA) == want
+        wants.append(want)
+    got = kernel.box_counts(layout, deltas, SNAP_ETA)
+    assert got == wants, [(d, g, w) for d, g, w in zip(deltas, got, wants) if g != w]
 
 
 def nudged(x, steps):
@@ -85,6 +92,8 @@ def test_constructed_sets_at_each_lacunarity(n, blocks):
         for eps in epsilons(n, gamma):
             s = construct_prefractal(CantorParams(n, gamma, eps, stage))
             assert_counts_match(s.starts, s.ends, deltas)
+            # the ladder of verify_operator_geometrically
+            assert_counts_match(s.starts, s.ends, scale_ladder(gamma, stage, 16, start_level=2))
 
 
 def test_random_sets(rng, blocks):
@@ -182,6 +191,11 @@ def test_runs_of_equal_ends_just_above_a_boundary(blocks):
 
 def test_empty_and_single_interval(blocks):
     assert kernel.box_count(np.array([]), np.array([]), 0.5, SNAP_ETA) == 0
+    empty = kernel.set_layout(np.array([]), np.array([]))
+    assert kernel.box_counts(empty, [0.5, 1.0, 0.5], SNAP_ETA) == [0, 0, 0]
+    assert kernel.box_counts(empty, [], SNAP_ETA) == []
+    one = kernel.set_layout(np.array([0.25]), np.array([0.5]))
+    assert kernel.box_counts(one, [], SNAP_ETA) == []
     deltas = [1.0, 0.5, 1e-3, DELTA_FLOOR, nudged(DELTA_FLOOR, 1), 2 * DELTA_FLOOR]
     for start, end in ((0.0, 1.0), (0.25, 0.5), (0.5 - 1e-14, 0.5 + 1e-14), (1 / 3, 2 / 3)):
         assert_counts_match([start], [end], deltas)
@@ -191,6 +205,32 @@ def test_box_sizes_at_one_and_near_the_floor(blocks):
     s = construct_prefractal(CantorParams(3, 0.2, 0.0, 5))
     deltas = [1.0, nudged(1.0, -1), DELTA_FLOOR, nudged(DELTA_FLOOR, 1), 1.7e-15, 1e-14]
     assert_counts_match(s.starts, s.ends, deltas)
+
+
+def test_ladders_in_any_order_with_repeats(rng, blocks):
+    s = construct_prefractal(CantorParams(3, 0.2, 0.0, 6))
+    ladder = scale_ladder(0.2, 6, per_level=16, start_level=2)
+    shuffled = [float(d) for d in rng.permutation(ladder)]
+    for deltas in (ladder[::-1], shuffled, ladder + ladder[::3], [ladder[5]] * 4):
+        assert_counts_match(s.starts, s.ends, deltas)
+
+
+def test_thin_and_thin_free_sizes_in_one_block(rng, blocks):
+    # intervals 2e-7 wide are thin above delta = 0.1 and thin-free below it.
+    # The thin ones straddle the boundaries of the coarse sizes, in cells no
+    # wider interval occupies, and take their midpoint cells there; on some
+    # 40 gap rows the whole ladder fits one default block, so those sizes
+    # share it with fine sizes that need no thin test
+    thin = np.arange(1, 7) * 0.125 - 1e-7
+    wide = rng.uniform(0.88, 0.99, 40)
+    starts = np.sort(np.concatenate([thin, wide]))
+    starts = starts[np.diff(starts, prepend=-1.0) > 1e-3]
+    widths = np.where(np.isin(starts, thin), 2e-7, 1e-3)
+    deltas = [0.5, 0.25, 0.125] + [float(d) for d in np.geomspace(0.09, 0.005, 20)]
+    thin_free = [widths.min() > 2 * SNAP_ETA * d + kernel.THIN_SLACK for d in deltas]
+    assert thin_free == [False] * 3 + [True] * 20
+    assert len(starts) * len(deltas) <= BLOCKS["default"]
+    assert_counts_match(starts, starts + widths, deltas)
 
 
 def same_layout(a, b):

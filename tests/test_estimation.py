@@ -14,9 +14,11 @@ from cantordim import (
     construct_prefractal,
     emit_operator_grid,
     estimate_dimension,
+    regular_epsilon,
     scale_ladder,
     verify_operator_geometrically,
 )
+from cantordim import arith, estimation
 
 LN2_LN3 = 0.6309297535714574
 LN5_LN10 = 0.6989700043360189
@@ -139,6 +141,16 @@ class TestEstimate:
         est = estimate_dimension(triadic(6))
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
+    def test_counts_one_size_per_box_count_call(self, monkeypatch):
+        # estimate_dimension counts through the public box_count, one call per size
+        calls = []
+        counted = estimation.box_count
+        monkeypatch.setattr(estimation, "box_count", lambda s, d: calls.append(d) or counted(s, d))
+        deltas = [0.5, 0.1, 0.3, 0.1, 0.02]
+        estimate = estimate_dimension(triadic(5), deltas)
+        assert calls == deltas
+        assert [s.count for s in estimate.samples] == [counted(triadic(5), d) for d in deltas]
+
 
 class TestScaleLadder:
     def test_natural_ladder(self):
@@ -185,6 +197,28 @@ class TestVerifyOperator:
         report = verify_operator_geometrically("mul", 0.5, 0.5, 2, stage=6, tolerance=0.05)
         text = str(report)
         assert "PASS" in text and "gamma_C" in text
+
+    @pytest.mark.parametrize(
+        "op, d_a, d_b, n, stage",
+        [("mul", 0.5, 0.5, 2, 6), ("add", 0.9, 0.95, 3, 5), ("sub", 0.3, 0.9, 4, 4),
+         ("div", 0.4, 0.8, 5, 4), ("mul", 0.8, 0.8, 2, 10)],
+    )
+    def test_report_keeps_the_fit_of_estimate_dimension(self, op, d_a, d_b, n, stage):
+        # the ladder counted in one kernel call fits to the same bits as
+        # estimate_dimension's count of one size at a time
+        report = verify_operator_geometrically(op, d_a, d_b, n, stage)
+        gamma = arith.OPERATORS[op](d_a, d_b, n).gamma
+        params = CantorParams(n, gamma, regular_epsilon(n, gamma), stage)
+        ladder = scale_ladder(gamma, stage, per_level=16, start_level=2)
+        want = estimate_dimension(construct_prefractal(params), ladder)
+        assert report.status == "pass"
+        assert (report.d_hat, report.stderr, report.samples) == tuple(want)
+        assert report.counts == tuple(s.count for s in want.samples)
+        assert [s.delta for s in report.samples] == ladder
+
+    def test_unverifiable_report_has_no_fit(self):
+        report = verify_operator_geometrically("div", 0.5, 0.5, 2, stage=5)
+        assert (report.counts, report.samples, report.stderr) == ((), (), None)
 
     @pytest.mark.parametrize("stage", [3.5, 3.0, "4", True, None])
     def test_rejects_a_stage_that_is_not_an_integer(self, stage):

@@ -243,6 +243,11 @@ class TestIntervalSet:
         s = IntervalSet(np.array([0.1]), np.array([0.2]))
         with pytest.raises(ValueError):
             s.starts[0] = 0.0
+        # construct_prefractal's own arrays are frozen too, though not copied
+        built = construct_prefractal(CantorParams(3, 0.2, 0.0, 3))
+        for array in (built.starts, built.ends):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
     def test_set_owns_its_arrays(self):
         # a write through the base of a view leaves the checked set unchanged
@@ -250,8 +255,9 @@ class TestIntervalSet:
         s = IntervalSet(full[:], np.array([0.2, 0.7]))
         full[1] = 0.3
         assert s.starts.tolist() == [0.1, 0.6]
-        # and the caller's own array stays writeable
+        # and the caller's own array stays writeable, its writes unseen by the set
         a = np.array([0.1, 0.6])
-        IntervalSet(a, np.array([0.2, 0.7]))
+        s = IntervalSet(a, np.array([0.2, 0.7]))
         a[0] = 0.05
         assert a[0] == 0.05
+        assert s.starts.tolist() == [0.1, 0.6]
