@@ -4,13 +4,15 @@
 Cases: ``export_intervals`` and ``import_intervals`` in JSON and CSV on
 constructed sets of 1e5 and 1e6 intervals, ``emit_operator_grid`` (``sub``,
 which has NaN cells) at resolutions 256 and 1024, and ``render_stages_svg``
-up to stage 5. Each tree runs in its own worker process, one call per case
-per worker, and a case's time is the best over ``--repeats`` workers. With
-``--baseline DIR`` the cases also run against a second checkout (for
-example a clone of the parent commit), alternating which tree goes first.
-Before anything is timed, both trees must give the same SHA-256 for every
-exported, rendered and imported output (import digests cover the arrays and
-the params).
+up to stage 5. Each worker process runs every case once, against one
+tree. With ``--baseline DIR`` the cases also run against a second checkout
+(for example a clone of the parent commit): each of ``--repeats`` pairs
+runs one worker per tree, alternating which goes first. Before anything is
+timed, both trees must give the same SHA-256 for every exported, rendered
+and imported output (import digests cover the arrays and the params). A row
+gives each tree's median time and the median and interquartile range of
+the per-pair ratios baseline/change; it claims a ``speedup`` only when that
+range excludes 1, and reads "within noise" otherwise.
 
 Usage: python benchmarks/bench_documents.py [--repeats N] [--baseline DIR]
 Writes BENCH_documents.json at the root of the checkout and prints a summary.
@@ -19,11 +21,12 @@ Writes BENCH_documents.json at the root of the checkout and prints a summary.
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
 
-from _host import git_rev, machine, run_worker
+from _host import git_rev, machine, paired_ratio, paired_times, run_worker
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_documents.json"
@@ -83,7 +86,8 @@ def worker(mode: str) -> None:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=10,
+                        help="worker pairs (one worker per tree without --baseline)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="a second checkout to time against this one")
     parser.add_argument("--worker", choices=("time", "digest"), help=argparse.SUPPRESS)
@@ -91,6 +95,8 @@ def main():
     if args.worker:
         worker(args.worker)
         return
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
 
     trees = {"change": ROOT}
     if args.baseline is not None:
@@ -102,31 +108,25 @@ def main():
         if len(set(values.values())) != 1:
             sys.exit(f"{name}: the trees give different outputs {values}")
 
-    best = {(name, label): float("inf") for name, _, _ in plan for label in trees}
-    for r in range(args.repeats):
-        # alternate which tree goes first, so slow phases of the host hit both
-        order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for label in order:
-            times = run_worker(__file__, trees[label], "time")
-            for name, _, _ in plan:
-                best[name, label] = min(best[name, label], times[name])
-
+    times = paired_times(__file__, trees, args.repeats, [name for name, _, _ in plan])
     results = []
     for name, layer, size in plan:
         row = {"case": name, "layer": layer, "size": size,
-               "best_ms": {label: round(best[name, label] * 1e3, 2) for label in trees}}
+               "median_ms": {label: round(statistics.median(times[label][name]) * 1e3, 2)
+                             for label in trees}}
         if "baseline" in trees:
-            row["speedup"] = round(best[name, "baseline"] / best[name, "change"], 2)
+            row.update(paired_ratio(times["baseline"][name], times["change"][name]))
         results.append(row)
-        times = "  ".join(f"{label} {ms:8.1f} ms" for label, ms in row["best_ms"].items())
-        print(f"{name:22s} {times}" + (f"   x{row['speedup']}" if "speedup" in row else ""))
+        shown = "  ".join(f"{label} {ms:8.1f} ms" for label, ms in row["median_ms"].items())
+        verdict = row.get("speedup", "")
+        print(f"{name:22s} {shown}" + (f"   {verdict}" if verdict != "" else ""))
 
     report = {
         "topic": "documents",
         "trees": {label: {"git_rev": git_rev(tree), "backend": digests[label]["backend"]}
                   for label, tree in trees.items()},
         **machine(),
-        "repeats": args.repeats,
+        "pairs" if "baseline" in trees else "repeats": args.repeats,
         "cases": results,
     }
     if "baseline" in trees:

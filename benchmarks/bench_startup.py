@@ -5,11 +5,15 @@ Every case is one fresh interpreter: a bare one, ``import cantordim``,
 ``import cantordim.cli``, each scalar CLI command (``dim``, ``scale``, the
 four ``op`` operators, ``pow``, ``ddgamma``, ``bounds``) and one numpy-bound
 command (``verify``). CLI cases run as ``python -m cantordim.cli ...``.
-Each case records its best-of-N wall time and, from one more run of the
-same work in a ``-c`` probe, whether numpy and ``dataclasses`` were loaded. With ``--baseline
-DIR`` the cases also run against a second checkout (for example a clone of
-the parent commit), alternating between the two trees, and both go into
-the file.
+A worker process starts every case once, against one tree; each case also
+records, from one more run of the same work in a ``-c`` probe, whether
+numpy and ``dataclasses`` were loaded. With ``--baseline DIR`` the cases
+also run against a second checkout (for example a clone of the parent
+commit): each of ``--repeats`` pairs runs one worker per tree, alternating
+which goes first. A row gives each tree's median wall time and the median
+and interquartile range of the per-pair ratios baseline/change; it claims
+a ``speedup`` only when that range excludes 1, and reads "within noise"
+otherwise.
 
 Usage: python benchmarks/bench_startup.py [--repeats N] [--baseline DIR]
 Writes BENCH_startup.json at the root of the checkout and prints a summary.
@@ -17,12 +21,14 @@ Writes BENCH_startup.json at the root of the checkout and prints a summary.
 
 import argparse
 import json
+import os
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from _host import git_rev, machine, tree_env
+from _host import git_rev, machine, paired_ratio, paired_times, tree_env
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_startup.json"
@@ -68,26 +74,31 @@ def loaded(code, tree, env) -> dict:
     return dict(zip(WATCHED, (v == "True" for v in out.stdout.splitlines()[-1].split())))
 
 
+def worker() -> None:
+    """Start every case once, against the checkout this worker runs in; print the times as JSON."""
+    print(json.dumps({name: wall_s(argv, Path.cwd(), os.environ) for name, _, argv, _ in cases()}))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=20)
+    parser.add_argument("--repeats", type=int, default=20,
+                        help="worker pairs (one worker per tree without --baseline)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="a second checkout to time against this one")
+    parser.add_argument("--worker", choices=("time",), help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.worker:
+        worker()
+        return
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
 
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
     envs = {label: tree_env(tree) for label, tree in trees.items()}
     plan = list(cases())
-    best = {(name, label): float("inf") for name, *_ in plan for label in trees}
-    for r in range(args.repeats):
-        # alternate which tree goes first, so slow phases of the host hit both
-        order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for name, _, argv, _ in plan:
-            for label in order:
-                t = wall_s(argv, trees[label], envs[label])
-                best[name, label] = min(best[name, label], t)
+    times = paired_times(__file__, trees, args.repeats, [name for name, *_ in plan])
 
     results = []
     for name, kind, argv, probe in plan:
@@ -96,21 +107,25 @@ def main():
             "case": name,
             "kind": kind,
             "argv": ["python", *argv],
-            "best_ms": {label: best[name, label] * 1e3 for label in trees},
+            "median_ms": {label: round(statistics.median(times[label][name]) * 1e3, 2)
+                          for label in trees},
             **{f"{m}_loaded": {label: found[label][m] for label in trees} for m in WATCHED},
         }
+        if "baseline" in trees:
+            row.update(paired_ratio(times["baseline"][name], times["change"][name]))
         results.append(row)
-        times = "  ".join(f"{label} {ms:7.1f} ms" for label, ms in row["best_ms"].items())
+        shown = "  ".join(f"{label} {ms:7.1f} ms" for label, ms in row["median_ms"].items())
         names = "  ".join(
             f"{label} {','.join(m for m in WATCHED if found[label][m]) or '-'}" for label in trees
         )
-        print(f"{name:28s} {times}   {names}")
+        verdict = row.get("speedup", "")
+        print(f"{name:28s} {shown}   {names}" + (f"   {verdict}" if verdict != "" else ""))
 
     report = {
         "topic": "startup",
         "trees": {label: {"git_rev": git_rev(tree)} for label, tree in trees.items()},
         **machine(),
-        "repeats": args.repeats,
+        "pairs" if "baseline" in trees else "repeats": args.repeats,
         "cases": results,
     }
     OUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -12,9 +12,10 @@ sorted by width (by a 16-bit key), with the interval on either side of
 each. Every set is counted from its gaps at least half a cell wide, one
 sorted suffix of those rows; at a size where some interval may be thinner
 than the snap band, each row also tests its two neighbours for thinness.
+A row finds its cells with one multiply by fl(1/delta), and compares with
+the rounded cell boundaries only where the quotient lies near one.
 """
 
-import struct
 import sys
 from typing import NamedTuple
 
@@ -30,6 +31,10 @@ def available_backends():
 #: cells per block of the count (box sizes times gap rows): every block of a
 #: call reuses one scratch of this many cells
 BLOCK = 16384
+
+#: numpy's ufunc buffer, in elements, while a ladder's (r, 1) columns broadcast
+#: over its blocks: rows at least this long run without a copy through it
+ROW_BUFFER = 1024
 
 #: absolute slack on the thin-free test: an interval wider than 2*snap + THIN_SLACK
 #: has a = start + snap below b = end - snap, whose rounding costs a few ulp of 1
@@ -180,12 +185,20 @@ def box_count(starts, ends, delta, eta, layout=None):
     size the row also finds hi_{j+1} and lo_j and runs the sweep's thin
     test on both neighbours. Each row gives hi - lo + 1, which is -e_j for a
     gap and the span (at least 1) for the sentinel, so the count is the span
-    plus the sum of min(0, hi - lo + 1) over the rows. Every partial sum is
-    an integer below 2**53, so the sum is exact in any order.
+    plus the sum of min(0, hi - lo + 1) over the rows, that is the span plus
+    the number of rows plus the sum of min(hi - lo, -1): one pass over the
+    rows. Every partial sum is an integer below 2**53, so the sum is exact in
+    any order. ``_cell_ranges`` finds the lo and hi cells with one multiply:
+    q = floor(fl(x * fl(1/delta))) is the exact cell of x wherever the
+    fraction of that quotient lies at least eps = 2**-50 * (fl(1/delta) + 1)
+    from 0 and from 1, because eps bounds in cells the rounding of the
+    quotient and of the boundaries fl(k*delta); the other entries, at most
+    one cell off, take the sweep's two comparisons (derived there).
 
     ``box_counts`` counts a whole ladder this way, several sizes per numpy
-    call, and this function is its one-size case. It orders the sizes by
-    the length of their suffixes and packs neighbours greedily into groups:
+    call, and this function is its one-size case, which skips the planning
+    and runs on 1-D (2, rows) blocks. A ladder orders its sizes by the
+    length of their suffixes and packs neighbours greedily into groups:
     r sizes share blocks of the rows of the longest suffix among them, as
     (r, rows) arrays with delta and snap as (r, 1) columns, while
     r * rows <= BLOCK. A size whose suffix is longer than BLOCK forms a
@@ -195,7 +208,8 @@ def box_count(starts, ends, delta, eta, layout=None):
     above, with or without the thin test. And the thin test is a no-op at a
     thin-free size: there every interval has a < b, so fl(lo*delta) <= a < b
     gives hi >= lo, and no neighbour is thin. So a group runs the thin test
-    when any of its sizes needs it.
+    when any of its sizes needs it; 2*fl(eta*delta) + THIN_SLACK is
+    non-decreasing in delta, so that is when its largest size needs it.
     """
     if len(starts) == 0:
         return 0
@@ -210,50 +224,55 @@ def box_counts(layout, deltas, eta):
     The sizes may come in any order and repeat; the counts, Python ints, come
     in the same order. How the sizes share blocks is set out in ``box_count``.
     """
-    deltas = [float(delta) for delta in deltas]
+    deltas = np.array(deltas, dtype=np.float64)
     n, end = len(deltas), len(layout.keys)
-    if end == 0:
+    if n == 0 or end == 0:
         return [0] * n
-    halves = struct.unpack(f"<{n}q", struct.pack(f"<{n}d", *[0.5 * d for d in deltas]))
-    keys = np.array([(bits >> KEY_SHIFT) - KEY_BASE for bits in halves], dtype=np.uint16)
-    firsts = layout.keys.searchsorted(keys).tolist()
-    order = sorted(range(n), key=firsts.__getitem__, reverse=True)  # the shortest suffix first
-    groups, width = [], 0  # the sizes of a group share blocks of the rows of the longest suffix
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and (j + 1 - i) * (end - firsts[order[j]]) <= BLOCK:
-            j += 1
-        rows = end - firsts[order[j - 1]]
-        groups.append((order[i:j], rows))
-        width = max(width, (j - i) * min(rows, BLOCK // (j - i)))
-        i = j
+    keys = ((0.5 * deltas).view(np.int64) >> KEY_SHIFT) - KEY_BASE
+    lengths = end - layout.keys.searchsorted(keys.astype(np.uint16))  # of each size's suffix
+    if n == 1:
+        return _count_groups(layout, deltas, [((0,), int(lengths[0]))], eta)
+    # numpy runs a ufunc with an (r, 1) column operand over rows shorter than
+    # its buffer by copying them through the buffer, which costs several times
+    # the arithmetic; a buffer of ROW_BUFFER lets most rows run in place
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(ROW_BUFFER)
+        return _count_groups(layout, deltas, _groups(lengths.tolist()), eta)
+
+
+def _count_groups(layout, deltas, groups, eta):
+    """The counts of ``box_counts``, group by group: (sizes, rows) as ``_groups`` gives them."""
+    end = len(layout.keys)
+    width = max(len(sizes) * min(rows, BLOCK // len(sizes)) for sizes, rows in groups)
     # one scratch for every block: fresh temporaries for each block of a
     # ladder cost more in page faults than the arithmetic
     scratch, flags = np.empty(8 * width), np.empty(4 * width, dtype=bool)
-    counts = [0] * n
+    counts = [0] * len(deltas)
     for sizes, rows in groups:
         r = len(sizes)
-        snaps = [eta * deltas[k] for k in sizes]
-        thin_test = not all(layout.min_len > 2.0 * snap + THIN_SLACK for snap in snaps)
-        if r == 1:  # scalars take numpy's fastest loops
-            delta, snap = deltas[sizes[0]], snaps[0]
+        if r == 1:  # scalars and 1-D blocks take numpy's fastest loops
+            delta = coarsest = float(deltas[sizes[0]])
         else:  # (r, 1) columns against the (r, rows) arrays
-            delta = np.array([deltas[k] for k in sizes])[:, None]
-            snap = eta * delta
+            delta = deltas[list(sizes)][:, None]
+            coarsest = float(delta.max())
+        thin_test = not layout.min_len > 2.0 * (eta * coarsest) + THIN_SLACK
+        inv = 1.0 / delta
+        eps = 2.0**-50 * (inv + 1.0)
+        grid = (delta, eta * delta, inv, eps, 1.0 - eps)
         step = BLOCK // r
-        total = 0.0
+        total = float(rows)  # min(0, hi - lo + 1) = min(hi - lo, -1) + 1 on each row
         for first in range(end - rows, end, step):
             block = slice(first, first + step)
             m = min(step, end - first)
-            work = scratch[: 8 * r * m].reshape(4, 2, r, m)
-            fix = flags[: 4 * r * m].reshape(2, 2, r, m)
-            lo, hi = work[2, 0], work[2, 1]
-            _cell_ranges(layout.after_start[block], layout.before_end[block], delta, snap,
+            shape = (2, m) if r == 1 else (2, r, m)
+            work = scratch[: 8 * r * m].reshape(4, *shape)
+            fix = flags[: 4 * r * m].reshape(2, *shape)
+            lo, hi = work[2]
+            _cell_ranges(layout.after_start[block], layout.before_end[block], grid,
                          work, fix, work[2])
             if thin_test:
-                before_lo, after_hi = work[3, 0], work[3, 1]
-                _cell_ranges(layout.before_start[block], layout.after_end[block], delta, snap,
+                before_lo, after_hi = work[3]
+                _cell_ranges(layout.before_start[block], layout.after_end[block], grid,
                              work, fix, work[3])
                 thin, mid = fix[0, 0], work[1, 0]
                 np.less(after_hi, lo, out=thin)
@@ -263,41 +282,101 @@ def box_counts(layout, deltas, eta):
                 _midpoint_cells(layout.before_start[block], layout.before_end[block], delta, mid)
                 np.copyto(hi, mid, where=thin)
             hi -= lo
-            hi += 1.0
-            span = hi[:, -1].copy()  # the sentinel is the last row of the last block
-            total += np.minimum(hi, 0.0, out=hi).sum(axis=1)
-        for k, count in zip(sizes, (total + span).tolist()):
+            span = hi[..., -1] + 1.0  # the sentinel is the last row of the last block
+            total += np.add.reduce(np.minimum(hi, -1.0, out=hi), axis=-1)
+        found = (total + span).tolist()  # a float, or a list of r
+        for k, count in zip(sizes, found if r > 1 else [found]):
             counts[k] = int(count)
     return counts
 
 
-def _cell_ranges(starts, ends, delta, snap, work, fix, out):
+def _groups(lengths):
+    """(sizes, rows) for each group of a ladder whose suffixes have these lengths.
+
+    The sizes go in order of suffix length, the shortest first; each group
+    takes the next sizes while r sizes of the longest suffix among them fit
+    r * rows <= BLOCK, and at least one.
+    """
+    n = len(lengths)
+    order = sorted(range(n), key=lengths.__getitem__)
+    groups, i = [], 0
+    while i < n:
+        j = i + 1
+        while j < n and (j + 1 - i) * lengths[order[j]] <= BLOCK:
+            j += 1
+        groups.append((order[i:j], lengths[order[j - 1]]))
+        i = j
+    return groups
+
+
+def _cell_ranges(starts, ends, grid, work, fix, out):
     """Lo and hi cells of the rows at one or more box sizes, as exact integers held in float64.
 
-    ``delta`` and ``snap`` are scalars, or (r, 1) columns of r sizes. ``out``
-    (2, r, rows) gets lo, then hi; ``work[0]``, ``work[1]`` (float),
-    ``fix[0]`` and ``fix[1]`` (bool) are scratch of its shape. floor(x /
-    delta) is at most one cell off. Comparing x with the rounded boundaries
-    fl(k*delta) on either side finds the few that are: the snap keeps most
-    endpoints far from a boundary. Both ends share one array, so each step
-    is one numpy call.
+    ``grid`` is (delta, snap, inv, eps, 1 - eps), each a scalar or an (r, 1)
+    column of r sizes, with inv = fl(1/delta) and eps = 2**-50 * (inv + 1).
+    ``out`` (2, ..., rows) gets lo, then hi; ``work[0]``, ``work[1]``
+    (float), ``fix[0]`` and ``fix[1]`` (bool) are scratch of its shape. Both
+    ends share one array, so each step is one numpy call.
+
+    Each endpoint x (a = fl(start + snap) or b = fl(end - snap)) takes
+    t = fl(x * inv), q = floor(t) and f = fl(t - q), the fraction of t. Let
+    u = 2**-53, T = x/delta exactly, and measure in cells; |x| < 2, and x*inv
+    is 0 or far above the subnormal range (x is 0 or at least about
+    2**-55 * snap), so every rounding below is relative:
+    - t is two roundings from T: |t - T| <= (2u + u**2)|T| < 4.001u/delta;
+    - fl(k*delta) is one rounding from k*delta, so fl(k*delta)/delta is
+      within u|k| of k, and |q|, |q + 1| < 2/delta + 2;
+    - f is exact when t >= 0 or t <= -1 (q = 0, or q and t within a factor
+      of 2); for t in (-1, 0), which only a thin row's b below 0 reaches,
+      f = fl(t + 1) is within u.
+    An entry is flagged when f < eps or f > 1 - eps, with
+    eps >= 8u/delta * (1 - 2u) + 7u > 6.001u/delta + 3u, the sum of the
+    three errors. At an entry that is not, T - q and q + 1 - T both exceed
+    the error of the boundary, so fl(q*delta) < x < fl((q + 1)*delta)
+    strictly: q is both the ends-rule lo (the largest k with
+    fl(k*delta) <= a) and hi (the largest k with fl(k*delta) < b).
+
+    A flagged entry is set exactly by ``_exact_cells``, which needs q within
+    one cell of that k: the exact k lies in (T - 1 - u|k + 1|, T + u|k|] and
+    q in (T - 1 - 4.001u/delta, T + 4.001u/delta], so they differ by less
+    than 1 + 6.001u/delta + 2u < 2 for every delta >= DELTA_FLOOR. Near
+    ``DELTA_FLOOR`` eps exceeds 0.5, every entry is flagged, and the count
+    is still exact; at 2**-40 eps is about 2**-10, and at coarser sizes few
+    entries are flagged.
     """
-    x, edge = work[0], work[1]
+    delta, snap, inv, eps, upper = grid
+    x, frac = work[0], work[1]
     np.add(starts, snap, out=x[0])
     np.subtract(ends, snap, out=x[1])
-    np.divide(x, delta, out=out)
-    np.floor(out, out=out)
-    np.multiply(out, delta, out=edge)
-    high, low = fix[0], fix[1]
-    np.greater(edge[0], x[0], out=high[0])
-    np.greater_equal(edge[1], x[1], out=high[1])
-    np.add(out, 1.0, out=edge)
-    edge *= delta
-    np.less_equal(edge[0], x[0], out=low[0])
-    np.less(edge[1], x[1], out=low[1])
-    if np.count_nonzero(fix):
-        out -= high
-        out += low
+    np.multiply(x, inv, out=frac)
+    np.floor(frac, out=out)
+    frac -= out
+    flagged, above = fix
+    np.less(frac, eps, out=flagged)
+    np.greater(frac, upper, out=above)
+    flagged |= above
+    if np.count_nonzero(flagged):
+        _exact_cells(x[0], delta, flagged[0], out[0], np.less_equal)
+        _exact_cells(x[1], delta, flagged[1], out[1], np.less)
+
+
+def _exact_cells(x, delta, flagged, out, below):
+    """Where ``flagged``, move the cell q in ``out`` to the largest k with below(fl(k*delta), x).
+
+    That k is q - 1, q or q + 1 (see ``_cell_ranges``), and the two
+    comparisons are the reference sweep's: ``below`` is ``np.less_equal``
+    for lo and ``np.less`` for hi. ``delta`` is a scalar or an (r, 1)
+    column against the (r, rows) ``x`` and ``out``.
+    """
+    at = np.flatnonzero(flagged)
+    if len(at) == 0:
+        return
+    xs, q = x.reshape(-1)[at], out.reshape(-1)[at]
+    if np.ndim(delta):
+        delta = delta.reshape(-1)[at // out.shape[-1]]
+    up = below((q + 1.0) * delta, xs)
+    down = ~below(q * delta, xs)
+    out.reshape(-1)[at] = q + up - down
 
 
 def _midpoint_cells(starts, ends, delta, out):

@@ -389,3 +389,90 @@ def test_property_counts_match_reference(case, block_name, delta_ulps):
     delta = min(max(nudged(delta, delta_ulps), DELTA_FLOOR), 1.0)
     with blocks_of(block_name):
         assert_counts_match(starts, ends, [delta])
+
+
+# -- the guard: one multiply finds a cell, the exact comparisons run where it may be off
+
+
+@pytest.fixture
+def exact_path(monkeypatch):
+    """How many entries took the exact path, among how many in the calls that had any."""
+    seen = {"flagged": 0, "entries": 0}
+    exact_cells = kernel._exact_cells
+
+    def spy(x, delta, flagged, out, below):
+        seen["flagged"] += int(np.count_nonzero(flagged))
+        seen["entries"] += flagged.size
+        return exact_cells(x, delta, flagged, out, below)
+
+    monkeypatch.setattr(kernel, "_exact_cells", spy)
+    return seen
+
+
+def near_boundaries(rng, delta, cells, size):
+    """Sorted points on fl(k*delta), or snap either side, each 0-4 ulps off, in [0, 1]."""
+    snap = SNAP_ETA * delta
+    points = [
+        min(max(nudged(float(k) * delta + float(off), int(u)), 0.0), 1.0)
+        for k, off, u in zip(
+            rng.choice(cells, size=size),
+            rng.choice([0.0, snap, -snap], size=size),
+            rng.integers(-4, 5, size=size),
+        )
+    ]
+    points.sort()
+    starts, ends = np.array(points[0::2]), np.array(points[1::2])
+    keep = ends > starts
+    return starts[keep], ends[keep]
+
+
+GUARD_DELTAS = [DELTA_FLOOR, 1.0000001e-15, 2.0**-40, 1e-13, 1 / 3]
+
+
+@pytest.mark.parametrize("delta", GUARD_DELTAS)
+def test_endpoints_ulps_from_rounded_boundaries(rng, blocks, exact_path, delta):
+    # a = fl(start + snap) or b = fl(end - snap) on fl(k*delta) or a few ulps
+    # from it, near 0, in the middle and near 1, where fl(k*delta) is furthest
+    # from k*delta: each such entry is flagged and takes the exact comparisons
+    top = math.floor(1.0 / delta)
+    cells = sorted({k for c in (0, top // 2, top) for k in range(c - 40, c + 41) if 0 <= k <= top})
+    for _ in range(8):
+        starts, ends = near_boundaries(rng, delta, cells, 80)
+        sizes = [d for d in (delta, nudged(delta, 1), nudged(delta, -1)) if DELTA_FLOOR <= d <= 1]
+        assert_counts_match(starts, ends, sizes)
+    assert exact_path["flagged"] > 0
+
+
+def test_every_entry_takes_the_exact_path_near_the_floor(rng, blocks, exact_path):
+    # near DELTA_FLOOR the guard's bound passes half a cell, so no cell is
+    # taken from the multiply alone
+    s = construct_prefractal(CantorParams(3, 0.2, 0.0, 5))
+    sizes = [DELTA_FLOOR, nudged(DELTA_FLOOR, 1), 1.7e-15]
+    assert_counts_match(s.starts, s.ends, sizes)
+    starts, ends = near_boundaries(rng, DELTA_FLOOR, list(range(0, 10**15, 10**13)), 200)
+    assert_counts_match(starts, ends, sizes)
+    assert exact_path["flagged"] == exact_path["entries"] > 0
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.1, 1e-3, 2.0**-40, 1e-13, DELTA_FLOOR])
+def test_thin_rows_ending_inside_the_snap_band(blocks, exact_path, delta):
+    # an interval ending below snap has b = end - snap < 0, so its quotient t
+    # lies in (-1, 0), where q = -1 and the fraction fl(t + 1) rounds; it
+    # reaches 1.0 when b is a few ulps of snap below 0, and that entry is flagged
+    snap = SNAP_ETA * delta
+    for end in (snap / 3, snap / 2, nudged(snap, -1), nudged(snap, -4)):
+        for start in (0.0, end / 4):
+            assert_counts_match([start, 0.25, 0.5, 0.75], [end, 0.35, 0.6, 0.85],
+                                [delta, 0.5, 1e-3])
+    assert exact_path["flagged"] > 0
+
+
+def test_random_sizes_and_points_near_rounded_boundaries(rng, blocks):
+    # a seeded parity probe: box sizes log-uniform down to the floor, endpoints
+    # anywhere in [0, 1] on or ulps from fl(k*delta) or snap either side of it
+    for _ in range(1000):
+        delta = float(10.0 ** rng.uniform(math.log10(DELTA_FLOOR), 0.0))
+        top = math.floor(1.0 / delta)
+        cells = np.unique(rng.integers(0, top + 1, size=20))
+        starts, ends = near_boundaries(rng, delta, cells, 40)
+        assert_counts_match(starts, ends, [delta, min(3 * delta, 1.0)])
