@@ -1,13 +1,28 @@
-"""What the benchmark scripts share: running checkouts, paired timings, git revision, machine."""
+"""The driver every benchmark script runs through, and what it uses.
 
+A script under ``benchmarks/`` keeps only what is its own: its cases, its
+worker and its check. It calls ``bench``, which either runs its hidden
+``--worker MODE`` or drives the benchmark: the ``change`` tree is this
+checkout and, with ``--baseline DIR``, the ``baseline`` tree is a second
+checkout (for example a clone of the parent commit). Before anything is
+timed, one ``--worker result`` per tree gives each tree's answers, and the
+script's check compares them (by default the trees must agree on every
+case). Each of ``--repeats`` pairs then runs one ``--worker time`` per tree,
+alternating which goes first. A row gives each tree's median time and, with
+a baseline, the median and interquartile range of the per-pair ratios
+baseline/change; it claims a ``speedup`` only when that range excludes 1,
+and reads "within noise" otherwise. The report goes to ``BENCH_<topic>.json``
+at the root of the checkout, and a summary to stdout.
+"""
+
+import argparse
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-
-import numpy as np
+from pathlib import Path
 
 
 def tree_env(tree):
@@ -56,6 +71,14 @@ def paired_ratio(baseline, change):
     }
 
 
+def agree(answers, names):
+    """Exit unless every tree gives the same answer to each case in ``names``."""
+    for name in names:
+        got = {label: a[name] for label, a in answers.items()}
+        if len({json.dumps(v) for v in got.values()}) != 1:
+            sys.exit(f"{name}: the trees give different results {got}")
+
+
 def git_rev(tree):
     """``git describe`` of the checkout at ``tree`` (``-dirty`` when edited), or None."""
     try:
@@ -77,9 +100,77 @@ def cpu_model():
 
 
 def machine() -> dict:
+    import numpy as np  # here, so that a worker that needs no numpy loads none
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "cpu_model": cpu_model(),
     }
+
+
+def bench(script, doc, topic, cases, worker, check=None, equal_key=None, repeats=10):
+    """Run ``script``'s hidden worker, or check, time and report its cases as set out above.
+
+    ``cases`` maps each case name, in the order a worker runs them, to the
+    fields that open its row. ``worker(mode)`` prints, as JSON, case name ->
+    time in seconds for mode "time", and case name -> answer for mode
+    "result" (with the tree's "backend" when it has one). ``check(answers)``
+    gets label -> that tree's answers, exits when they are wrong, and returns
+    case name -> fields that follow the row's ``median_ms``. With a baseline,
+    ``equal_key`` is set in the report: the check has passed before timing.
+    """
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=repeats,
+                        help="worker pairs (one worker per tree without --baseline)")
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="a second checkout to time against this one")
+    parser.add_argument("--worker", choices=("time", "result"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        worker(args.worker)
+        return
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
+
+    root = Path(script).resolve().parent.parent
+    trees = {"change": root}
+    if args.baseline is not None:
+        trees = {"baseline": args.baseline.resolve(), "change": root}
+    answers = {label: run_worker(script, tree, "result") for label, tree in trees.items()}
+    if check is None:
+        agree(answers, cases)
+        checked = {}
+    else:
+        checked = check(answers)
+
+    times = paired_times(script, trees, args.repeats, list(cases))
+    width = max(map(len, cases))
+    results = []
+    for name, fields in cases.items():
+        row = {"case": name, **fields,
+               "median_ms": {label: round(statistics.median(times[label][name]) * 1e3, 3)
+                             for label in trees},
+               **checked.get(name, {})}
+        if "baseline" in trees:
+            row.update(paired_ratio(times["baseline"][name], times["change"][name]))
+        results.append(row)
+        shown = "  ".join(f"{label} {ms:9.3f} ms" for label, ms in row["median_ms"].items())
+        print(f"{name:{width}s} {shown}   {row.get('speedup', '')}".rstrip())
+
+    report = {
+        "topic": topic,
+        "trees": {label: {"git_rev": git_rev(tree),
+                          **({"backend": answers[label]["backend"]}
+                             if "backend" in answers[label] else {})}
+                  for label, tree in trees.items()},
+        **machine(),
+        "pairs" if "baseline" in trees else "repeats": args.repeats,
+        "cases": results,
+    }
+    if "baseline" in trees and equal_key:
+        report[equal_key] = True  # checked above, before timing
+    out = root / f"BENCH_{topic}.json"
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")

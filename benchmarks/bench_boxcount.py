@@ -7,10 +7,9 @@ Four layers, each case timed in worker processes of every tree:
 - box count: the million-interval ladders (4 box sizes per level) and the
   verify ladder (16 sizes per level, coarsest level dropped, as
   ``verify_operator_geometrically`` uses) on sets as large as the verifier's
-  largest tier, each through the tree's own ladder entry (``box_counts``
-  where the kernel has it, one ``box_count`` per size otherwise). A
-  ladder's time includes the per-set layout the kernel computes once, and
-  the layout's size is reported per set. One more row times a single public
+  largest tier, each through the kernel's ``box_counts``. A ladder's time
+  includes the per-set layout the kernel computes once, and the layout's
+  size is reported per set. One more row times a single public
   ``box_count`` call, the middle size of the natural ladder, on the
   117,649-interval set of the benchmark's documents workload (layout
   computed untimed);
@@ -25,29 +24,21 @@ The ladders and the single size are also counted with the seed's numpy sweep
 kept in ``tests/reference_kernel.py``, in this process, and timed best of
 REFERENCE_REPEATS. Before anything is timed, every tree's counts must equal the
 reference's, and the trees must agree on every construction (SHA-256 of its
-arrays), estimate and report. With ``--baseline DIR`` the cases also run
-against a second checkout (for example a clone of the parent commit): each
-of ``--repeats`` pairs runs one worker per tree, alternating which goes
-first. A row gives each tree's median time and the median and interquartile
-range of the per-pair ratios baseline/change; it claims a ``speedup`` only
-when that range excludes 1, and reads "within noise" otherwise.
+arrays), estimate and report. The shared driver in ``_host.py`` runs the
+workers, the paired timings and the report.
 
-Usage: python benchmarks/bench_backends.py [--repeats N] [--baseline DIR]
+Usage: python benchmarks/bench_boxcount.py [--repeats N] [--baseline DIR]
 Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
 """
 
-import argparse
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
 
-from _host import git_rev, machine, paired_ratio, paired_times, run_worker
+from _host import agree, bench
 
 ROOT = Path(__file__).resolve().parent.parent
-
-OUT = ROOT / "BENCH_boxcount.json"
 
 # (n, dimension, epsilon mode, stage, box sizes per level, first level)
 LADDERS = [
@@ -101,11 +92,22 @@ def cases():
             yield f"verify {tier} n={n} stage={stage}", "verify", (n, stage)
 
 
+def fields(kind, case):
+    """The fields that describe a case in its row."""
+    row = {"layer": LAYERS[kind]}
+    if kind == "verify":
+        row.update(n=case[0], stage=case[1], operands=list(VERIFY_OPERANDS))
+        return row
+    n, dim, eps_mode, stage, per_level, start_level = case
+    row.update(n=n, dimension=dim, epsilon=eps_mode or "0", stage=stage, intervals=n**stage)
+    if kind in ("ladder", "fit"):
+        row["ladder"] = f"{per_level} per level from level {start_level}"
+    return row
+
+
 def build_set(case):
-    """The case's starts, ends, params and box sizes, with the cantordim on sys.path."""
-    import numpy as np
-    from cantordim import CantorParams, _kernels_py, lacunarity_bounds, scale_ladder
-    from cantordim.geometry import stage_one_offsets
+    """The case's constructed IntervalSet and its box sizes, with the cantordim on sys.path."""
+    from cantordim import CantorParams, construct_prefractal, lacunarity_bounds, scale_ladder
 
     n, dim, eps_mode, stage, per_level, start_level = case
     gamma = n ** (-1.0 / dim)
@@ -113,14 +115,8 @@ def build_set(case):
     if eps_mode and n >= 4:
         bounds = lacunarity_bounds(n, gamma)
         eps = bounds.eps_reg if eps_mode == "reg" else bounds.eps_max
-    offsets = np.asarray(stage_one_offsets(n, gamma, eps))
-    width = 1.0
-    for _ in range(stage):
-        width *= gamma
-    starts = _kernels_py.prefractal_starts(offsets, gamma, stage)
-    ends = np.minimum(starts + width, 1.0)
-    params = CantorParams(n, gamma, eps, stage)
-    return starts, ends, params, scale_ladder(gamma, stage, per_level, start_level)
+    s = construct_prefractal(CantorParams(n, gamma, eps, stage))
+    return s, scale_ladder(gamma, stage, per_level, start_level)
 
 
 def one_size(deltas):
@@ -144,14 +140,11 @@ def worker(mode: str) -> None:
 
     def ladder(starts, ends, deltas):
         layout = _kernels_py.set_layout(starts, ends)
-        if hasattr(_kernels_py, "box_counts"):
-            counts = _kernels_py.box_counts(layout, deltas, SNAP_ETA)
-        else:
-            counts = [_kernels_py.box_count(starts, ends, d, SNAP_ETA, layout) for d in deltas]
+        counts = _kernels_py.box_counts(layout, deltas, SNAP_ETA)
         return counts, sum(getattr(field, "nbytes", 0) for field in layout)
 
-    def laid_out(starts, ends, params):
-        s = IntervalSet(starts, ends, params)
+    def laid_out(s):
+        s = IntervalSet(s.starts, s.ends, s.params)
         s._box_layout  # noqa: B018 - computed once per set, before the timed call
         return s
 
@@ -166,21 +159,21 @@ def worker(mode: str) -> None:
             )
             answer = lambda r: [r.status, r.d_hat]  # noqa: E731
         else:
-            starts, ends, params, deltas = build_set(case)
+            s, deltas = build_set(case)
             if kind == "construct":
-                call = lambda _: construct_prefractal(params)  # noqa: E731
+                call = lambda _: construct_prefractal(s.params)  # noqa: E731
                 answer = lambda r: hashlib.sha256(  # noqa: E731
                     r.starts.tobytes() + r.ends.tobytes()).hexdigest()
             elif kind == "ladder":
-                call = lambda _: ladder(starts, ends, deltas)  # noqa: E731
+                call = lambda _: ladder(s.starts, s.ends, deltas)  # noqa: E731
                 answer = lambda r: {"counts": r[0], "layout_bytes": r[1]}  # noqa: E731
             elif kind == "one size":
-                prepare = lambda: laid_out(starts, ends, params)  # noqa: E731
-                call = lambda s: box_count(s, one_size(deltas))  # noqa: E731
+                prepare = lambda: laid_out(s)  # noqa: E731
+                call = lambda fresh: box_count(fresh, one_size(deltas))  # noqa: E731
                 answer = lambda r: {"counts": [r]}  # noqa: E731
             else:
-                prepare = lambda: IntervalSet(starts, ends, params)  # noqa: E731
-                call = lambda s: estimate_dimension(s, deltas)  # noqa: E731
+                prepare = lambda: IntervalSet(s.starts, s.ends, s.params)  # noqa: E731
+                call = lambda fresh: estimate_dimension(fresh, deltas)  # noqa: E731
                 answer = lambda r: r.d_hat  # noqa: E731
         best = float("inf")
         for _ in range(CALLS.get(kind, 1)):
@@ -193,8 +186,11 @@ def worker(mode: str) -> None:
     print(json.dumps(result))
 
 
-def reference_counts():
-    """Counted case name -> (counts, best time) of the reference sweep, on this checkout's sets."""
+def check(answers):
+    """Exit unless every tree counts as the reference sweep and the trees agree elsewhere.
+
+    Returns the counted cases' reference fields.
+    """
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from cantordim.estimation import SNAP_ETA
     from reference_kernel import box_count as reference_count
@@ -202,91 +198,29 @@ def reference_counts():
     out = {}
     for name, kind, case in cases():
         if kind not in ("ladder", "one size"):
+            agree(answers, [name])
             continue
-        starts, ends, _, deltas = build_set(case)
+        s, deltas = build_set(case)
         if kind == "one size":
             deltas = [one_size(deltas)]
         best = float("inf")
         for _ in range(REFERENCE_REPEATS):
             t0 = time.perf_counter()
-            counts = [reference_count(starts, ends, d, SNAP_ETA) for d in deltas]
+            counts = [reference_count(s.starts, s.ends, d, SNAP_ETA) for d in deltas]
             best = min(best, time.perf_counter() - t0)
-        out[name] = counts, best
+        for label, a in answers.items():
+            if a[name]["counts"] != counts:
+                sys.exit(f"{name}: {label} box counts differ from the reference")
+        out[name] = dict(box_sizes=len(counts), occupied_cells=sum(counts),
+                         counts_equal_to_reference=True, reference_best_ms=round(best * 1e3, 3))
+        if kind == "one size":
+            out[name]["box_size"] = deltas[0]
+        else:
+            out[name]["layout_bytes"] = {label: a[name]["layout_bytes"]
+                                         for label, a in answers.items()}
     return out
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=10,
-                        help="worker pairs (one worker per tree without --baseline)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="a second checkout to time against this one")
-    parser.add_argument("--worker", choices=("time", "result"), help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.worker:
-        worker(args.worker)
-        return
-    if args.repeats < 2:
-        parser.error("--repeats must be at least 2")
-
-    trees = {"change": ROOT}
-    if args.baseline is not None:
-        trees = {"baseline": args.baseline.resolve(), "change": ROOT}
-    answers = {label: run_worker(__file__, tree, "result") for label, tree in trees.items()}
-    reference = reference_counts()
-    plan = list(cases())
-    for name, kind, _ in plan:
-        got = {label: a[name] for label, a in answers.items()}
-        if name in reference:
-            for label, a in got.items():
-                if a["counts"] != reference[name][0]:
-                    sys.exit(f"{name}: {label} box counts differ from the reference")
-        elif len({json.dumps(v) for v in got.values()}) != 1:
-            sys.exit(f"{name}: the trees give different results {got}")
-
-    times = paired_times(__file__, trees, args.repeats, [name for name, _, _ in plan])
-    results = []
-    for name, kind, case in plan:
-        row = {"case": name, "layer": LAYERS[kind]}
-        if kind == "verify":
-            row.update(n=case[0], stage=case[1], operands=list(VERIFY_OPERANDS))
-        else:
-            n, dim, eps_mode, stage, per_level, start_level = case
-            row.update(n=n, dimension=dim, epsilon=eps_mode or "0", stage=stage,
-                       intervals=n**stage)
-            if kind in ("ladder", "fit"):
-                row["ladder"] = f"{per_level} per level from level {start_level}"
-        row["median_ms"] = {label: round(statistics.median(times[label][name]) * 1e3, 3)
-                            for label in trees}
-        if name in reference:
-            counts, ref_s = reference[name]
-            row.update(box_sizes=len(counts), occupied_cells=sum(counts),
-                       counts_equal_to_reference=True, reference_best_ms=round(ref_s * 1e3, 3))
-            if kind == "one size":
-                row["box_size"] = one_size(build_set(case)[3])
-            else:
-                row["layout_bytes"] = {label: answers[label][name]["layout_bytes"]
-                                       for label in trees}
-        if "baseline" in trees:
-            row.update(paired_ratio(times["baseline"][name], times["change"][name]))
-        results.append(row)
-        shown = "  ".join(f"{label} {ms:9.3f} ms" for label, ms in row["median_ms"].items())
-        verdict = row.get("speedup", "")
-        print(f"{name:52s} {shown}" + (f"   {verdict}" if verdict != "" else ""))
-
-    report = {
-        "topic": "boxcount",
-        "trees": {label: {"git_rev": git_rev(tree), "backend": answers[label]["backend"]}
-                  for label, tree in trees.items()},
-        **machine(),
-        "pairs" if "baseline" in trees else "repeats": args.repeats,
-        "cases": results,
-    }
-    if "baseline" in trees:
-        report["results_equal"] = True  # checked above, before timing
-    OUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {OUT}")
-
-
 if __name__ == "__main__":
-    main()
+    bench(__file__, __doc__, "boxcount", {name: fields(kind, case) for name, kind, case in cases()},
+          worker, check, equal_key="results_equal")

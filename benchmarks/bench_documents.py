@@ -5,31 +5,20 @@ Cases: ``export_intervals`` and ``import_intervals`` in JSON and CSV on
 constructed sets of 1e5 and 1e6 intervals, ``emit_operator_grid`` (``sub``,
 which has NaN cells) at resolutions 256 and 1024, and ``render_stages_svg``
 up to stage 5. Each worker process runs every case once, against one
-tree. With ``--baseline DIR`` the cases also run against a second checkout
-(for example a clone of the parent commit): each of ``--repeats`` pairs
-runs one worker per tree, alternating which goes first. Before anything is
-timed, both trees must give the same SHA-256 for every exported, rendered
-and imported output (import digests cover the arrays and the params). A row
-gives each tree's median time and the median and interquartile range of
-the per-pair ratios baseline/change; it claims a ``speedup`` only when that
-range excludes 1, and reads "within noise" otherwise.
+tree. Before anything is timed, the trees must give the same SHA-256 for
+every exported, rendered and imported output (import digests cover the
+arrays and the params). The shared driver in ``_host.py`` runs the workers,
+the paired timings and the report.
 
 Usage: python benchmarks/bench_documents.py [--repeats N] [--baseline DIR]
 Writes BENCH_documents.json at the root of the checkout and prints a summary.
 """
 
-import argparse
 import hashlib
 import json
-import statistics
-import sys
 import time
-from pathlib import Path
 
-from _host import git_rev, machine, paired_ratio, paired_times, run_worker
-
-ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_documents.json"
+from _host import bench
 
 # (name, construction params (n, gamma, stage); epsilon is eps_reg)
 SETS = [("1e5", (10, 0.06, 5)), ("1e6", (10, 0.06, 6))]
@@ -38,14 +27,16 @@ SVG = (5, 0.1, 0.05, 5)  # n, gamma, epsilon, max_stage
 
 
 def cases():
-    """(case name, layer, size) in the order a worker runs them."""
+    """Case name -> its layer and size, in the order a worker runs them."""
+    out = {}
     for label, (n, _, stage) in SETS:
         for fmt in ("json", "csv"):
-            yield f"export_{fmt} {label}", f"serialize.export_{fmt}", n**stage
-            yield f"import_{fmt} {label}", f"serialize.import_{fmt}", n**stage
+            out[f"export_{fmt} {label}"] = {"layer": f"serialize.export_{fmt}", "size": n**stage}
+            out[f"import_{fmt} {label}"] = {"layer": f"serialize.import_{fmt}", "size": n**stage}
     for res in GRID_RES:
-        yield f"grid sub res {res}", "render.grid", res * res
-    yield f"svg stages 0..{SVG[3]}", "render.svg", SVG[3]
+        out[f"grid sub res {res}"] = {"layer": "render.grid", "size": res * res}
+    out[f"svg stages 0..{SVG[3]}"] = {"layer": "render.svg", "size": SVG[3]}
+    return out
 
 
 def worker(mode: str) -> None:
@@ -75,7 +66,7 @@ def worker(mode: str) -> None:
     calls.append(lambda: render_stages_svg(CantorParams(n, gamma, eps, 0), max_stage))
 
     result = {}
-    for (name, _, _), call in zip(cases(), calls):
+    for name, call in zip(cases(), calls):
         t0 = time.perf_counter()
         out = call()
         result[name] = time.perf_counter() - t0 if mode == "time" else digest(out)
@@ -84,56 +75,5 @@ def worker(mode: str) -> None:
     print(json.dumps(result))
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=10,
-                        help="worker pairs (one worker per tree without --baseline)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="a second checkout to time against this one")
-    parser.add_argument("--worker", choices=("time", "digest"), help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.worker:
-        worker(args.worker)
-        return
-    if args.repeats < 2:
-        parser.error("--repeats must be at least 2")
-
-    trees = {"change": ROOT}
-    if args.baseline is not None:
-        trees = {"baseline": args.baseline.resolve(), "change": ROOT}
-    digests = {label: run_worker(__file__, tree, "digest") for label, tree in trees.items()}
-    plan = list(cases())
-    for name, _, _ in plan:
-        values = {label: d[name] for label, d in digests.items()}
-        if len(set(values.values())) != 1:
-            sys.exit(f"{name}: the trees give different outputs {values}")
-
-    times = paired_times(__file__, trees, args.repeats, [name for name, _, _ in plan])
-    results = []
-    for name, layer, size in plan:
-        row = {"case": name, "layer": layer, "size": size,
-               "median_ms": {label: round(statistics.median(times[label][name]) * 1e3, 2)
-                             for label in trees}}
-        if "baseline" in trees:
-            row.update(paired_ratio(times["baseline"][name], times["change"][name]))
-        results.append(row)
-        shown = "  ".join(f"{label} {ms:8.1f} ms" for label, ms in row["median_ms"].items())
-        verdict = row.get("speedup", "")
-        print(f"{name:22s} {shown}" + (f"   {verdict}" if verdict != "" else ""))
-
-    report = {
-        "topic": "documents",
-        "trees": {label: {"git_rev": git_rev(tree), "backend": digests[label]["backend"]}
-                  for label, tree in trees.items()},
-        **machine(),
-        "pairs" if "baseline" in trees else "repeats": args.repeats,
-        "cases": results,
-    }
-    if "baseline" in trees:
-        report["outputs_equal"] = True  # checked above, before timing
-    OUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {OUT}")
-
-
 if __name__ == "__main__":
-    main()
+    bench(__file__, __doc__, "documents", cases(), worker, equal_key="outputs_equal")

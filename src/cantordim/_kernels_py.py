@@ -110,14 +110,13 @@ def set_layout(starts, ends):
     )
 
 
-def box_count(starts, ends, delta, eta, layout=None):
+def box_count(starts, ends, delta, eta):
     """Occupied cells of the grid [k*delta, (k+1)*delta) over the intervals.
 
     A cell is occupied when its overlap with an interval exceeds eta*delta;
     intervals thinner than the snap band are assigned their midpoint cell.
     The intervals must lie in [0, 1] with starts and ends both
-    non-decreasing, as those of an IntervalSet do. ``layout`` is the set's
-    SetLayout when the caller keeps one.
+    non-decreasing, as those of an IntervalSet do.
 
     Interval j covers the cells lo_j..hi_j. With a = fl(start_j + snap) and
     b = fl(end_j - snap), the ends rule takes lo_j, the largest k with
@@ -211,11 +210,7 @@ def box_count(starts, ends, delta, eta, layout=None):
     when any of its sizes needs it; 2*fl(eta*delta) + THIN_SLACK is
     non-decreasing in delta, so that is when its largest size needs it.
     """
-    if len(starts) == 0:
-        return 0
-    if layout is None:
-        layout = set_layout(starts, ends)
-    return box_counts(layout, (delta,), eta)[0]
+    return box_counts(set_layout(starts, ends), (delta,), eta)[0]
 
 
 def box_counts(layout, deltas, eta):

@@ -21,6 +21,14 @@ def _fmt(value: float, digits: int) -> str:
     return format(value, f".{digits}g")
 
 
+def _digits(text: str) -> int:
+    """A --digits value: 1 to 17 significant digits (17 round-trip binary64)."""
+    digits = int(text) if text.isdecimal() else 0
+    if not 1 <= digits <= 17:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 17, got {text!r}")
+    return digits
+
+
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -128,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--digits", type=int, default=12, help="significant digits for display (default 12)"
+        "--digits", type=_digits, default=12,
+        help="significant digits for display, 1 to 17 (default 12)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

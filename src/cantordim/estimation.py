@@ -59,9 +59,7 @@ def box_count(intervals: IntervalSet, delta: float) -> int:
     """Number of grid cells [k*delta, (k+1)*delta) meeting the set with positive measure."""
     check_intervals(intervals)
     delta = check_real(delta, "box size", DELTA_FLOOR, 1)
-    return _kernels_py.box_count(
-        intervals.starts, intervals.ends, delta, SNAP_ETA, intervals._box_layout
-    )
+    return _kernels_py.box_counts(intervals._box_layout, (delta,), SNAP_ETA)[0]
 
 
 def scale_ladder(

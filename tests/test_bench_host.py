@@ -1,0 +1,77 @@
+"""The shared driver of the benchmark scripts: the paired verdict, the check before timing, the report."""
+
+import json
+import runpy
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
+
+from _host import paired_ratio  # noqa: E402
+
+# a benchmark script whose one case answers with the text of ``answer`` in its tree
+STUB = f"""
+import json, sys
+from pathlib import Path
+sys.path.insert(0, {str(BENCHMARKS)!r})
+from _host import bench
+
+def worker(mode):
+    answer = Path("answer").read_text()
+    print(json.dumps({{"only case": 0.001 if mode == "time" else answer, "backend": "stub"}}))
+
+bench(__file__, "A stub benchmark.", "stub", {{"only case": {{"layer": "stub"}}}}, worker,
+      equal_key="results_equal")
+"""
+
+
+@pytest.mark.parametrize("baseline, change, verdict", [
+    ([1.2, 1.3, 1.2, 1.3], [1.0, 1.0, 1.0, 1.0], 1.25),
+    ([1.0, 1.0, 1.0, 1.0], [1.25, 1.25, 1.2, 1.3], 0.8),
+    ([1.0, 1.0, 1.0, 1.0], [0.9, 1.1, 0.95, 1.05], "within noise"),
+    ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "within noise"),
+])
+def test_paired_ratio_claims_a_speedup_only_when_the_iqr_excludes_1(baseline, change, verdict):
+    assert paired_ratio(baseline, change)["speedup"] == verdict
+
+
+def run_stub(tmp_path, monkeypatch, baseline_answer, change_answer):
+    """Run the stub with a baseline tree; the change tree is ``tmp_path``."""
+    (tmp_path / "benchmarks").mkdir()
+    script = tmp_path / "benchmarks" / "stub.py"
+    script.write_text(textwrap.dedent(STUB))
+    baseline = tmp_path / "baseline"
+    (baseline / "benchmarks").mkdir(parents=True)
+    (baseline / "benchmarks" / "stub.py").write_text(script.read_text())
+    (baseline / "answer").write_text(baseline_answer)
+    (tmp_path / "answer").write_text(change_answer)
+    monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "2", "--baseline", str(baseline)])
+    runpy.run_path(str(script), run_name="__main__")
+    return tmp_path / "BENCH_stub.json"
+
+
+def test_trees_that_disagree_stop_the_script_before_any_report(tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_stub(tmp_path, monkeypatch, "1", "2")
+    assert exc.value.code not in (0, None)
+    assert "the trees give different results" in str(exc.value.code)
+    assert not (tmp_path / "BENCH_stub.json").exists()
+
+
+def test_trees_that_agree_give_the_report(tmp_path, monkeypatch, capsys):
+    report = json.loads(run_stub(tmp_path, monkeypatch, "1", "1").read_text())
+    assert list(report) == ["topic", "trees", "python", "numpy", "nproc", "cpu_model",
+                            "pairs", "cases", "results_equal"]
+    assert report["topic"] == "stub"
+    assert report["pairs"] == 2 and report["results_equal"] is True
+    assert {label: sorted(tree) for label, tree in report["trees"].items()} == {
+        "baseline": ["backend", "git_rev"], "change": ["backend", "git_rev"]}
+    (row,) = report["cases"]
+    assert list(row) == ["case", "layer", "median_ms", "ratio_median", "ratio_iqr", "speedup"]
+    assert row["median_ms"] == {"baseline": 1.0, "change": 1.0}
+    assert row["speedup"] == "within noise"
+    assert "only case" in capsys.readouterr().out

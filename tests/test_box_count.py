@@ -61,7 +61,7 @@ def assert_counts_match(starts, ends, deltas):
     wants = []
     for delta in deltas:
         want = reference_count(starts, ends, delta, SNAP_ETA)
-        got = kernel.box_count(starts, ends, delta, SNAP_ETA, layout)
+        got = kernel.box_counts(layout, (delta,), SNAP_ETA)[0]
         assert got == want, f"delta={delta!r}: kernel {got}, reference {want}"
         assert kernel.box_count(starts, ends, delta, SNAP_ETA) == want
         wants.append(want)

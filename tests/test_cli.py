@@ -92,6 +92,20 @@ class TestScalarCommands:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("digits", ["-1", "0", "18", str(10**11), "1.5"])
+    def test_digits_out_of_range_is_a_usage_error(self, capsys, digits):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--n", "2", "--gamma", "0.25", "--digits", digits])
+        assert exc.value.code == 2
+        assert "--digits: expected an integer from 1 to 17" in capsys.readouterr().err
+
+    def test_digits_at_the_ends_of_the_range(self, capsys):
+        _, out, _ = run(capsys, "op", "mul", "--da", "0.3", "--db", "0.7", "--n", "3",
+                        "--digits", "17")
+        assert out == "D_C = 0.20999999999999999\ngamma_C = 0.0053455700511782544\n"
+        _, out, _ = run(capsys, "dim", "--n", "3", "--gamma", "0.1", "--digits", "1")
+        assert out == "D = 0.5\n"
+
 
 class TestFileCommands:
     def test_construct_json_stdout_round_trips(self, capsys):
