@@ -10,7 +10,9 @@ script's check compares them (by default the trees must agree on every
 case). Each of ``--repeats`` pairs then runs one ``--worker time`` per tree,
 alternating which goes first. A row gives each tree's median time and, with
 a baseline, the median and interquartile range of the per-pair ratios
-baseline/change; it claims a ``speedup`` only when that range excludes 1,
+baseline/change and the pairs the change won; it gives a ``speedup`` only
+when one tree wins at least 9 of 10 of at least 10 pairs and the medians
+differ by more than the baseline's own interquartile range (``paired_ratio``),
 and reads "within noise" otherwise. The report goes to ``BENCH_<topic>.json``
 at the root of the checkout, and a summary to stdout.
 """
@@ -55,19 +57,36 @@ def paired_times(script, trees, pairs, rows):
     return times
 
 
-def paired_ratio(baseline, change):
-    """The per-pair ratios baseline/change of a row's times: median, IQR and verdict.
+#: a verdict needs at least this many pairs, one tree faster in 9 of 10 of them
+MIN_PAIRS = 10
 
-    A ratio above 1 means the change is faster. ``speedup`` is the median
-    ratio when the interquartile range excludes 1, and "within noise" when
-    the pairs cannot tell the two trees apart.
+
+def paired_ratio(baseline, change):
+    """The per-pair ratios baseline/change of a row's times: median, IQR, wins and verdict.
+
+    A ratio above 1 means the change is faster. ``change_wins`` counts the
+    pairs where the change took less time than the baseline; a tie counts
+    for neither tree. ``speedup`` is the median ratio when there are at
+    least ``MIN_PAIRS`` pairs, one tree wins at least 9 of 10 of them,
+    and the two trees' median times differ by more than the interquartile
+    range of the baseline's own times (a slowdown gets its ratio, below 1,
+    by the same rule); otherwise it reads "within noise".
     """
     ratios = [b / c for b, c in zip(baseline, change)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    wins = sum(c < b for b, c in zip(baseline, change))
+    losses = sum(c > b for b, c in zip(baseline, change))
+    b1, _, b3 = statistics.quantiles(baseline, n=4, method="inclusive")
+    clear = (
+        len(ratios) >= MIN_PAIRS
+        and 10 * max(wins, losses) >= 9 * len(ratios)
+        and abs(statistics.median(baseline) - statistics.median(change)) > b3 - b1
+    )
     return {
         "ratio_median": round(median, 3),
         "ratio_iqr": [round(q1, 3), round(q3, 3)],
-        "speedup": round(median, 2) if q1 > 1.0 or q3 < 1.0 else "within noise",
+        "change_wins": wins,
+        "speedup": round(median, 2) if clear else "within noise",
     }
 
 

@@ -2,13 +2,13 @@
 """Time JSON/CSV export and import, grid CSV and SVG rendering; write BENCH_documents.json.
 
 Cases: ``export_intervals`` and ``import_intervals`` in JSON and CSV on
-constructed sets of 1e5 and 1e6 intervals, ``emit_operator_grid`` (``sub``,
-which has NaN cells) at resolutions 256 and 1024, and ``render_stages_svg``
-up to stage 5. Each worker process runs every case once, against one
-tree. Before anything is timed, the trees must give the same SHA-256 for
-every exported, rendered and imported output (import digests cover the
-arrays and the params). The shared driver in ``_host.py`` runs the workers,
-the paired timings and the report.
+constructed sets of 1e5 and 1e6 intervals, ``emit_operator_grid`` for
+``sub`` (69% NaN cells) at resolutions 256 and 1024 and for ``add`` (no NaN)
+at 256, and ``render_stages_svg`` up to stage 5. Each worker process runs
+every case once, against one tree. Before anything is timed, the trees must
+give the same SHA-256 for every exported, rendered and imported output
+(import digests cover the arrays and the params). The shared driver in
+``_host.py`` runs the workers, the paired timings and the report.
 
 Usage: python benchmarks/bench_documents.py [--repeats N] [--baseline DIR]
 Writes BENCH_documents.json at the root of the checkout and prints a summary.
@@ -22,7 +22,7 @@ from _host import bench
 
 # (name, construction params (n, gamma, stage); epsilon is eps_reg)
 SETS = [("1e5", (10, 0.06, 5)), ("1e6", (10, 0.06, 6))]
-GRID_RES = (256, 1024)
+GRIDS = [("sub", 256), ("add", 256), ("sub", 1024)]  # (operator, resolution)
 SVG = (5, 0.1, 0.05, 5)  # n, gamma, epsilon, max_stage
 
 
@@ -33,8 +33,8 @@ def cases():
         for fmt in ("json", "csv"):
             out[f"export_{fmt} {label}"] = {"layer": f"serialize.export_{fmt}", "size": n**stage}
             out[f"import_{fmt} {label}"] = {"layer": f"serialize.import_{fmt}", "size": n**stage}
-    for res in GRID_RES:
-        out[f"grid sub res {res}"] = {"layer": "render.grid", "size": res * res}
+    for op, res in GRIDS:
+        out[f"grid {op} res {res}"] = {"layer": "render.grid", "size": res * res}
     out[f"svg stages 0..{SVG[3]}"] = {"layer": "render.svg", "size": SVG[3]}
     return out
 
@@ -61,7 +61,7 @@ def worker(mode: str) -> None:
             text = export_intervals(s, fmt)
             calls.append(lambda s=s, fmt=fmt: export_intervals(s, fmt))
             calls.append(lambda text=text, fmt=fmt: import_intervals(text, fmt))
-    calls += [lambda res=res: emit_operator_grid("sub", res, 2) for res in GRID_RES]
+    calls += [lambda op=op, res=res: emit_operator_grid(op, res, 2) for op, res in GRIDS]
     n, gamma, eps, max_stage = SVG
     calls.append(lambda: render_stages_svg(CantorParams(n, gamma, eps, 0), max_stage))
 

@@ -29,14 +29,33 @@ bench(__file__, "A stub benchmark.", "stub", {{"only case": {{"layer": "stub"}}}
 """
 
 
+BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.00]  # IQR 0.0175
+
+
+def faster(times, by, wins):
+    """``times`` divided by ``by`` in the first ``wins`` pairs; the rest lose by 5%."""
+    return [t / by if i < wins else t * 1.05 for i, t in enumerate(times)]
+
+
 @pytest.mark.parametrize("baseline, change, verdict", [
-    ([1.2, 1.3, 1.2, 1.3], [1.0, 1.0, 1.0, 1.0], 1.25),
-    ([1.0, 1.0, 1.0, 1.0], [1.25, 1.25, 1.2, 1.3], 0.8),
-    ([1.0, 1.0, 1.0, 1.0], [0.9, 1.1, 0.95, 1.05], "within noise"),
-    ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "within noise"),
+    (BASE, faster(BASE, 1.25, 10), 1.25),  # every pair
+    (BASE, [t * 1.25 for t in BASE], 0.8),  # a slowdown, by the same rule
+    (BASE, faster(BASE, 1.01, 10), "within noise"),  # every pair, but inside the IQR
+    (BASE, BASE, "within noise"),
+    (BASE, faster(BASE, 1.25, 9), 1.25),  # 9 of 10
+    (BASE, faster(BASE, 1.25, 8), "within noise"),  # 8 of 10
+    (BASE, [t / 1.25 for t in BASE[:9]] + [BASE[9]], 1.25),  # 9 wins and a tie
+    (BASE, [t / 1.25 for t in BASE[:8]] + BASE[8:], "within noise"),  # 8 wins, 2 ties
+    (BASE[:4], faster(BASE[:4], 1.25, 4), "within noise"),  # 4 of 4 pairs: too few
 ])
-def test_paired_ratio_claims_a_speedup_only_when_the_iqr_excludes_1(baseline, change, verdict):
+def test_paired_ratio_needs_nine_in_ten_wins(baseline, change, verdict):
     assert paired_ratio(baseline, change)["speedup"] == verdict
+
+
+def test_paired_ratio_counts_the_wins_of_the_change():
+    row = paired_ratio(BASE, faster(BASE, 1.25, 7))
+    assert row["change_wins"] == 7
+    assert row["ratio_median"] == 1.25
 
 
 def run_stub(tmp_path, monkeypatch, baseline_answer, change_answer):
@@ -71,7 +90,8 @@ def test_trees_that_agree_give_the_report(tmp_path, monkeypatch, capsys):
     assert {label: sorted(tree) for label, tree in report["trees"].items()} == {
         "baseline": ["backend", "git_rev"], "change": ["backend", "git_rev"]}
     (row,) = report["cases"]
-    assert list(row) == ["case", "layer", "median_ms", "ratio_median", "ratio_iqr", "speedup"]
+    assert list(row) == ["case", "layer", "median_ms", "ratio_median", "ratio_iqr",
+                         "change_wins", "speedup"]
     assert row["median_ms"] == {"baseline": 1.0, "change": 1.0}
     assert row["speedup"] == "within noise"
     assert "only case" in capsys.readouterr().out

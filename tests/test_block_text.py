@@ -1,9 +1,12 @@
 """Block formatting and bulk-checked parsing against the per-value reference.
 
-``serialize.format_rows`` writes up to ``_BLOCK`` rows per ``str % tuple``;
-these tests pin its bytes to the seed's one-``format()``-per-value loops in
-``reference_text.py`` at and around the block boundaries, and pin the bulk
-import checks to the seed's per-row checks, messages and line numbers.
+``serialize.format_rows`` writes up to ``_BLOCK`` rows per character matrix,
+each float by the numpy formatter ``put_f17``; these tests pin its bytes to
+the seed's one-``format()``-per-value loops in ``reference_text.py``: on
+random bit patterns, at powers of ten, on decimal ties and special values,
+at and around the block boundaries, and where whole blocks take the
+fallback. They also pin the bulk import checks to the seed's per-row checks,
+messages and line numbers.
 """
 
 import json
@@ -11,6 +14,8 @@ import json
 import numpy as np
 import pytest
 import reference_text as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordim import (
     CantorParams,
@@ -101,6 +106,73 @@ class TestExportBytes:
         same_text("\n".join(blocks), "\n".join(ref.f17(v) for v in column))
 
 
+def f17_rows(values) -> list[str]:
+    return "\n".join(format_rows("%.17g", "\n", np.asarray(values, dtype=np.float64))).split("\n")
+
+
+def neighbours(x, ulps=3):
+    """x and the ``ulps`` floats on either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+# exact binary fractions past 17 significant digits: the first two are decimal ties
+# at 17 (they end in a 5 at the 18th), the third ends in 875
+TIES = [26215 / 2**18, 26217 / 2**18, 131075 / 2**20]
+SPECIAL = [
+    0.0, -0.0, 5e-324, 2.5e-308, *neighbours(1e-280, 2), 1.0, 123.5, 1e16, 1e17,
+    -0.5, -1e-300, -123.5, np.nan, -np.nan, np.inf, -np.inf, 0.1, 0.5, 1 - 2**-53,
+]
+
+
+class TestF17:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_random_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert f17_rows(values) == [ref.f17(v) for v in values]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=1, max_size=64))
+    def test_random_fast_path_values(self, values):
+        assert f17_rows(values) == [ref.f17(v) for v in values]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = [v for e in range(-300, 1) for v in neighbours(float(f"1e{e}"))]
+        same_text("\n".join(f17_rows(values)), "\n".join(map(ref.f17, values)))
+
+    def test_exact_ties_round_half_even(self):
+        assert f17_rows(TIES) == [ref.f17(v) for v in TIES]
+        assert f17_rows(TIES) == ["0.10000228881835938", "0.10000991821289062", "0.12500286102294922"]
+
+    def test_special_values(self):
+        assert f17_rows(SPECIAL) == [ref.f17(v) for v in SPECIAL]
+
+    def test_a_block_where_every_entry_takes_the_fallback(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            -rng.random(_BLOCK // 2), 1.0 + rng.random(_BLOCK // 4) * 1e6,
+            rng.random(_BLOCK // 4 + 1) * 1e-290, [0.0, -0.0, np.inf, -np.inf, 1.0, 1e17],
+        ])
+        same_text("\n".join(f17_rows(values)), "\n".join(map(ref.f17, values)))
+
+    def test_columns_mixing_nan_runs_fallback_and_fast_rows(self):
+        rng = np.random.default_rng(6)
+        a = rng.random(_BLOCK + 7)
+        c = rng.random(_BLOCK + 7)
+        c[100:3000] = np.nan  # a NaN run
+        c[_BLOCK - 5:_BLOCK + 3] = np.nan  # one across the block boundary
+        c[3000:3003] = TIES
+        c[7::97] = 1.0
+        c[11::89] = -c[11::89]
+        text = "\n".join(format_rows("%.17g,%.17g,%.17g", "\n", a, a[::-1], c))
+        want = "\n".join(f"{ref.f17(x)},{ref.f17(y)},{ref.f17(z)}" for x, y, z in zip(a, a[::-1], c))
+        same_text(text, want)
+
+
 class TestGridBytes:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     @pytest.mark.parametrize("res", [2, 4, 129])  # 129 rows split into uneven row blocks
@@ -114,6 +186,14 @@ class TestGridBytes:
         rows = text.splitlines()[1:]
         nan_rows = [r for r in rows if r.endswith(",nan")]
         assert 0 < len(nan_rows) == int(np.isnan(sheet.values).sum())
+
+    @pytest.mark.parametrize("res", [128, 200])
+    def test_div_block_mixes_nan_runs_with_fallback_rows(self, res):
+        # a/a = 1.0 takes the fallback on the diagonal; below it a/b > 1 is NaN
+        sheet, text = emit_operator_grid("div", res, 2)
+        block = sheet.values[: _BLOCK // res]
+        assert (block == 1.0).any() and np.isnan(block).any()
+        same_text(text, ref.grid_csv(sheet))
 
 
 def csv_doc(lines):

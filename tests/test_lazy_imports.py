@@ -1,7 +1,9 @@
 """Lazy package exports: scalar commands run without numpy, every export resolves.
 
 The scalar path also leaves ``dataclasses`` (and the ``inspect`` it imports)
-unloaded: its records are named tuples.
+unloaded: its records are named tuples. ``serialize``, which the CLI's
+numpy-bound commands import, builds its formatter tables from ints and numpy
+and loads neither ``fractions`` nor ``decimal``.
 
 Checks that depend on what has been imported run in a fresh interpreter,
 since this test process has long loaded numpy.
@@ -80,6 +82,11 @@ def test_numpy_bound_command_loads_numpy():
     # the probe itself can see numpy
     argv = ["grid", "--op", "add", "--res", "2", "--n", "2"]
     assert numpy_loaded_after(f"from cantordim.cli import main\nassert main({argv!r}) == 0")
+
+
+def test_import_serialize_leaves_fractions_and_decimal_unloaded():
+    code = "import sys\nimport cantordim.serialize\nprint('fractions' in sys.modules, 'decimal' in sys.modules)\n"
+    assert fresh(code) == "False False"
 
 
 def test_every_export_resolves_on_first_access():
