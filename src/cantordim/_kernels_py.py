@@ -1,19 +1,20 @@
 """The numpy kernels, the only kernel implementation (``BACKEND``).
 
 ``prefractal_starts`` builds positions with a fixed sequence of float
-operations, so a construction is reproducible bit for bit. ``box_count``
-returns, for every box size down to ``estimation.DELTA_FLOOR``, the count of
-the sequential sweep kept in the tests as the slow reference; the tests
-compare counts exactly. It takes the arrays of an IntervalSet, whose starts
-and ends are both sorted, and is the one-size case of ``box_counts``, which
-counts a whole ladder of box sizes in one call. ``set_layout`` gathers, once
-per set, what every box size reuses: the shortest interval, and the gaps
-sorted by width (by a 16-bit key), with the interval on either side of
-each. Every set is counted from its gaps at least half a cell wide, one
-sorted suffix of those rows; at a size where some interval may be thinner
-than the snap band, each row also tests its two neighbours for thinness.
-A row finds its cells with one multiply by fl(1/delta), and compares with
-the rounded cell boundaries only where the quotient lies near one.
+operations, so a construction is reproducible bit for bit. ``box_counts``
+counts a whole ladder of box sizes in one call and returns, for every box
+size down to ``estimation.DELTA_FLOOR`` at eta = ``estimation.SNAP_ETA``,
+the count of the sequential sweep kept in the tests as the slow reference;
+the tests compare counts exactly, and its docstring holds the proof.
+``box_count`` is its one-size case on the arrays of an IntervalSet, whose
+starts and ends are both sorted. ``set_layout`` gathers, once per set, what
+every box size reuses: the shortest interval, and the gaps sorted by width
+(by a 16-bit key), with the interval on either side of each. Every set is
+counted from its gaps at least half a cell wide, one sorted suffix of those
+rows; at a size where some interval may be thinner than the snap band, each
+row also tests its two neighbours for thinness. A row finds its cells with
+one multiply by fl(1/delta), and compares with the rounded cell boundaries
+only where the quotient lies near one.
 """
 
 import sys
@@ -74,7 +75,7 @@ def _gathered(values, order, last):
 
 
 class SetLayout(NamedTuple):
-    """Facts about one IntervalSet that ``box_count`` reuses at every box size.
+    """Facts about one IntervalSet that ``box_counts`` reuses at every box size.
 
     ``keys`` holds the sort keys of the gap widths starts[1:] - ends[:-1] in
     ascending order and then the sentinel 2**16 - 1. In the same order,
@@ -111,12 +112,26 @@ def set_layout(starts, ends):
 
 
 def box_count(starts, ends, delta, eta):
-    """Occupied cells of the grid [k*delta, (k+1)*delta) over the intervals.
+    """``box_counts`` at one size, on arrays; kept for the tests and perfbench's kernel_parity."""
+    return box_counts(set_layout(starts, ends), (delta,), eta)[0]
+
+
+def box_counts(layout, deltas, eta):
+    """Occupied cells of the grid [k*delta, (k+1)*delta) at every box size of ``deltas``.
+
+    The counts, Python ints, come in the order of ``deltas``, which may come
+    in any order and repeat; ``layout`` is the SetLayout of the set.
 
     A cell is occupied when its overlap with an interval exceeds eta*delta;
     intervals thinner than the snap band are assigned their midpoint cell.
     The intervals must lie in [0, 1] with starts and ends both
     non-decreasing, as those of an IntervalSet do.
+
+    The counts are proved exact for eta = ``estimation.SNAP_ETA`` only, the
+    eta every caller passes: the delta/2 bound on the gap suffix below needs
+    eta < 1/4. On 30 random 50-interval sets at the sizes 2**-1 .. 2**-30,
+    none of the 900 counts differs from the reference at eta <= 0.24, but 7
+    do at eta = 0.3 and 76 at eta = 0.45.
 
     Interval j covers the cells lo_j..hi_j. With a = fl(start_j + snap) and
     b = fl(end_j - snap), the ends rule takes lo_j, the largest k with
@@ -194,30 +209,21 @@ def box_count(starts, ends, delta, eta):
     quotient and of the boundaries fl(k*delta); the other entries, at most
     one cell off, take the sweep's two comparisons (derived there).
 
-    ``box_counts`` counts a whole ladder this way, several sizes per numpy
-    call, and this function is its one-size case, which skips the planning
-    and runs on 1-D (2, rows) blocks. A ladder orders its sizes by the
-    length of their suffixes and packs neighbours greedily into groups:
-    r sizes share blocks of the rows of the longest suffix among them, as
-    (r, rows) arrays with delta and snap as (r, 1) columns, while
-    r * rows <= BLOCK. A size whose suffix is longer than BLOCK forms a
-    group alone and runs BLOCK rows at a time. Two facts make the counts
-    those of one size at a time. A row before a size's own suffix adds
-    exactly 0: its gap is narrower than delta/2, so e_j = 0 by the bound
-    above, with or without the thin test. And the thin test is a no-op at a
-    thin-free size: there every interval has a < b, so fl(lo*delta) <= a < b
-    gives hi >= lo, and no neighbour is thin. So a group runs the thin test
-    when any of its sizes needs it; 2*fl(eta*delta) + THIN_SLACK is
-    non-decreasing in delta, so that is when its largest size needs it.
-    """
-    return box_counts(set_layout(starts, ends), (delta,), eta)[0]
-
-
-def box_counts(layout, deltas, eta):
-    """``box_count`` at every box size of ``deltas``, in one call on the set's SetLayout.
-
-    The sizes may come in any order and repeat; the counts, Python ints, come
-    in the same order. How the sizes share blocks is set out in ``box_count``.
+    A whole ladder is counted this way, several sizes per numpy call; a
+    single size skips the planning and runs on 1-D (2, rows) blocks. A
+    ladder orders its sizes by the length of their suffixes and packs
+    neighbours greedily into groups: r sizes share blocks of the rows of the
+    longest suffix among them, as (r, rows) arrays with delta and snap as
+    (r, 1) columns, while r * rows <= BLOCK. A size whose suffix is longer
+    than BLOCK forms a group alone and runs BLOCK rows at a time. Two facts
+    make the counts those of one size at a time. A row before a size's own
+    suffix adds exactly 0: its gap is narrower than delta/2, so e_j = 0 by
+    the bound above, with or without the thin test. And the thin test is a
+    no-op at a thin-free size: there every interval has a < b, so
+    fl(lo*delta) <= a < b gives hi >= lo, and no neighbour is thin. So a
+    group runs the thin test when any of its sizes needs it;
+    2*fl(eta*delta) + THIN_SLACK is non-decreasing in delta, so that is when
+    its largest size needs it.
     """
     deltas = np.array(deltas, dtype=np.float64)
     n, end = len(deltas), len(layout.keys)

@@ -114,7 +114,8 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
     Cell centers (k+0.5)/R avoid the degenerate boundary dimensions 0 and 1.
     Undefined cells are emitted as nan; rows are produced in row-major order
     (da outer, db inner), every value with 17 significant digits. The R*R
-    cells may not exceed DEFAULT_CAP.
+    cells may not exceed DEFAULT_CAP. ``n`` is checked as an arity but does
+    not change the sheet: the operators' dimensions do not depend on N.
 
     A cell is defined where the operator's rounded domain predicate holds.
     The scalar ``sub`` also tests its exact bound; the grid has no need to.

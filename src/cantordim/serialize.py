@@ -33,10 +33,9 @@ the correctly rounded value wherever f lies at least 2**-30 from 1/2 (near
 an integer a wrong floor is undone by the rounding). An entry whose fraction
 lies closer, such as the exact decimal tie 26215/2**18, takes
 ``'%.17g' % x``; so do x <= 1e-280, x >= 1, zeros, negatives and infinities,
-and any entry whose k is still off after one correction: where log10 puts k
-one off near a power of ten, floor(y) falls outside [1e16, 1e17) and that
-entry is redone with the next k. A round-up to 1e17 carries into k. NaN is
-written as ``nan`` on the fast path.
+an entry whose floor(y) falls outside [1e16, 1e17) (where log10 puts k one
+off near a power of ten), and one that rounds up to 1e17. NaN is written as
+``nan`` on the fast path.
 """
 
 from __future__ import annotations
@@ -145,17 +144,9 @@ def put_f17(x, chars, keep) -> None:
     xs = np.where(fast, x, 0.5)
     k = np.floor(np.log10(xs)).astype(np.int64)
     digits, frac = _digits(xs, k)
-    off = (digits < _E16).astype(np.int64) - (digits >= _E17)
-    redo = np.flatnonzero(off)
-    if len(redo):  # log10 put k one off near a power of ten
-        k[redo] -= off[redo]
-        digits[redo], frac[redo] = _digits(xs[redo], k[redo])
-        fast[redo] &= (digits[redo] >= _E16) & (digits[redo] < _E17)
-    fast &= np.abs(frac - 0.5) >= _TIE
+    fast &= (digits >= _E16) & (np.abs(frac - 0.5) >= _TIE)
     digits += frac > 0.5
-    carry = np.flatnonzero(digits == _E17)
-    digits[carry] = _E16
-    k[carry] += 1
+    fast &= digits < _E17
     j = -k
 
     lead = digits // _E16

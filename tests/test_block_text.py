@@ -4,9 +4,9 @@
 each float by the numpy formatter ``put_f17``; these tests pin its bytes to
 the seed's one-``format()``-per-value loops in ``reference_text.py``: on
 random bit patterns, at powers of ten, on decimal ties and special values,
-at and around the block boundaries, and where whole blocks take the
-fallback. They also pin the bulk import checks to the seed's per-row checks,
-messages and line numbers.
+with the exponent estimate one off, at and around the block boundaries, and
+where whole blocks take the fallback. They also pin the bulk import checks
+to the seed's per-row checks, messages and line numbers.
 """
 
 import json
@@ -158,6 +158,16 @@ class TestF17:
             rng.random(_BLOCK // 4 + 1) * 1e-290, [0.0, -0.0, np.inf, -np.inf, 1.0, 1e17],
         ])
         same_text("\n".join(f17_rows(values)), "\n".join(map(ref.f17, values)))
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_an_exponent_one_off_takes_the_fallback(self, monkeypatch, shift):
+        # with log10 moved by a whole unit, every entry's k is one off, so its
+        # digits fall outside [1e16, 1e17) and it must take '%.17g' itself
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        values = [v for e in range(-20, 1) for v in neighbours(float(f"1e{e}"))]
+        values += np.random.default_rng(7).random(200).tolist()
+        assert f17_rows(values) == [ref.f17(v) for v in values]
 
     def test_columns_mixing_nan_runs_fallback_and_fast_rows(self):
         rng = np.random.default_rng(6)

@@ -233,6 +233,17 @@ def test_thin_and_thin_free_sizes_in_one_block(rng, blocks):
     assert_counts_match(starts, starts + widths, deltas)
 
 
+def test_ladder_restores_the_ufunc_buffer_size():
+    # a ladder lowers numpy's ufunc buffer to ROW_BUFFER while it counts; the
+    # caller's size must be back afterwards (numpy >= 2.0 errstate restores it)
+    s = construct_prefractal(CantorParams(3, 0.2, 0.0, 5))
+    ladder = scale_ladder(0.2, 5, per_level=4)
+    before = np.getbufsize()
+    assert before != kernel.ROW_BUFFER and len(ladder) > 1
+    kernel.box_counts(s._box_layout, ladder, SNAP_ETA)
+    assert np.getbufsize() == before
+
+
 def same_layout(a, b):
     """Whether two SetLayouts hold equal fields (arrays by value)."""
     return all(map(np.array_equal, a, b))

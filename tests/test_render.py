@@ -117,6 +117,12 @@ class TestOperatorGrid:
         b = emit_operator_grid("div", 16, 5)[1]
         assert a == b
 
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    def test_sheet_does_not_depend_on_the_arity(self, op):
+        # n is only checked: the dimension algebra is the same at every arity
+        texts = {emit_operator_grid(op, 24, n)[1] for n in (2, 7, 2**53)}
+        assert len(texts) == 1
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             emit_operator_grid("pow", 8, 2)
