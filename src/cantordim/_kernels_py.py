@@ -58,13 +58,25 @@ def prefractal_starts(offsets, gamma, stage):
     return out
 
 
-#: a gap's sort key is the sign, exponent and 10 leading mantissa bits of its
-#: width's binary64 pattern, less those of 2**-52 and clipped to [0, KEY_TOP]:
-#: non-decreasing in the width, and 16 bits wide, so that one radix sort
-#: orders the gaps (a float64 argsort costs several times more)
 KEY_SHIFT = 42
 KEY_BASE = int(np.float64(2.0**-52).view(np.int64)) >> KEY_SHIFT
 KEY_TOP = 2**16 - 2  # above every width up to 1; 2**16 - 1 keys the sentinel
+
+
+def _width_keys(widths):
+    """The 16-bit sort keys of a float64 array of widths, which it overwrites.
+
+    A key is the sign, exponent and 10 leading mantissa bits of the width's
+    binary64 pattern, less those of 2**-52 and clipped to [0, KEY_TOP]:
+    non-decreasing in the width, and 16 bits wide, so that one radix sort
+    orders the gaps (a float64 argsort costs several times more). The gaps
+    of ``set_layout`` and the half box sizes of ``box_counts`` take the same
+    keys, as the suffix bound of ``box_counts`` needs.
+    """
+    keys = widths.view(np.int64)
+    keys >>= KEY_SHIFT
+    keys -= KEY_BASE
+    return np.clip(keys, 0, KEY_TOP, out=keys).astype(np.uint16)
 
 
 def _gathered(values, order, last):
@@ -96,10 +108,7 @@ def set_layout(starts, ends):
     """The SetLayout of a set: a few linear passes and one radix sort of the gap keys."""
     if len(starts) == 0:
         return SetLayout(0.0, *(np.empty(0),) * 5)
-    keys = (starts[1:] - ends[:-1]).view(np.int64)
-    keys >>= KEY_SHIFT
-    keys -= KEY_BASE
-    keys = np.clip(keys, 0, KEY_TOP, out=keys).astype(np.uint16)
+    keys = _width_keys(starts[1:] - ends[:-1])
     order = np.argsort(keys, kind="stable")  # a radix sort for 16-bit keys
     return SetLayout(
         float((ends - starts).min()),
@@ -229,8 +238,7 @@ def box_counts(layout, deltas, eta):
     n, end = len(deltas), len(layout.keys)
     if n == 0 or end == 0:
         return [0] * n
-    keys = ((0.5 * deltas).view(np.int64) >> KEY_SHIFT) - KEY_BASE
-    lengths = end - layout.keys.searchsorted(keys.astype(np.uint16))  # of each size's suffix
+    lengths = end - layout.keys.searchsorted(_width_keys(0.5 * deltas))  # of each size's suffix
     if n == 1:
         return _count_groups(layout, deltas, [((0,), int(lengths[0]))], eta)
     # numpy runs a ufunc with an (r, 1) column operand over rows shorter than

@@ -33,18 +33,6 @@ from .core import (
 )
 from .errors import DomainError, OpDomainError
 
-__all__ = [
-    "OpResult",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "int_pow",
-    "d_dimension_d_scale",
-    "check_gamma_consistency",
-    "OPERATORS",
-]
-
 
 class OpResult(NamedTuple):
     """Result dimension plus its realization in the shared n-adic family.

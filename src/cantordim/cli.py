@@ -100,11 +100,9 @@ def _cmd_estimate(args) -> int:
     if fmt == "auto":
         fmt = "json" if data.lstrip().startswith(b"{") else "csv"
     intervals = import_intervals(data, fmt)
-    deltas = args.deltas
-    if deltas is None and args.per_level > 1:
-        if intervals.params is None:
-            raise CantorDimError("--per-level needs construction parameters in the document")
-        deltas = scale_ladder(intervals.params.gamma, intervals.params.stage, args.per_level)
+    deltas, p = args.deltas, intervals.params
+    if deltas is None and p is not None:
+        deltas = scale_ladder(p.gamma, p.stage, args.per_level)
     est = estimate_dimension(intervals, deltas)
     print(f"d_hat = {_fmt(est.d_hat, args.digits)}")
     print(f"stderr = {_fmt(est.stderr, args.digits)}")
@@ -129,85 +127,67 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the commands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantordim",
         description="Arithmetic of fractal dimension for polyadic Cantor sets",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    digits = _option(
         "--digits", type=_digits, default=12,
         help="significant digits for display, 1 to 17 (default 12)",
     )
+    n = _option("--n", type=int, required=True)
+    gamma = _option("--gamma", type=float, required=True)
+    da = _option("--da", type=float, required=True)
+    db = _option("--db", type=float, required=True)
+    op = _option("--op", dest="operator", choices=sorted(OPERATORS), required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", parents=[common], help="similarity dimension from (n, gamma)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.set_defaults(func=_cmd_dim)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, parents=[digits, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("scale", parents=[common], help="scale factor from (n, D)")
-    p.add_argument("--n", type=int, required=True)
+    command("dim", _cmd_dim, "similarity dimension from (n, gamma)", n, gamma)
+    p = command("scale", _cmd_scale, "scale factor from (n, D)", n)
     p.add_argument("--d", type=float, required=True)
-    p.set_defaults(func=_cmd_scale)
-
-    p = sub.add_parser("op", parents=[common], help="apply a dimension operator")
+    p = command("op", _cmd_op, "apply a dimension operator", da, db, n)
     p.add_argument("operator", choices=sorted(OPERATORS))
-    p.add_argument("--da", type=float, required=True)
-    p.add_argument("--db", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_op)
-
-    p = sub.add_parser("pow", parents=[common], help="integer power of a dimension")
-    p.add_argument("--da", type=float, required=True)
+    p = command("pow", _cmd_pow, "integer power of a dimension", da, n)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_pow)
+    command("ddgamma", _cmd_ddgamma, "derivative dD/dgamma", n, gamma)
+    command("bounds", _cmd_bounds, "lacunarity bounds for (n, gamma)", n, gamma)
 
-    p = sub.add_parser("ddgamma", parents=[common], help="derivative dD/dgamma")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.set_defaults(func=_cmd_ddgamma)
-
-    p = sub.add_parser("bounds", parents=[common], help="lacunarity bounds for (n, gamma)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("construct", parents=[common], help="build and export a stage-S set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p = command("construct", _cmd_construct, "build and export a stage-S set", n, gamma)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("estimate", parents=[common], help="box-counting dimension of a saved set")
+    p = command("estimate", _cmd_estimate, "box-counting dimension of a saved set")
     p.add_argument("--in", dest="infile", required=True, help="JSON or CSV document")
     p.add_argument("--format", choices=("auto", "json", "csv"), default="auto")
     p.add_argument("--deltas", type=float, nargs="+", default=None)
     p.add_argument(
         "--per-level", type=int, default=1,
-        help="box sizes per construction level when using the default ladder",
+        help="box sizes per construction level, 1 to 10000, when no --deltas are given "
+        "(needs construction parameters in the document; default 1)",
     )
-    p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("verify", parents=[common], help="check an operator against box counting")
-    p.add_argument("--op", dest="operator", choices=sorted(OPERATORS), required=True)
-    p.add_argument("--da", type=float, required=True)
-    p.add_argument("--db", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = command("verify", _cmd_verify, "check an operator against box counting", op, da, db, n)
     p.add_argument("--stage", type=int, default=6)
     p.add_argument("--tol", type=float, default=0.05, help="relative tolerance on D_C")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("grid", parents=[common], help="operator surface as a da,db,dc CSV")
-    p.add_argument("--op", dest="operator", choices=sorted(OPERATORS), required=True)
+    p = command("grid", _cmd_grid, "operator surface as a da,db,dc CSV", op, n)
     p.add_argument("--res", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_grid)
 
     return parser
 

@@ -33,12 +33,10 @@ from .core import check_arity, check_index, check_real, check_scale
 from .core import LacunarityBounds, lacunarity_bounds  # noqa: F401
 from .errors import CapExceeded, DomainError, InvariantError
 
-#: overlap tolerance for "pairwise disjoint": a touching pair produced by the
-#: eps_max degeneracy can land a few ulp on either side of an exact-zero gap
+#: the touch tolerance: a touching pair produced by the eps_max degeneracy can
+#: land a few ulp on either side of an exact-zero gap, so an IntervalSet admits
+#: overlaps up to this much and ``gap_widths`` drops gaps at most this wide
 OVERLAP_TOL = 1e-12
-
-#: gaps at or below this width count as degenerate (zero-width) touching
-GAP_TOL = 1e-12
 
 #: smallest admissible interval length gamma**S: below this the ~S*ulp(1)
 #: absolute error of the digit-expansion positions swamps the geometry
@@ -194,7 +192,7 @@ def stage_one_offsets(n: int, gamma: float, epsilon: float = 0.0) -> list[float]
     if n > DEFAULT_CAP:
         raise CapExceeded(f"n = {n} exceeds the cap of {DEFAULT_CAP} copies")
     step = gamma + epsilon
-    m = n // 2 if n % 2 == 0 else (n - 1) // 2
+    m = n // 2
     left = [i * step for i in range(m)]
     right = [1.0 - gamma - i * step for i in range(m - 1, -1, -1)]
     if n % 2 == 0:
@@ -234,8 +232,8 @@ def gap_widths(intervals: IntervalSet) -> np.ndarray:
     """Widths of the positive maximal gaps inside [0, 1], left to right.
 
     Boundary slack (before the first interval, after the last) is included
-    when positive; gaps at or below GAP_TOL are degenerate touches and are
-    dropped.
+    when positive; gaps at or below OVERLAP_TOL are degenerate touches and
+    are dropped.
     """
     if len(check_intervals(intervals)) == 0:
         return np.array([1.0])
@@ -243,4 +241,4 @@ def gap_widths(intervals: IntervalSet) -> np.ndarray:
     lead = intervals.starts[0]
     trail = 1.0 - intervals.ends[-1]
     gaps = np.concatenate(([lead], inner, [trail]))
-    return gaps[gaps > GAP_TOL]
+    return gaps[gaps > OVERLAP_TOL]

@@ -50,12 +50,12 @@ from .errors import DomainError, InvariantError, ParseError
 from .geometry import CantorParams, IntervalSet, check_intervals
 
 _FORMATS = ("json", "csv")
-# header fields: the JSON types each accepts, and how an error names them
+# header fields: the JSON types each accepts, how an error names them, how export writes them
 _HEADER = {
-    "n": ((int,), "an integer"),
-    "gamma": ((int, float), "a number"),
-    "epsilon": ((int, float), "a number"),
-    "stage": ((int,), "an integer"),
+    "n": ((int,), "an integer", "%d"),
+    "gamma": ((int, float), "a number", "%.17g"),
+    "epsilon": ((int, float), "a number", "%.17g"),
+    "stage": ((int,), "an integer", "%d"),
 }
 
 
@@ -236,14 +236,9 @@ def export_intervals(intervals: IntervalSet, format: str = "json") -> str:
         rows = format_rows("%.17g,%.17g", "\n", intervals.starts, intervals.ends)
         return "\n".join(["start,end", *rows, ""])
     p = intervals.params
-    head = (
-        "{\n"
-        f'  "n": {p.n if p else "null"},\n'
-        f'  "gamma": {"%.17g" % p.gamma if p else "null"},\n'
-        f'  "epsilon": {"%.17g" % p.epsilon if p else "null"},\n'
-        f'  "stage": {p.stage if p else "null"},\n'
-        '  "intervals": '
-    )
+    fields = (f'  "{key}": {fmt % getattr(p, key) if p else "null"},\n'
+              for key, (_, _, fmt) in _HEADER.items())
+    head = "{\n" + "".join(fields) + '  "intervals": '
     if not len(intervals):
         return head + "[]\n}\n"
     rows = format_rows("    [%.17g, %.17g]", ",\n", intervals.starts, intervals.ends)
@@ -269,7 +264,7 @@ def _parse_json(text: str) -> IntervalSet:
         and set(map(type, chain.from_iterable(raw))) <= {int, float}
     ):
         raise ParseError("'intervals' must be a list of [start, end] number pairs")
-    for key, (types, kind) in _HEADER.items():
+    for key, (types, kind, _) in _HEADER.items():
         value = doc.get(key)
         if value is not None and type(value) not in types:
             raise ParseError(f"'{key}' must be {kind} or null, got {json.dumps(value)}")

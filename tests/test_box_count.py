@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_kernel import box_count as reference_count
 
@@ -253,6 +253,48 @@ def test_layout_is_computed_once_per_set():
     s = construct_prefractal(CantorParams(2, 1 / 3, 0.0, 6))
     assert s._box_layout is s._box_layout
     assert same_layout(s._box_layout, kernel.set_layout(s.starts, s.ends))
+
+
+# -- the width keys of gaps and of half box sizes
+
+
+def key(width):
+    """The width key, unclipped, from the binary64 pattern as a Python int."""
+    return (int(np.float64(width).view(np.int64)) >> kernel.KEY_SHIFT) - kernel.KEY_BASE
+
+
+# bit patterns of finite floats of either sign, many a few ulps from a binade edge
+finite_bits = st.builds(
+    lambda negative, exponent, mantissa: (negative << 63) | (exponent << 52) | mantissa,
+    st.booleans(),
+    st.integers(0, 2046),
+    st.one_of(st.integers(0, 8), st.integers(2**52 - 9, 2**52 - 1), st.integers(0, 2**52 - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(finite_bits, min_size=2, max_size=40))
+def test_width_keys_never_decrease_with_the_width(bits):
+    widths = np.sort(np.array(bits, dtype=np.uint64).view(np.float64))
+    keys = kernel._width_keys(widths.copy())
+    assert keys.dtype == np.uint16
+    assert (np.diff(keys.astype(np.int64)) >= 0).all()
+    assert keys.max() <= kernel.KEY_TOP
+
+
+@pytest.mark.parametrize("width", [-5e-324, -(2.0**-53), -(2.0**-52), -4 * 2.0**-52, -0.0])
+def test_ulp_negative_widths_key_to_zero(width):
+    assert kernel._width_keys(np.array([width]))[0] == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(DELTA_FLOOR, 1.0))
+@example(DELTA_FLOOR)
+@example(1.0)
+def test_half_box_sizes_key_unclipped(delta):
+    # the suffix bound of box_counts needs key(delta/2) inside the clip range
+    assert 1152 <= key(0.5 * delta) <= 52224
+    assert kernel._width_keys(np.array([0.5 * delta]))[0] == key(0.5 * delta)
 
 
 # -- every set is counted from its gaps of width >= delta/2

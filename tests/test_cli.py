@@ -3,10 +3,14 @@
 import pytest
 
 from cantordim import (
+    CantorParams,
+    construct_prefractal,
     dimension_from_scale,
     emit_operator_grid,
+    estimate_dimension,
     export_intervals,
     import_intervals,
+    scale_ladder,
 )
 from cantordim.cli import main
 
@@ -159,6 +163,39 @@ class TestFileCommands:
         code, out, _ = run(capsys, "estimate", "--in", str(target), "--deltas", *deltas)
         assert code == 0
         assert "d_hat = 0.63092975357" in out
+
+    @pytest.fixture
+    def saved_set(self, tmp_path):
+        """A stage-6 set saved as JSON (with its parameters) and as CSV (without)."""
+        s = construct_prefractal(CantorParams(2, 1 / 3, 0.0, 6))
+        for fmt in ("json", "csv"):
+            (tmp_path / f"set.{fmt}").write_text(export_intervals(s, fmt))
+        return s, tmp_path
+
+    @pytest.mark.parametrize("per_level", [None, 4])
+    def test_estimate_per_level(self, saved_set, capsys, per_level):
+        s, folder = saved_set
+        flags = () if per_level is None else ("--per-level", str(per_level))
+        code, out, _ = run(capsys, "estimate", "--in", str(folder / "set.json"), *flags,
+                           "--digits", "17")
+        deltas = None if per_level is None else scale_ladder(1 / 3, 6, per_level)
+        est = estimate_dimension(s, deltas)
+        assert (code, out) == (0, f"d_hat = {est.d_hat:.17g}\nstderr = {est.stderr:.17g}\n")
+
+    @pytest.mark.parametrize("per_level", ["0", "-3", "10001"])
+    def test_estimate_per_level_out_of_range(self, saved_set, capsys, per_level):
+        _, folder = saved_set
+        code, out, err = run(capsys, "estimate", "--in", str(folder / "set.json"),
+                             "--per-level", per_level)
+        assert (code, out) == (1, "")
+        assert err == f"error: per_level must lie in [1, 10000], got {per_level}\n"
+
+    def test_estimate_per_level_needs_parameters(self, saved_set, capsys):
+        _, folder = saved_set
+        code, out, err = run(capsys, "estimate", "--in", str(folder / "set.csv"),
+                             "--per-level", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: no deltas given and the set carries no construction parameters\n"
 
     def test_estimate_missing_file(self, capsys):
         code, _, err = run(capsys, "estimate", "--in", "/nonexistent/set.json")

@@ -15,6 +15,7 @@ from cantordim import (
     regular_epsilon,
     stage_one_offsets,
 )
+from cantordim.geometry import OVERLAP_TOL
 
 TOL = 1e-12
 
@@ -224,6 +225,30 @@ class TestGapWidths:
             )
             s = construct_prefractal(CantorParams(n, gamma, eps, 1))
             assert n * gamma + gap_widths(s).sum() == pytest.approx(1.0, abs=TOL)
+
+
+class TestTouchTolerance:
+    # 2*OVERLAP_TOL - OVERLAP_TOL is exact, and so is every difference below
+    # (Sterbenz), so each overlap or gap is exactly the width named
+
+    def test_overlap_of_the_tolerance_is_admitted(self):
+        s = IntervalSet([0.0, OVERLAP_TOL], [2 * OVERLAP_TOL, 0.5])
+        assert s.starts[1] - s.ends[0] == -OVERLAP_TOL
+
+    def test_wider_overlap_is_rejected(self):
+        with pytest.raises(InvariantError, match="overlap"):
+            IntervalSet([0.0, np.nextafter(OVERLAP_TOL, 0.0)], [2 * OVERLAP_TOL, 0.5])
+
+    def test_gap_of_the_tolerance_is_dropped(self):
+        s = IntervalSet([0.0, 2 * OVERLAP_TOL], [OVERLAP_TOL, 1.0])
+        assert s.starts[1] - s.ends[0] == OVERLAP_TOL
+        assert len(gap_widths(s)) == 0
+
+    def test_wider_gap_is_kept(self):
+        start = np.nextafter(2 * OVERLAP_TOL, 1.0)
+        s = IntervalSet([0.0, start], [OVERLAP_TOL, 1.0])
+        assert gap_widths(s).tolist() == [start - OVERLAP_TOL]
+        assert start - OVERLAP_TOL > OVERLAP_TOL
 
 
 class TestIntervalSet:
