@@ -113,12 +113,12 @@ def estimate_dimension(
     deltas = [check_real(d, "box size", DELTA_FLOOR, 1) for d in deltas]
     if len(set(deltas)) < 3:
         raise DomainError("need at least 3 distinct box sizes")
-    return _fit(deltas, [box_count(intervals, d) for d in deltas])
+    counts = [box_count(intervals, d) for d in deltas]
+    return DimensionEstimate(*_fit(deltas, counts), tuple(map(BoxCountSample, deltas, counts)))
 
 
-def _fit(deltas: list[float], counts: list[int]) -> DimensionEstimate:
-    """Least-squares slope of ln(count) versus ln(1/delta) over a counted ladder."""
-    samples = tuple(map(BoxCountSample, deltas, counts))
+def _fit(deltas: list[float], counts: list[int]) -> tuple[float, float]:
+    """(slope, its standard error) of ln(count) versus ln(1/delta) over a counted ladder."""
     counts = np.array(counts, dtype=np.float64)
     if (counts == counts[0]).all():
         raise FitDegenerate(f"all {len(counts)} box counts equal {int(counts[0])}")
@@ -129,7 +129,7 @@ def _fit(deltas: list[float], counts: list[int]) -> DimensionEstimate:
     resid = y - (y.mean() + slope * dx)
     dof = len(x) - 2
     stderr = float(math.sqrt((resid @ resid) / dof / (dx * dx).sum())) if dof > 0 else float("nan")
-    return DimensionEstimate(slope, stderr, samples)
+    return slope, stderr
 
 
 @dataclass(frozen=True)
@@ -226,10 +226,10 @@ def verify_operator_geometrically(
     except (CapExceeded, DomainError) as exc:
         return unverifiable(str(exc))
     counts = _kernels_py.box_counts(prefractal._box_layout, deltas, SNAP_ETA)
-    estimate = _fit(deltas, counts)
-    err = abs(estimate.d_hat - result.d)
+    d_hat, stderr = _fit(deltas, counts)
+    err = abs(d_hat - result.d)
     status = "pass" if err <= tolerance * result.d else "fail"
     return VerificationReport(
         op_tag, d_a, d_b, n, stage, tolerance, result.d, result.gamma, status,
-        d_hat=estimate.d_hat, abs_error=err, counts=tuple(counts), stderr=estimate.stderr,
+        d_hat=d_hat, abs_error=err, counts=tuple(counts), stderr=stderr,
     )

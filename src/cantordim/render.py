@@ -3,11 +3,8 @@
 Outputs are pure functions of their inputs (fixed float formatting, no
 timestamps), so identical calls produce identical bytes. Grid sheets take
 each operator's D formula and domain predicate from ``arith.OPERATOR_TABLE``
-and evaluate them on whole arrays; this module only samples and formats.
-Grid CSV values are written with 17 significant digits by the numpy
-formatter of ``serialize`` (``put_f17``), one character matrix per block of
-whole grid rows: each center is formatted once, its bytes are broadcast into
-the da and db fields, and no Python call is made per cell.
+and evaluate them on whole arrays; this module only samples them and draws
+the SVG. ``serialize.format_grid`` writes a sheet's CSV text.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from .arith import operator_row
 from .core import check_arity, check_index
 from .errors import CapExceeded
 from .geometry import DEFAULT_CAP, CantorParams, check_params, construct_prefractal
-from .serialize import _BLOCK, matrix_text, put_f17, row_matrix
+from .serialize import format_grid
 
 # ---------------------------------------------------------------------------
 # stage rendering
@@ -138,25 +135,4 @@ def emit_operator_grid(op_tag: str, resolution: int, n: int) -> tuple[GridSheet,
     if row.domain is not None:
         values[~row.domain(da, db)] = np.nan
     values.flags.writeable = False
-    sheet = GridSheet(op_tag, resolution, centers, values)
-
-    # each center is formatted once. The cells go in blocks of whole grid rows,
-    # at most _BLOCK cells, through one matrix: its db fields (the centers in
-    # order, once per grid row) are written once, and each block writes the
-    # da fields of its grid rows and formats its dc values
-    center_chars, center_keep, _ = row_matrix("%.17g", "", resolution)
-    put_f17(centers, center_chars, center_keep)
-    rows_per_block = max(1, _BLOCK // resolution)
-    k = min(rows_per_block, resolution)
-    chars, keep, (a, b, c) = row_matrix("%.17g,%.17g,%.17g", "\n", k * resolution)
-    grid_chars, grid_keep = chars.reshape(k, resolution, -1), keep.reshape(k, resolution, -1)
-    grid_chars[:, :, b], grid_keep[:, :, b] = center_chars, center_keep
-    lines = ["da,db,dc"]
-    for i in range(0, resolution, rows_per_block):
-        k = min(rows_per_block, resolution - i)
-        m = k * resolution
-        grid_chars[:k, :, a] = center_chars[i:i + k, None]
-        grid_keep[:k, :, a] = center_keep[i:i + k, None]
-        put_f17(values[i:i + k].ravel(), chars[:m, c], keep[:m, c])
-        lines.append(matrix_text(chars[:m], keep[:m], "\n"))
-    return sheet, "\n".join([*lines, ""])
+    return GridSheet(op_tag, resolution, centers, values), format_grid(centers, values)

@@ -1,4 +1,4 @@
-"""Lossless JSON/CSV serialization of interval sets.
+"""Lossless JSON/CSV serialization of interval sets, and the CSV of grid sheets.
 
 Floats are written with 17 significant decimal digits, which round-trips
 binary64 exactly; importing validates the interval-set invariants and the
@@ -6,7 +6,7 @@ JSON types of every field. All documents are UTF-8 text with LF line
 endings.
 
 Text is made and read in blocks of ``_BLOCK`` rows rather than one value at
-a time. Export (``format_rows``, shared with the grid CSV of ``render``)
+a time. Export (``format_rows``, and ``format_grid`` for grid sheets)
 lays a block out as one (rows x bytes) character matrix and a mask of the
 bytes to keep, and decodes it with one boolean compress: literal runs are
 constant columns, and every float column is a fixed 28-byte field written by
@@ -222,6 +222,33 @@ def format_rows(row: str, sep: str, *columns) -> list[str]:
     return blocks
 
 
+def format_grid(centers, values) -> str:
+    """The ``da,db,dc`` CSV of a grid sheet: ``values[i, j]`` at ``(centers[i], centers[j])``.
+
+    Each center is formatted once. The cells go in blocks of whole grid rows,
+    at most ``_BLOCK`` cells, through one matrix: its db fields (the centers
+    in order, once per grid row) are written once, and each block writes the
+    da fields of its grid rows and formats its dc values.
+    """
+    resolution = len(centers)
+    center_chars, center_keep, _ = row_matrix("%.17g", "", resolution)
+    put_f17(centers, center_chars, center_keep)
+    rows_per_block = max(1, _BLOCK // resolution)
+    k = min(rows_per_block, resolution)
+    chars, keep, (a, b, c) = row_matrix("%.17g,%.17g,%.17g", "\n", k * resolution)
+    grid_chars, grid_keep = chars.reshape(k, resolution, -1), keep.reshape(k, resolution, -1)
+    grid_chars[:, :, b], grid_keep[:, :, b] = center_chars, center_keep
+    lines = ["da,db,dc"]
+    for i in range(0, resolution, rows_per_block):
+        k = min(rows_per_block, resolution - i)
+        m = k * resolution
+        grid_chars[:k, :, a] = center_chars[i:i + k, None]
+        grid_keep[:k, :, a] = center_keep[i:i + k, None]
+        put_f17(values[i:i + k].ravel(), chars[:m, c], keep[:m, c])
+        lines.append(matrix_text(chars[:m], keep[:m], "\n"))
+    return "\n".join([*lines, ""])
+
+
 def export_intervals(intervals: IntervalSet, format: str = "json") -> str:
     """Serialize a set; round-trips bit-identically through import_intervals.
 
@@ -252,6 +279,8 @@ def _parse_json(text: str) -> IntervalSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}")
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "intervals" not in doc:
         raise ParseError("document must be an object with an 'intervals' field")
     raw = doc["intervals"]

@@ -1,5 +1,6 @@
 """The shared driver of the benchmark scripts: the paired verdict, the check before timing, the report."""
 
+import ast
 import json
 import runpy
 import sys
@@ -12,6 +13,7 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
 
 from _host import paired_ratio  # noqa: E402
+from bench_boxcount import TIERS  # noqa: E402
 
 # a benchmark script whose one case answers with the text of ``answer`` in its tree
 STUB = f"""
@@ -95,3 +97,12 @@ def test_trees_that_agree_give_the_report(tmp_path, monkeypatch, capsys):
     assert row["median_ms"] == {"baseline": 1.0, "change": 1.0}
     assert row["speedup"] == "within noise"
     assert "only case" in capsys.readouterr().out
+
+
+def test_verify_tiers_are_perfbench_stages():
+    # bench_boxcount's verify rows claim the stages of perfbench's verify tiers
+    names = {f"{tier.upper()}_STAGE": tier for tier in ("small", "medium", "large")}
+    tree = ast.parse((BENCHMARKS.parent / "perfbench" / "workloads.py").read_text())
+    stages = {names[node.targets[0].id]: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") in names}
+    assert stages == TIERS

@@ -1,5 +1,7 @@
 """CLI surface: output formats, exit codes, thinness over the library."""
 
+import sys
+
 import pytest
 
 from cantordim import (
@@ -209,6 +211,17 @@ class TestFileCommands:
         code, out, err = run(capsys, "estimate", "--in", str(target))
         assert (code, out) == (1, "")
         assert err == "error: document is not UTF-8: invalid start byte (byte 1)\n"
+
+    @pytest.mark.parametrize("data", [
+        '{"x": ' + "[" * 2000 + "]" * 2000 + ', "intervals": []}',
+        '{"intervals": [[0, ' + "1" * (getattr(sys, "get_int_max_str_digits", int)() + 1) + "]]}",
+    ], ids=["deep nesting", "long integer"])
+    def test_estimate_hostile_json(self, tmp_path, capsys, data):
+        target = tmp_path / "set.json"
+        target.write_text(data)
+        code, out, err = run(capsys, "estimate", "--in", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("name, data", [
         ("set.csv", "start,end\n0.1,0.3\n0.2999999999995,0.29999999999975\n0.6,0.7\n"),

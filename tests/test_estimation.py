@@ -216,6 +216,22 @@ class TestVerifyOperator:
         assert report.counts == tuple(s.count for s in want.samples)
         assert [s.delta for s in report.samples] == ladder
 
+    def test_a_verify_builds_no_samples(self, monkeypatch):
+        built = []
+        sample = estimation.BoxCountSample
+        monkeypatch.setattr(estimation, "BoxCountSample",
+                            lambda *pair: built.append(pair) or sample(*pair))
+        report = verify_operator_geometrically("mul", 0.8, 0.8, 2, stage=10)
+        assert built == []
+        ladder = estimation._verify_ladder(report.gamma_c, report.stage)
+        assert report.samples == tuple(zip(ladder, report.counts))
+        built.clear()
+        s = triadic(5)
+        estimate = estimate_dimension(s, ladder[:40])
+        assert len(built) == 40
+        assert all(type(p) is sample for p in estimate.samples)
+        assert estimate.samples == tuple((d, box_count(s, d)) for d in ladder[:40])
+
     def test_unverifiable_report_has_no_fit(self):
         report = verify_operator_geometrically("div", 0.5, 0.5, 2, stage=5)
         assert (report.counts, report.samples, report.stderr) == ((), (), None)

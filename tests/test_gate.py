@@ -14,6 +14,7 @@ and edge cases (an empty set, a set of one interval) instead of bounds.
 import math
 import numbers
 import re
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,6 +72,12 @@ SET = construct_prefractal(CantorParams(3, 0.2, 0.0, 3))  # 27 intervals
 SETS = [
     IntervalSet([], []), IntervalSet([0.25], [0.5]), SET.params, SET.starts,
     (SET.starts, SET.ends), [SET],
+]
+# JSON that the decoder fails on with other errors than a syntax error: nesting past the
+# recursion limit in an ignored field, and an integer past the digit limit of int()
+HOSTILE_JSON = [
+    '{"x": ' + "[" * 2000 + "]" * 2000 + ', "intervals": []}',
+    '{"intervals": [[0, ' + "1" * (getattr(sys, "get_int_max_str_digits", int)() + 1) + "]]}",
 ]
 # drawn for a parameter-record parameter
 PARAMS = [CantorParams(2, 0.3, 0.0, 0), SET, (3, 0.2, 0.0, 3), {"n": 3, "gamma": 0.2}]
@@ -332,8 +339,8 @@ ENTRIES = {
     ),
     "import_intervals": Entry(
         cantordim.import_intervals, dict(data=cantordim.export_intervals(SET), format="json"),
-        dict(data=['{"intervals": []}', "start,end\n", b"\xff", b"start,end\n\xe9,1\n"],
-             format=["csv", "yaml"]),
+        dict(data=['{"intervals": []}', "start,end\n", b"\xff", b"start,end\n\xe9,1\n",
+                   *HOSTILE_JSON], format=["csv", "yaml"]),
         lambda r, a: isinstance(r, IntervalSet), errors=(ParseError, InvariantError),
     ),
 }

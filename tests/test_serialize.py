@@ -1,6 +1,7 @@
 """JSON/CSV round trips and malformed-document handling."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,34 @@ class TestImportErrors:
     def test_boolean_coordinates(self, row):
         with pytest.raises(ParseError):
             import_intervals(f'{{"intervals": [{row}]}}')
+
+
+class TestHostileJson:
+    """Documents on which the JSON decoder raises other errors than a syntax error."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+    INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+
+    @pytest.mark.parametrize("doc", [
+        '{{"ignored": {}, "intervals": []}}', '{{"intervals": {}}}', '{{"n": {}, "intervals": []}}',
+    ], ids=["ignored", "intervals", "n"])
+    def test_nesting_past_the_recursion_limit(self, doc):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            import_intervals(doc.format(self.DEEP))
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="integer strings have no digit limit")
+    @pytest.mark.parametrize("doc", ['{{"intervals": [[0, {}]]}}', '{{"n": {}, "intervals": []}}'],
+                             ids=["coordinate", "n"])
+    def test_integer_past_the_digit_limit(self, doc):
+        digits = "1" * (self.INT_DIGITS + 1)
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            import_intervals(doc.format(digits))
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="integer strings have no digit limit")
+    def test_integer_at_the_digit_limit_is_read(self):
+        # a coordinate of INT_DIGITS digits loads; it lies beyond binary64
+        with pytest.raises(InvariantError, match="must be finite"):
+            import_intervals('{"intervals": [[0, %s]]}' % ("1" * self.INT_DIGITS))
 
 
 class TestJsonHeaderTypes:
