@@ -10,10 +10,13 @@ a time. Export (``format_rows``, and ``format_grid`` for grid sheets)
 lays a block out as one (rows x bytes) character matrix and a mask of the
 bytes to keep, and decodes it with one boolean compress: literal runs are
 constant columns, and every float column is a fixed 28-byte field written by
-``put_f17``, whose kept bytes are ``'%.17g' % x``. JSON import checks the
-row and value types of the whole list at C level, and CSV import parses
-each block with one split and one ``map(float, ...)``. The bytes written and
-the arrays read are the same as with a per-value loop.
+``put_f17``, whose kept bytes are ``'%.17g' % x``. Import reads a document
+in the exporter's own layout with numpy (``_fast_json``, ``_fast_csv``) and
+gives every other document to ``json.loads`` or ``float`` (``_parse_json``,
+which checks the row and value types of the whole list at C level, and
+``_parse_csv``, which parses each block with one split and one
+``map(float, ...)``). The bytes written and the arrays read are the same as
+with a per-value loop.
 
 ``put_f17`` gets the 17 significant digits D and the decimal exponent k of
 each x in 1e-280 < x < 1 with numpy array operations. With k from
@@ -36,6 +39,43 @@ lies closer, such as the exact decimal tie 26215/2**18, takes
 an entry whose floor(y) falls outside [1e16, 1e17) (where log10 puts k one
 off near a power of ten), and one that rounds up to 1e17. NaN is written as
 ``nan`` on the fast path.
+
+The exporter's layouts are: for JSON, the ``_HEADER`` lines as export writes
+them, then ``'    [a, b]'`` rows joined by ``',\n'``, then ``'\n  ]\n}\n'``;
+for CSV, ``'start,end\n'``, then ``'a,b\n'`` rows. Every field is
+d[.d+][e-dd[d]], with at most 24 fraction digits. The header values are read
+by ``json.loads`` of the head alone, closed by ``']}'``, and meet the checks
+of ``_params``. Any other document declines whole to the ``json.loads`` or
+``float`` path, so its values, errors, messages and line numbers are that
+path's: one that is not ASCII, has a CR, a blank line or a missing final
+newline, another header (keys, order, spacing), an empty list, a field with
+a sign, a space, a tab, an ``E``, an ``_``, ``inf`` or ``nan``, a one- or
+four-digit exponent, more than 24 fraction digits, or any byte out of place.
+
+A block of ``_BLOCK`` fields gathers for each field the 24 bytes that end
+where its mantissa ends (one ``sliding_window_view`` row), keeps the f
+fraction digits and reads them as three uint64 of eight ASCII digits, each
+in three multiply-shift steps. With the lead digit d they make
+D = d * 10**f + fraction, and the value is y = D * 10**-m, m = f plus the
+exponent. An entry with D >= 10**17 (more than 17 significant digits) or
+m > 292 takes ``float()`` of its own text. Otherwise D < 2**57 splits into
+dh = fl(D) and the integer dl = D - dh, |dl| <= 2**-53 D. The table holds
+10**-m = hi + lo + e with hi = fl(10**-m) and lo = fl(10**-m - hi), both
+quotients of exact ints (``hi.as_integer_ratio()`` gives hi's); |e| <= 2**-104 hi
+for m <= 292, where hi >= 2**-971 keeps lo's rounding (at most 2**-1075 once
+lo is subnormal) that small, and not at m = 293. Dekker's two-product gives
+dh * hi = ph + pl, and tail = fl(fl(pl + fl(dh * lo)) + fl(dl * hi)) adds
+terms below 2**-51 y with roundings of at most 2**-104 y each; dl * lo and
+D * e are below 2**-104 y, and each partial product or sum that underflows
+errs by at most 2**-1075 < 2**-104 y. So s = ph + tail is within 2**-99 y of
+y. r = fl(s) is s correctly rounded, and e = fl((ph - r) + tail), with ph - r
+exact, is within 2**-45 ulp(r) of y - r. So r is y correctly rounded unless a
+rounding midpoint lies within 2**-45 ulp(r) of y. The midpoint above r lies
+ulp(r)/2 up, and the one below ulp(r)/2 down except at the binade edge:
+when r is a power of two, the spacing below r is half the spacing above, and
+that midpoint lies ulp(r)/4 down. An entry whose |e| lies within
+``_GUARD`` = 2**-40 ulp(r) of the distance to the midpoint on its side takes
+``float()``; so does D = 0, whose ulp reads 0.
 """
 
 from __future__ import annotations
@@ -44,12 +84,15 @@ import json
 from itertools import chain, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels_py import BLOCK as _BLOCK
 from .errors import DomainError, InvariantError, ParseError
 from .geometry import CantorParams, IntervalSet, check_intervals
 
 _FORMATS = ("json", "csv")
+_CSV_HEADER = "start,end"
+_JSON_TAIL = "\n  ]\n}\n"  # after the last row
 # header fields: the JSON types each accepts, how an error names them, how export writes them
 _HEADER = {
     "n": ((int,), "an integer", "%d"),
@@ -261,7 +304,7 @@ def export_intervals(intervals: IntervalSet, format: str = "json") -> str:
     check_intervals(intervals)
     if format == "csv":
         rows = format_rows("%.17g,%.17g", "\n", intervals.starts, intervals.ends)
-        return "\n".join(["start,end", *rows, ""])
+        return "\n".join([_CSV_HEADER, *rows, ""])
     p = intervals.params
     fields = (f'  "{key}": {fmt % getattr(p, key) if p else "null"},\n'
               for key, (_, _, fmt) in _HEADER.items())
@@ -270,8 +313,223 @@ def export_intervals(intervals: IntervalSet, format: str = "json") -> str:
         return head + "[]\n}\n"
     rows = format_rows("    [%.17g, %.17g]", ",\n", intervals.starts, intervals.ends)
     rows[0] = head + "[\n" + rows[0]
-    rows[-1] += "\n  ]\n}\n"
+    rows[-1] += _JSON_TAIL
     return ",\n".join(rows)
+
+
+def _params(doc: dict) -> CantorParams | None:
+    """The construction parameters of a JSON document's header fields, type-checked."""
+    for key, (types, kind, _) in _HEADER.items():
+        value = doc.get(key)
+        if value is not None and type(value) not in types:
+            raise ParseError(f"'{key}' must be {kind} or null, got {json.dumps(value)}")
+    fields = [doc.get(k) for k in _HEADER]
+    if any(v is None for v in fields):
+        return None
+    try:
+        return CantorParams(*fields)
+    except DomainError as exc:
+        raise InvariantError(f"invalid construction parameters in document: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# The exporter's layouts read in numpy blocks
+
+#: the table of 10**-m holds hi + lo within 2**-104 hi up to here; lo underflows beyond
+_M_MAX = 292
+#: bytes of the fraction window: a field's fraction digits end at its right edge
+_FRAC = 24
+#: bytes each block's copy of the text keeps on either side of its fields
+_PAD = 2 * _FRAC
+#: bytes of text scanned for row marks at a time, through one reused mask
+_SCAN = 1 << 18
+#: an entry whose residual lies this many ulps from a rounding midpoint takes float()
+_GUARD = 2.0**-40
+_ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
+_HIGH = np.uint64(int.from_bytes(b"\x80" * 8, "little"))
+_TO_HIGH = np.uint64(int.from_bytes(b"\x76" * 8, "little"))  # a byte above 9 reaches 0x80
+_JSON_HEAD = [b"{", *(f'  "{key}": '.encode() for key in _HEADER), b'  "intervals": [']
+_ROW = int.from_bytes(b"\0\n    [\0", "little")  # the "\n    [" after a row mark
+_ROW_MASK = int.from_bytes(b"\0" + b"\xff" * 6 + b"\0", "little")
+
+
+def _parse_tables():
+    """10**-m as (hi, the halves of hi, lo) rows, m <= _M_MAX; the masks of the last f bytes."""
+    rows, ten = [], 1  # ten = 10**m
+    for _ in range(_M_MAX + 1):
+        hi = 1 / ten
+        a, b = hi.as_integer_ratio()
+        rows.append((hi, (b - a * ten) / (b * ten)))  # lo = fl(10**-m - hi)
+        ten *= 10
+    hi, lo = np.array(rows).T
+    t = _SPLIT * hi
+    hi_h = t - (t - hi)
+    keep = np.arange(_FRAC) >= _FRAC - np.arange(_FRAC + 1)[:, None]
+    masks = (keep * np.uint8(0xFF)).view("<u8")  # (f, word) -> the bytes of the last f
+    return np.stack([hi, hi_h, hi - hi_h, lo]), masks
+
+
+_TEN, _FRAC_MASK = _parse_tables()
+_P10 = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _eight_digits(v):
+    """The number each uint64 of eight digit bytes (0-9, first digit lowest) spells."""
+    v *= np.uint64(2561)  # 10 * 256 + 1: pairs
+    v >>= np.uint64(8)
+    v &= np.uint64(0x00FF00FF00FF00FF)
+    v *= np.uint64(6553601)  # 100 * 2**16 + 1: quads
+    v >>= np.uint64(16)
+    v &= np.uint64(0x0000FFFF0000FFFF)
+    v *= np.uint64(42949672960001)  # 10**4 * 2**32 + 1: the eight
+    v >>= np.uint64(32)
+    return v.astype(np.int64)
+
+
+def _read_block(buf, s, t):
+    """The values of the fields ``buf[s:t]`` and the mask of those to take float().
+
+    None when a field is not d[.d+][e-dd[d]] (see the module docstring).
+    """
+    e3 = (buf[t - 5] == ord("e")) & (t - 5 > s)
+    e2 = (buf[t - 4] == ord("e")) & (t - 4 > s) & ~e3
+    end = t - 4 * e2 - 5 * e3  # where the mantissa ends
+    size = end - s
+    f = np.maximum(size - 2, 0)
+    lead = buf[s] - np.uint8(ord("0"))
+    ok = (lead < 10) & ((size == 1) | ((size >= 3) & (buf[s + 1] == ord(".")) & (f <= _FRAC)))
+    x1, x2, x3 = (buf[end + i] - np.uint8(ord("0")) for i in (2, 3, 4))
+    ok &= ~(e2 | e3) | ((buf[end + 1] == ord("-")) & (x1 < 10) & (x2 < 10) & (~e3 | (x3 < 10)))
+    if not ok.all():
+        return None
+    frac = sliding_window_view(buf, _FRAC)[end - _FRAC].view("<u8")
+    frac ^= _ZEROS
+    frac &= _FRAC_MASK.take(f, axis=0)
+    if (((frac + _TO_HIGH) | frac) & _HIGH).any():
+        return None
+    c = _eight_digits(frac)
+    two = x1 * 10 + x2
+    m = f + np.where(e3, two * np.int64(10) + x3, two * e2)
+    slow = (c[:, 0] >= 10) | ((lead > 0) & (f > 16)) | (m > _M_MAX)
+    # the slow entries' digits may not fit: keep them below 2**63 until float() replaces them
+    high = np.minimum(c[:, 0], 9)
+    digits = lead * _P10.take(np.minimum(f, 16)) + high * 10**16 + c[:, 1] * 10**8 + c[:, 2]
+    hi, hi_h, hi_l, lo = _TEN.take(np.minimum(m, _M_MAX), axis=1)
+    dh = digits.astype(np.float64)
+    dl = (digits - dh.astype(np.int64)).astype(np.float64)
+    ph = dh * hi
+    u = _SPLIT * dh
+    xh = u - (u - dh)
+    xl = dh - xh
+    pl = ((xh * hi_h - ph) + xh * hi_l + xl * hi_h) + xl * hi_l
+    tail = (pl + dh * lo) + dl * hi
+    r = ph + tail
+    e = (ph - r) + tail
+    bits = r.view(np.int64)
+    ulp = (bits & 0x7FF0000000000000).view(np.float64) * 2.0**-52
+    below = (e < 0) & ((bits & 0x000FFFFFFFFFFFFF) == 0)  # a power of two: half the spacing below
+    half = ulp * np.where(below, 0.25, 0.5)
+    slow |= np.abs(np.abs(e) - half) <= _GUARD * ulp
+    return r, slow
+
+
+def _read_fields(data: bytes, starts, ends):
+    """start, end, start, ... of the rows whose two fields span ``data[starts[i]:ends[i]]``.
+
+    ``starts`` and ``ends`` are pairs of offset arrays, for the first fields
+    and the second. None if a field is not of the layout. Each block of
+    ``_BLOCK`` fields reads its own copy of the text it spans, padded with
+    ``_PAD`` zeros.
+    """
+    s, t = np.stack(starts, axis=1).ravel(), np.stack(ends, axis=1).ravel()
+    text = np.frombuffer(data, np.uint8)
+    values = np.empty(len(s))
+    for i in range(0, len(s), _BLOCK):
+        bs, bt = s[i:i + _BLOCK], t[i:i + _BLOCK]
+        lo, hi = bs.min() - _PAD, bt.max() + _PAD
+        buf = np.zeros(hi - lo, np.uint8)
+        a, b = max(lo, 0), min(hi, len(text))
+        buf[a - lo:b - lo] = text[a:b]
+        block = _read_block(buf, bs - lo, bt - lo)
+        if block is None:
+            return None
+        values[i:i + len(bs)], slow = block
+        for j in np.flatnonzero(slow) + i:
+            values[j] = float(data[s[j]:t[j]])
+    return values
+
+
+def _marks(text, start: int, stop: int, test, byte: int):
+    """The offsets in ``text[start:stop]`` of the bytes that pass ``test(text, byte)``, in order."""
+    hit = np.empty(min(_SCAN, stop - start), bool)
+    found = []
+    for i in range(start, stop, _SCAN):
+        part = text[i:min(i + _SCAN, stop)]
+        found.append(np.flatnonzero(test(part, byte, out=hit[:len(part)])) + i)
+    return np.concatenate(found)
+
+
+def _fast_json(data: bytes) -> IntervalSet | None:
+    """The set of a document in ``export_intervals``' JSON layout, or None for any other."""
+    end = 0
+    for _ in _JSON_HEAD:
+        end = data.find(b"\n", end) + 1
+        if not end:
+            return None
+    lines = data[:end].split(b"\n")
+    tail = _JSON_TAIL.encode()
+    stop = len(data) - len(tail)
+    if not (
+        data.endswith(tail) and end < stop
+        and lines[0] == _JSON_HEAD[0] and lines[-2] == _JSON_HEAD[-1]
+        and all(line.startswith(key) and line.endswith(b",")
+                for line, key in zip(lines[1:-2], _JSON_HEAD[1:-1]))
+    ):
+        return None
+    try:
+        doc = json.loads(data[:end].decode("ascii") + "]}")
+    except (RecursionError, ValueError):
+        return None
+    text = np.frombuffer(data, np.uint8)
+    marks = _marks(text, end, stop, np.equal, ord(","))
+    if len(marks) % 2 != 1:
+        return None
+    # per row: the "," after a and the "," after the row's "]" (the tail's "\n" last)
+    comma, sep = np.append(marks, stop).reshape(-1, 2).T
+    close = sep - 1
+    row = np.empty(len(sep), np.int64)  # the byte ahead of each row's "\n    ["
+    row[0], row[1:] = end - 2, sep[:-1]
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes from each offset
+    if not (
+        (text[comma + 1] == ord(" ")).all() and (text[close] == ord("]")).all()
+        and ((words[row] & _ROW_MASK) == _ROW).all()
+    ):
+        return None
+    values = _read_fields(data, (row + 7, comma + 2), (comma, close))
+    if values is None:
+        return None
+    return IntervalSet(values[0::2], values[1::2], _params(doc))
+
+
+def _fast_csv(data: bytes) -> IntervalSet | None:
+    """The set of a document in ``export_intervals``' CSV layout, or None for any other."""
+    header = f"{_CSV_HEADER}\n".encode()
+    head = len(header)
+    if not (data.startswith(header) and len(data) > head and data.endswith(b"\n")):
+        return None
+    text = np.frombuffer(data, np.uint8)
+    marks = _marks(text, head, len(data), np.less_equal, ord(","))  # "," "\n" and any junk
+    if len(marks) % 2:
+        return None
+    comma, newline = marks.reshape(-1, 2).T
+    if not ((text[comma] == ord(",")).all() and (text[newline] == ord("\n")).all()):
+        return None
+    starts = np.empty(len(comma), np.int64)
+    starts[0], starts[1:] = head, newline[:-1] + 1
+    values = _read_fields(data, (starts, comma + 1), (comma, newline))
+    if values is None:
+        return None
+    return IntervalSet(values[0::2], values[1::2], None)
 
 
 def _parse_json(text: str) -> IntervalSet:
@@ -293,17 +551,7 @@ def _parse_json(text: str) -> IntervalSet:
         and set(map(type, chain.from_iterable(raw))) <= {int, float}
     ):
         raise ParseError("'intervals' must be a list of [start, end] number pairs")
-    for key, (types, kind, _) in _HEADER.items():
-        value = doc.get(key)
-        if value is not None and type(value) not in types:
-            raise ParseError(f"'{key}' must be {kind} or null, got {json.dumps(value)}")
-    params = None
-    fields = [doc.get(k) for k in _HEADER]
-    if all(v is not None for v in fields):
-        try:
-            params = CantorParams(*fields)
-        except DomainError as exc:
-            raise InvariantError(f"invalid construction parameters in document: {exc}")
+    params = _params(doc)
     try:
         values = np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw))
     except OverflowError:  # an integer too large for binary64; 1e999 loads as inf
@@ -313,8 +561,8 @@ def _parse_json(text: str) -> IntervalSet:
 
 def _parse_csv(text: str) -> IntervalSet:
     lines = text.splitlines()
-    if not lines or lines[0].strip() != "start,end":
-        raise ParseError("first line must be the header 'start,end'", "line 1")
+    if not lines or lines[0].strip() != _CSV_HEADER:
+        raise ParseError(f"first line must be the header '{_CSV_HEADER}'", "line 1")
     rows = list(filter(str.strip, lines[1:]))
     values = np.empty(2 * len(rows))
     for i in range(0, len(rows), _BLOCK):
@@ -349,6 +597,11 @@ def import_intervals(data, format: str = "json") -> IntervalSet:
         raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
     if not isinstance(data, (str, bytes)):
         raise DomainError(f"data must be str or bytes, got {type(data).__name__}")
+    raw = data.encode() if isinstance(data, str) and data.isascii() else data
+    if isinstance(raw, bytes):  # any other layout, and any str not ASCII, takes the path below
+        intervals = (_fast_json if format == "json" else _fast_csv)(raw)
+        if intervals is not None:
+            return intervals
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:

@@ -6,7 +6,10 @@ the seed's one-``format()``-per-value loops in ``reference_text.py``: on
 random bit patterns, at powers of ten, on decimal ties and special values,
 with the exponent estimate one off, at and around the block boundaries, and
 where whole blocks take the fallback. They also pin the bulk import checks
-to the seed's per-row checks, messages and line numbers.
+to the seed's per-row checks, messages and line numbers, and the block
+parser of exporter layouts to the ``json.loads``/``float`` path: exporter
+output is read by it bit-identically to ``float()``, and every document
+mutated out of the layout declines to that path, with its arrays or errors.
 """
 
 import json
@@ -27,6 +30,7 @@ from cantordim import (
     export_intervals,
     import_intervals,
 )
+from cantordim import serialize
 from cantordim._kernels_py import BLOCK as KERNEL_BLOCK
 from cantordim.serialize import _BLOCK, format_rows
 
@@ -307,3 +311,277 @@ class TestJsonOverflow:
     def test_coordinate_beyond_binary64_is_not_finite(self, literal):
         with pytest.raises(InvariantError, match="interval endpoints must be finite"):
             import_intervals(f'{{"intervals": [[0, 0.5], [0.75, {literal}]]}}')
+
+
+# ---------------------------------------------------------------------------
+# The exporter's layouts read in blocks against the present json.loads/float path
+
+
+def present(text, fmt):
+    """The per-document path every layout but the exporter's takes."""
+    return (serialize._parse_json if fmt == "json" else serialize._parse_csv)(text)
+
+
+def outcome(parse, *args):
+    """The bits and params a parser returns, or the type and message of what it raises."""
+    try:
+        s = parse(*args)
+    except (ParseError, InvariantError) as exc:
+        return type(exc), str(exc)
+    return s.starts.tobytes(), s.ends.tobytes(), s.params
+
+
+def fast(text, fmt):
+    """What the block parser alone makes of the document: None when it declines."""
+    return (serialize._fast_json if fmt == "json" else serialize._fast_csv)(text.encode())
+
+
+def same_outcome(text, fmt):
+    """str and bytes imports agree with the present path, and CSV with the per-row reference."""
+    want = outcome(present, text, fmt)
+    assert outcome(import_intervals, text, fmt) == want
+    assert outcome(import_intervals, text.encode(), fmt) == want
+    if fmt == "csv":
+        assert outcome(ref.import_csv, text) == want
+
+
+def mutate_field(text, fmt, literal, row=3, col=1):
+    """The document with field ``col`` of interval ``row`` written as ``literal``."""
+    lines = text.split("\n")
+    at = row + (6 if fmt == "json" else 1)
+    if fmt == "json":
+        fields = lines[at].strip().rstrip(",")[1:-1].split(", ")
+        fields[col] = literal
+        lines[at] = f"    [{fields[0]}, {fields[1]}]" + ("," if lines[at].endswith(",") else "")
+    else:
+        fields = lines[at].split(",")
+        fields[col] = literal
+        lines[at] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def swap_lines(i, j):
+    def swap(text):
+        lines = text.split("\n")
+        lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines)
+    return swap
+
+
+def in_rows(json_old, json_new, csv_old, csv_new, count=2):
+    """Replace the format's ``old`` by ``new`` ``count`` times past the first line."""
+    def mutate(text):
+        at = text.index("\n")
+        old, new = (json_old, json_new) if text.startswith("{") else (csv_old, csv_new)
+        return text[:at] + text[at:].replace(old, new, count)
+    return mutate
+
+
+LAYOUT_BREAKS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank line": lambda text: text.replace("\n", "\n\n", 3),
+    "trailing blank line": lambda text: text + "\n",
+    "bom": lambda text: "\ufeff" + text,
+    "no final newline": lambda text: text[:-1],
+    "truncated in a row": lambda text: text[: len(text) // 2],
+    "row without its end": in_rows(", ", "]\n", ",", "\n", 1),
+    "stray ]": in_rows("]", "]]", "\n", "]\n"),
+    "stray ,": in_rows(", ", ",, ", ",", ",,"),
+    "row on two lines": in_rows(", ", ",\n", ",", "\n,"),
+    "indent": in_rows("    [", "   [", "\n", "\n "),
+}
+# header changes: the block parser declines the first four; the others keep the
+# header's lines, so it reads the document and raises the present path's error
+JSON_HEADER_BREAKS = {
+    "reordered keys": swap_lines(1, 2),
+    "duplicate key": lambda text: text.replace('  "n"', '  "n": 3,\n  "n"', 1),
+    "intervals first": swap_lines(1, 5),
+    "nested header value": lambda text: text.replace('"n": ', '"n": [1, ', 1),
+    "wrong header type": lambda text: text.replace('"stage": 5', '"stage": true'),
+    "header value out of its domain": lambda text: text.replace('"stage": 5', '"stage": -5'),
+    "duplicate key on one line": lambda text: text.replace('"n": 7', '"n": 7, "n": 1.5'),
+}
+HEADER_ERRORS = ["wrong header type", "header value out of its domain", "duplicate key on one line"]
+# fields the block parser declines: separators, signs, capitals, specials, other exponents
+DECLINED_FIELDS = [
+    "1_0", "+1e-05", "1E-05", "-0", "01", " 1", "1\t", "1 ", "inf", "nan", "NaN", "1e999",
+    "1e-0005", "1e-5", "1e+05", "1.", ".5", "1.e-05", "0x1", "1e", "e-05", "", "1..5", "1.5.5",
+    "0.1234567890123456789012345",  # 25 fraction digits: past the fraction window
+]
+# fields of the layout's syntax the block parser reads, float() taking those it cannot prove
+TAKEN_FIELDS = [
+    "0", "0.5", "5e-324", "1e-400", "0.123456789012345678", "0.1234567890123456789012",
+    "9.9999999999999999e-02", "9.99999999999999999e-02", "1.23456789012345678e-05",
+    "1.2e-05", "1.5e-100", "0.00010000000000000001",
+]
+# one row's literals changed, keeping the number of row marks: (format, old, new)
+ROW_BREAKS = [
+    ("json", "\n    [", "\n    ("), ("json", "\n    [", "\n   x["), ("json", "],\n", "),\n"),
+    ("json", "],\n", "5,\n"), ("json", ", ", ",x"), ("json", ", ", " ,"),
+    ("csv", ",", " "), ("csv", ",", "\t"), ("csv", ",", "+"), ("csv", "\n", "\r"),
+]
+
+
+def documents():
+    """(name, format, text): constructed sets with their params, and paramless ones."""
+    return [
+        (f"{fmt} {name}", fmt, export_intervals(s, fmt))
+        for fmt in ("json", "csv")
+        for name, s in (("constructed", constructed(40)), ("paramless", paramless(40)))
+    ]
+
+
+class TestExporterLayoutOnly:
+    @pytest.mark.parametrize("name, fmt, text", documents())
+    def test_exporter_output_is_read_in_blocks(self, name, fmt, text):
+        assert fast(text, fmt) is not None
+        same_outcome(text, fmt)
+
+    @pytest.mark.parametrize("mutation", list(LAYOUT_BREAKS))
+    @pytest.mark.parametrize("name, fmt, text", documents())
+    def test_other_layouts_decline(self, name, fmt, text, mutation):
+        text = LAYOUT_BREAKS[mutation](text)
+        if text.isascii():
+            assert fast(text, fmt) is None
+        same_outcome(text, fmt)
+
+    @pytest.mark.parametrize("mutation", list(JSON_HEADER_BREAKS))
+    def test_json_headers_decline_or_fail_as_the_present_path(self, mutation):
+        text = JSON_HEADER_BREAKS[mutation](export_intervals(constructed(40), "json"))
+        if mutation in HEADER_ERRORS:
+            with pytest.raises((ParseError, InvariantError)):
+                fast(text, "json")
+        else:
+            assert fast(text, "json") is None
+        same_outcome(text, "json")
+
+    @pytest.mark.parametrize("literal", DECLINED_FIELDS)
+    @pytest.mark.parametrize("row, col", [(0, 0), (3, 1), (39, 1)])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fields_outside_the_syntax_decline(self, fmt, row, col, literal):
+        text = mutate_field(export_intervals(paramless(40), fmt), fmt, literal, row, col)
+        assert fast(text, fmt) is None
+        same_outcome(text, fmt)
+
+    @pytest.mark.parametrize("literal", TAKEN_FIELDS)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fields_of_the_syntax_are_read(self, fmt, literal):
+        text = mutate_field(export_intervals(IntervalSet([0.5], [1.0]), fmt), fmt, literal, 0, 0)
+        assert fast(text, fmt) is not None
+        assert import_intervals(text, fmt).starts.tolist() == [float(literal)]
+        same_outcome(text, fmt)
+
+    @pytest.mark.parametrize("fmt, old, new", ROW_BREAKS)
+    def test_row_literals_out_of_place_decline(self, fmt, old, new):
+        text = export_intervals(paramless(40), fmt)
+        at = text.index(old, text.index("\n", 40))  # in a row, past the header
+        text = text[:at] + new + text[at + len(old):]
+        assert fast(text, fmt) is None
+        same_outcome(text, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_empty_sets_decline(self, fmt):
+        text = export_intervals(IntervalSet(np.array([]), np.array([])), fmt)
+        assert fast(text, fmt) is None
+        same_outcome(text, fmt)
+
+    def test_a_bad_field_in_the_last_block(self):
+        text = export_intervals(constructed(_BLOCK + 10), "csv")
+        lines = text.split("\n")
+        lines[-3] = lines[-3].replace(",", ",+")
+        text = "\n".join(lines)
+        assert fast(text, "csv") is None
+        same_outcome(text, "csv")
+
+
+def roundtrip(values):
+    """Export and import a paramless set of the distinct values in [0, 1], bit-identically."""
+    x = np.unique(np.abs(np.asarray(values, dtype=np.float64)))  # abs: -0.0 as 0.0
+    x = x[np.isfinite(x) & (x <= 1.0)]
+    x = x[: len(x) // 2 * 2]
+    s = IntervalSet(x[0::2], x[1::2])
+    for fmt in ("json", "csv"):
+        text = export_intervals(s, fmt)
+        assert (fast(text, fmt) is not None) == (len(s) > 0)  # an empty set declines
+        assert same_bits(import_intervals(text, fmt), s)
+        assert same_bits(import_intervals(text.encode(), fmt), s)
+
+
+def powers_of_two():
+    """2**-k and the floats one ulp either side, for every k with 2**-k in (0, 1)."""
+    return [v for k in range(1, 1075) for v in neighbours(2.0**-k, 1)]
+
+
+class TestBlockConversion:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=64))
+    def test_random_bit_patterns(self, bits):
+        roundtrip(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(1e-300, 1.0), min_size=2, max_size=64))
+    def test_random_values_in_the_unit_interval(self, values):
+        roundtrip(values)
+
+    def test_powers_of_two_and_their_neighbours(self):
+        roundtrip(powers_of_two())
+
+    def test_exact_decimal_ties(self):
+        roundtrip([0.0, *TIES, 1.0])
+
+    def test_values_at_and_below_the_table(self):
+        rng = np.random.default_rng(8)
+        values = [*neighbours(1e-276, 3), *neighbours(1e-280, 3), *neighbours(2.5e-308), 5e-324]
+        roundtrip(values + (10.0 ** rng.uniform(-323, -270, 500)).tolist())
+
+    def test_a_set_where_every_entry_takes_float(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_GUARD", 1.0)  # every residual is within an ulp
+        roundtrip(powers_of_two())
+        s = constructed(_BLOCK + 1)
+        for fmt in ("json", "csv"):
+            back = import_intervals(export_intervals(s, fmt), fmt)
+            assert same_bits(back, s)
+
+    def test_exporter_output_takes_the_block_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("an exporter document went to the per-document path")
+
+        monkeypatch.setattr(serialize, "_parse_json", refuse)
+        monkeypatch.setattr(serialize, "_parse_csv", refuse)
+        for s in (constructed(_BLOCK + 1), paramless(_BLOCK + 1)):
+            for fmt in ("json", "csv"):
+                back = import_intervals(export_intervals(s, fmt), fmt)
+                assert same_bits(back, s)
+                assert back.params == (s.params if fmt == "json" else None)
+
+    def test_the_table_holds_ten_to_the_minus_m_within_2_to_the_minus_104(self):
+        from fractions import Fraction
+
+        hi, _, _, lo = serialize._TEN
+        for m in range(serialize._M_MAX + 1):
+            err = Fraction(1, 10**m) - Fraction(hi[m]) - Fraction(lo[m])
+            assert abs(err) <= Fraction(hi[m]) / 2**104, m
+        # one past the table lo has lost bits to underflow
+        nxt = 1 / 10 ** (serialize._M_MAX + 1)
+        a, b = nxt.as_integer_ratio()
+        err = Fraction(1, 10 ** (serialize._M_MAX + 1)) - Fraction(nxt) - Fraction(
+            (b - a * 10 ** (serialize._M_MAX + 1)) / (b * 10 ** (serialize._M_MAX + 1)))
+        assert abs(err) > Fraction(nxt) / 2**104
+
+    def test_the_guard_measures_the_spacing_below_a_power_of_two(self, monkeypatch):
+        # 0.49999999999999998 rounds up to 0.5, 0.07 ulp(0.5) above the midpoint below
+        # it, which lies a quarter ulp down; 0.50000000000000001 lies 0.41 ulp from the
+        # midpoint above. A guard 0.1 ulp wide flags the first alone: one that put the
+        # midpoint below half an ulp down would see it 0.32 ulp away and pass it.
+        taken = []
+
+        def traced(text):
+            taken.append(text)
+            return float(text)
+
+        monkeypatch.setattr(serialize, "_GUARD", 0.1)
+        monkeypatch.setattr(serialize, "float", traced, raising=False)
+        below = import_intervals("start,end\n0.49999999999999998,0.75\n", "csv")
+        above = import_intervals("start,end\n0.25,0.50000000000000001\n", "csv")
+        assert below.starts[0] == above.ends[0] == 0.5
+        assert taken == [b"0.49999999999999998"]
