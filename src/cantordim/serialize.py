@@ -18,6 +18,15 @@ which checks the row and value types of the whole list at C level, and
 ``map(float, ...)``). The bytes written and the arrays read are the same as
 with a per-value loop.
 
+The block loops of export, the grid CSV and the block parser run on every
+usable CPU (``_in_shares``): the blocks split into one contiguous share per
+CPU, at most one per block, and numpy releases the interpreter lock inside
+each block's kernels. A document of one block, or a process with one usable
+CPU, starts no thread. Each share holds its own scratch: one character
+matrix for export and the grid, and a block's copy of its text for import.
+A str document is encoded one scan chunk or one block span at a time, so no
+copy of the whole document is made.
+
 ``put_f17`` gets the 17 significant digits D and the decimal exponent k of
 each x in 1e-280 < x < 1 with numpy array operations. With k from
 ``floor(log10(x))`` and p = 16 - k, y = x * 10**p lies in [1e16, 1e17) <
@@ -43,14 +52,17 @@ off near a power of ten), and one that rounds up to 1e17. NaN is written as
 The exporter's layouts are: for JSON, the ``_HEADER`` lines as export writes
 them, then ``'    [a, b]'`` rows joined by ``',\n'``, then ``'\n  ]\n}\n'``;
 for CSV, ``'start,end\n'``, then ``'a,b\n'`` rows. Every field is
-d[.d+][e-dd[d]], with at most 24 fraction digits. The header values are read
-by ``json.loads`` of the head alone, closed by ``']}'``, and meet the checks
-of ``_params``. Any other document declines whole to the ``json.loads`` or
-``float`` path, so its values, errors, messages and line numbers are that
-path's: one that is not ASCII, has a CR, a blank line or a missing final
-newline, another header (keys, order, spacing), an empty list, a field with
-a sign, a space, a tab, an ``E``, an ``_``, ``inf`` or ``nan``, a one- or
-four-digit exponent, more than 24 fraction digits, or any byte out of place.
+d[.d+][e-dd[d]], with at most 24 fraction digits. One scan finds the row
+marks (every ``,`` in JSON, every byte up to ``,`` in CSV), and each block
+checks the literals right before and after its fields (``_row_words``)
+before it reads them. The header values are read by ``json.loads`` of the
+head alone, closed by ``']}'``, and meet the checks of ``_params``. Any
+other document declines whole to the ``json.loads`` or ``float`` path, so
+its values, errors, messages and line numbers are that path's: one that is
+not ASCII, has a CR, a blank line or a missing final newline, another
+header (keys, order, spacing), an empty list, a field with a sign, a space,
+a tab, an ``E``, an ``_``, ``inf`` or ``nan``, a one- or four-digit
+exponent, more than 24 fraction digits, or any byte out of place.
 
 A block of ``_BLOCK`` fields gathers for each field the 24 bytes that end
 where its mantissa ends (one ``sliding_window_view`` row), keeps the f
@@ -81,6 +93,8 @@ that midpoint lies ulp(r)/4 down. An entry whose |e| lies within
 from __future__ import annotations
 
 import json
+import os
+import threading
 from itertools import chain, repeat
 
 import numpy as np
@@ -100,6 +114,51 @@ _HEADER = {
     "epsilon": ((int, float), "a number", "%.17g"),
     "stage": ((int,), "an integer", "%d"),
 }
+
+
+def _in_shares(work, n: int, block: int, step: int | None = None) -> list:
+    """``[work(lo, hi) for each share]`` of ``range(n)``, the shares run on threads at once.
+
+    There is one share per usable CPU, at most one per ``block`` items; the
+    shares are contiguous runs of whole ``step``s (``block`` by default) as
+    equal as those allow. This thread runs the first share and each other
+    share gets a thread of its own, joined before the call returns; one share
+    starts no thread. numpy releases the interpreter lock in the block
+    kernels, so the shares run in parallel. An exception raised in any share
+    is raised here, the first share's first.
+    """
+    step = step or block
+    blocks = -(-n // block)
+    workers = 1
+    if blocks > 1:
+        try:
+            workers = min(len(os.sched_getaffinity(0)), blocks)
+        except AttributeError:  # a platform without CPU affinity
+            workers = min(os.cpu_count() or 1, blocks)
+    steps = -(-n // step)
+    cuts = [min(n, step * (steps * j // workers)) for j in range(workers + 1)]
+    results, errors = [None] * workers, [None] * workers
+
+    def run(j):
+        try:
+            results[j] = work(cuts[j], cuts[j + 1])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[j] = exc
+
+    started = []
+    try:
+        for j in range(1, workers):
+            thread = threading.Thread(target=run, args=(j,))
+            thread.start()
+            started.append(thread)
+        results[0] = work(cuts[0], cuts[1])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -251,45 +310,56 @@ def format_rows(row: str, sep: str, *columns) -> list[str]:
 
     ``row`` holds one ``%.17g`` per column, and the columns are equal-length
     float64 arrays. Each block is one string; the blocks are returned for
-    the caller to join with ``sep``. Every block reuses one matrix, whose
-    literals are written once.
+    the caller to join with ``sep``. The blocks are shared out as in
+    ``_in_shares``; every share reuses one matrix, whose literals are written
+    once.
     """
-    n = len(columns[0])
-    chars, keep, fields = row_matrix(row, sep, min(_BLOCK, n))
-    blocks = []
-    for i in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - i)
-        for column, field in zip(columns, fields):
-            put_f17(column[i:i + k], chars[:k, field], keep[:k, field])
-        blocks.append(matrix_text(chars[:k], keep[:k], sep))
-    return blocks
+
+    def share(lo, hi):
+        chars, keep, fields = row_matrix(row, sep, min(_BLOCK, hi - lo))
+        blocks = []
+        for i in range(lo, hi, _BLOCK):
+            k = min(_BLOCK, hi - i)
+            for column, field in zip(columns, fields):
+                put_f17(column[i:i + k], chars[:k, field], keep[:k, field])
+            blocks.append(matrix_text(chars[:k], keep[:k], sep))
+        return blocks
+
+    return list(chain.from_iterable(_in_shares(share, len(columns[0]), _BLOCK)))
 
 
 def format_grid(centers, values) -> str:
     """The ``da,db,dc`` CSV of a grid sheet: ``values[i, j]`` at ``(centers[i], centers[j])``.
 
     Each center is formatted once. The cells go in blocks of whole grid rows,
-    at most ``_BLOCK`` cells, through one matrix: its db fields (the centers
-    in order, once per grid row) are written once, and each block writes the
-    da fields of its grid rows and formats its dc values.
+    at most ``_BLOCK`` cells. The grid rows are shared out as in
+    ``_in_shares``, and each share writes through one matrix: its db fields
+    (the centers in order, once per grid row) are written once, and each
+    block writes the da fields of its grid rows and formats its dc values.
     """
     resolution = len(centers)
     center_chars, center_keep, _ = row_matrix("%.17g", "", resolution)
     put_f17(centers, center_chars, center_keep)
     rows_per_block = max(1, _BLOCK // resolution)
-    k = min(rows_per_block, resolution)
-    chars, keep, (a, b, c) = row_matrix("%.17g,%.17g,%.17g", "\n", k * resolution)
-    grid_chars, grid_keep = chars.reshape(k, resolution, -1), keep.reshape(k, resolution, -1)
-    grid_chars[:, :, b], grid_keep[:, :, b] = center_chars, center_keep
-    lines = ["da,db,dc"]
-    for i in range(0, resolution, rows_per_block):
-        k = min(rows_per_block, resolution - i)
-        m = k * resolution
-        grid_chars[:k, :, a] = center_chars[i:i + k, None]
-        grid_keep[:k, :, a] = center_keep[i:i + k, None]
-        put_f17(values[i:i + k].ravel(), chars[:m, c], keep[:m, c])
-        lines.append(matrix_text(chars[:m], keep[:m], "\n"))
-    return "\n".join([*lines, ""])
+
+    def share(lo, hi):
+        k = min(rows_per_block, hi - lo)
+        chars, keep, (a, b, c) = row_matrix("%.17g,%.17g,%.17g", "\n", k * resolution)
+        grid_chars, grid_keep = chars.reshape(k, resolution, -1), keep.reshape(k, resolution, -1)
+        grid_chars[:, :, b], grid_keep[:, :, b] = center_chars, center_keep
+        lines = []
+        for i in range(lo, hi, rows_per_block):
+            k = min(rows_per_block, hi - i)
+            m = k * resolution
+            grid_chars[:k, :, a] = center_chars[i:i + k, None]
+            grid_keep[:k, :, a] = center_keep[i:i + k, None]
+            put_f17(values[i:i + k].ravel(), chars[:m, c], keep[:m, c])
+            lines.append(matrix_text(chars[:m], keep[:m], "\n"))
+        return lines
+
+    # shares of whole grid rows: res 192 (blocks of 85, 85, 22 rows) splits 96 against 96
+    shares = _in_shares(share, resolution, rows_per_block, step=1)
+    return "\n".join(["da,db,dc", *chain.from_iterable(shares), ""])
 
 
 def export_intervals(intervals: IntervalSet, format: str = "json") -> str:
@@ -341,7 +411,7 @@ _M_MAX = 292
 _FRAC = 24
 #: bytes each block's copy of the text keeps on either side of its fields
 _PAD = 2 * _FRAC
-#: bytes of text scanned for row marks at a time, through one reused mask
+#: bytes of text scanned for row marks at a time, through one mask per share
 _SCAN = 1 << 18
 #: an entry whose residual lies this many ulps from a rounding midpoint takes float()
 _GUARD = 2.0**-40
@@ -349,8 +419,25 @@ _ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
 _HIGH = np.uint64(int.from_bytes(b"\x80" * 8, "little"))
 _TO_HIGH = np.uint64(int.from_bytes(b"\x76" * 8, "little"))  # a byte above 9 reaches 0x80
 _JSON_HEAD = [b"{", *(f'  "{key}": '.encode() for key in _HEADER), b'  "intervals": [']
-_ROW = int.from_bytes(b"\0\n    [\0", "little")  # the "\n    [" after a row mark
-_ROW_MASK = int.from_bytes(b"\0" + b"\xff" * 6 + b"\0", "little")
+
+
+def _row_words(before: tuple[bytes, bytes], after: tuple[bytes, bytes]):
+    """uint64 (mask, value) pairs of the literals right before and right after a row's two fields.
+
+    The literal before a field ends the 8 bytes that end where the field
+    starts; the literal after it starts the 8 bytes from where it ends.
+    """
+
+    def words(literals, align):
+        mask = [int.from_bytes(align(b"\xff" * len(x)), "little") for x in literals]
+        value = [int.from_bytes(align(x), "little") for x in literals]
+        return np.array(mask, np.uint64), np.array(value, np.uint64)
+
+    return words(before, lambda x: x.rjust(8, b"\0")), words(after, lambda x: x.ljust(8, b"\0"))
+
+
+_JSON_ROW = _row_words((b"\n    [", b", "), (b",", b"]"))
+_CSV_ROW = _row_words((b"\n", b","), (b",", b"\n"))
 
 
 def _parse_tables():
@@ -433,100 +520,120 @@ def _read_block(buf, s, t):
     return r, slow
 
 
-def _read_fields(data: bytes, starts, ends):
+def _span(data, start: int, stop: int):
+    """``data[start:stop]`` as uint8: a view of bytes, the encoded slice of an ASCII str.
+
+    A str is encoded a span at a time, so no copy of the whole document is made.
+    """
+    if isinstance(data, str):
+        return np.frombuffer(data[start:stop].encode(), np.uint8)
+    return np.frombuffer(memoryview(data)[start:stop], np.uint8)
+
+
+def _read_fields(data, starts, ends, row):
     """start, end, start, ... of the rows whose two fields span ``data[starts[i]:ends[i]]``.
 
     ``starts`` and ``ends`` are pairs of offset arrays, for the first fields
-    and the second. None if a field is not of the layout. Each block of
-    ``_BLOCK`` fields reads its own copy of the text it spans, padded with
-    ``_PAD`` zeros.
+    and the second, and ``row`` holds the literals that must come right
+    before and after each (``_row_words``). None if a literal is out of place
+    or a field is not of the layout. The blocks of ``_BLOCK`` fields are
+    shared out as in ``_in_shares``, and each share writes its own slice of
+    the values. Each block reads its own copy of the text it spans, padded
+    with ``_PAD`` zeros.
     """
     s, t = np.stack(starts, axis=1).ravel(), np.stack(ends, axis=1).ravel()
-    text = np.frombuffer(data, np.uint8)
+    (before_mask, before), (after_mask, after) = row
     values = np.empty(len(s))
-    for i in range(0, len(s), _BLOCK):
-        bs, bt = s[i:i + _BLOCK], t[i:i + _BLOCK]
-        lo, hi = bs.min() - _PAD, bt.max() + _PAD
-        buf = np.zeros(hi - lo, np.uint8)
-        a, b = max(lo, 0), min(hi, len(text))
-        buf[a - lo:b - lo] = text[a:b]
-        block = _read_block(buf, bs - lo, bt - lo)
-        if block is None:
-            return None
-        values[i:i + len(bs)], slow = block
-        for j in np.flatnonzero(slow) + i:
-            values[j] = float(data[s[j]:t[j]])
-    return values
+
+    def share(first, last):
+        for i in range(first, last, _BLOCK):
+            lo, hi = s[i:i + _BLOCK].min() - _PAD, t[i:i + _BLOCK].max() + _PAD
+            bs, bt = s[i:i + _BLOCK] - lo, t[i:i + _BLOCK] - lo
+            buf = np.zeros(hi - lo, np.uint8)
+            a, b = max(lo, 0), min(hi, len(data))
+            buf[a - lo:b - lo] = _span(data, a, b)
+            words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # 8 bytes from each
+            if not (((words[bs - 8].reshape(-1, 2) & before_mask) == before).all()
+                    and ((words[bt].reshape(-1, 2) & after_mask) == after).all()):
+                return False
+            block = _read_block(buf, bs, bt)
+            if block is None:
+                return False
+            values[i:i + len(bs)], slow = block
+            for j in np.flatnonzero(slow):
+                values[i + j] = float(buf[bs[j]:bt[j]].tobytes())
+        return True
+
+    return values if all(_in_shares(share, len(s), _BLOCK)) else None
 
 
-def _marks(text, start: int, stop: int, test, byte: int):
-    """The offsets in ``text[start:stop]`` of the bytes that pass ``test(text, byte)``, in order."""
-    hit = np.empty(min(_SCAN, stop - start), bool)
-    found = []
-    for i in range(start, stop, _SCAN):
-        part = text[i:min(i + _SCAN, stop)]
-        found.append(np.flatnonzero(test(part, byte, out=hit[:len(part)])) + i)
-    return np.concatenate(found)
+def _marks(data, start: int, stop: int, test, byte: int):
+    """The offsets in ``data[start:stop]`` of the bytes that pass ``test(text, byte)``, in order.
+
+    The text is scanned ``_SCAN`` bytes at a time, shared out as in
+    ``_in_shares``, each share through one reused mask.
+    """
+
+    def share(lo, hi):
+        hit = np.empty(min(_SCAN, hi - lo), bool)
+        found = []
+        for i in range(start + lo, start + hi, _SCAN):
+            part = _span(data, i, min(i + _SCAN, start + hi))
+            found.append(np.flatnonzero(test(part, byte, out=hit[:len(part)])) + i)
+        return found
+
+    return np.concatenate(list(chain.from_iterable(_in_shares(share, stop - start, _SCAN))))
 
 
-def _fast_json(data: bytes) -> IntervalSet | None:
-    """The set of a document in ``export_intervals``' JSON layout, or None for any other."""
+def _fast_json(data) -> IntervalSet | None:
+    """The set of a bytes or ASCII str document in ``export_intervals``' JSON layout, or None."""
+    newline = "\n" if isinstance(data, str) else b"\n"
     end = 0
     for _ in _JSON_HEAD:
-        end = data.find(b"\n", end) + 1
+        end = data.find(newline, end) + 1
         if not end:
             return None
-    lines = data[:end].split(b"\n")
-    tail = _JSON_TAIL.encode()
-    stop = len(data) - len(tail)
+    head = _span(data, 0, end).tobytes()
+    lines = head.split(b"\n")
+    stop = len(data) - len(_JSON_TAIL)
     if not (
-        data.endswith(tail) and end < stop
+        end < stop and _span(data, stop, len(data)).tobytes() == _JSON_TAIL.encode()
         and lines[0] == _JSON_HEAD[0] and lines[-2] == _JSON_HEAD[-1]
         and all(line.startswith(key) and line.endswith(b",")
                 for line, key in zip(lines[1:-2], _JSON_HEAD[1:-1]))
     ):
         return None
     try:
-        doc = json.loads(data[:end].decode("ascii") + "]}")
+        doc = json.loads(head.decode("ascii") + "]}")
     except (RecursionError, ValueError):
         return None
-    text = np.frombuffer(data, np.uint8)
-    marks = _marks(text, end, stop, np.equal, ord(","))
+    marks = _marks(data, end, stop, np.equal, ord(","))
     if len(marks) % 2 != 1:
         return None
     # per row: the "," after a and the "," after the row's "]" (the tail's "\n" last)
     comma, sep = np.append(marks, stop).reshape(-1, 2).T
-    close = sep - 1
-    row = np.empty(len(sep), np.int64)  # the byte ahead of each row's "\n    ["
-    row[0], row[1:] = end - 2, sep[:-1]
-    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes from each offset
-    if not (
-        (text[comma + 1] == ord(" ")).all() and (text[close] == ord("]")).all()
-        and ((words[row] & _ROW_MASK) == _ROW).all()
-    ):
-        return None
-    values = _read_fields(data, (row + 7, comma + 2), (comma, close))
+    first = np.empty(len(sep), np.int64)  # each row's a, after its "\n    ["
+    first[0], first[1:] = end + 5, sep[:-1] + 7
+    values = _read_fields(data, (first, comma + 2), (comma, sep - 1), _JSON_ROW)
     if values is None:
         return None
     return IntervalSet(values[0::2], values[1::2], _params(doc))
 
 
-def _fast_csv(data: bytes) -> IntervalSet | None:
-    """The set of a document in ``export_intervals``' CSV layout, or None for any other."""
+def _fast_csv(data) -> IntervalSet | None:
+    """The set of a bytes or ASCII str document in ``export_intervals``' CSV layout, or None."""
     header = f"{_CSV_HEADER}\n".encode()
     head = len(header)
-    if not (data.startswith(header) and len(data) > head and data.endswith(b"\n")):
+    if not (len(data) > head and _span(data, 0, head).tobytes() == header
+            and _span(data, len(data) - 1, len(data))[0] == ord("\n")):
         return None
-    text = np.frombuffer(data, np.uint8)
-    marks = _marks(text, head, len(data), np.less_equal, ord(","))  # "," "\n" and any junk
+    marks = _marks(data, head, len(data), np.less_equal, ord(","))  # "," "\n" and any junk
     if len(marks) % 2:
         return None
     comma, newline = marks.reshape(-1, 2).T
-    if not ((text[comma] == ord(",")).all() and (text[newline] == ord("\n")).all()):
-        return None
     starts = np.empty(len(comma), np.int64)
     starts[0], starts[1:] = head, newline[:-1] + 1
-    values = _read_fields(data, (starts, comma + 1), (comma, newline))
+    values = _read_fields(data, (starts, comma + 1), (comma, newline), _CSV_ROW)
     if values is None:
         return None
     return IntervalSet(values[0::2], values[1::2], None)
@@ -597,9 +704,9 @@ def import_intervals(data, format: str = "json") -> IntervalSet:
         raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
     if not isinstance(data, (str, bytes)):
         raise DomainError(f"data must be str or bytes, got {type(data).__name__}")
-    raw = data.encode() if isinstance(data, str) and data.isascii() else data
-    if isinstance(raw, bytes):  # any other layout, and any str not ASCII, takes the path below
-        intervals = (_fast_json if format == "json" else _fast_csv)(raw)
+    # any other layout, and any str not ASCII, takes the path below
+    if isinstance(data, bytes) or data.isascii():
+        intervals = (_fast_json if format == "json" else _fast_csv)(data)
         if intervals is not None:
             return intervals
     try:

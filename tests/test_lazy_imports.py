@@ -3,7 +3,9 @@
 The scalar path also leaves ``dataclasses`` (and the ``inspect`` it imports)
 unloaded: its records are named tuples. ``serialize``, which the CLI's
 numpy-bound commands import, builds its formatter tables from ints and numpy
-and loads neither ``fractions`` nor ``decimal``.
+and loads neither ``fractions`` nor ``decimal``; it shares its block loops
+among threads with ``threading`` alone, loads no ``concurrent.futures`` and
+starts no thread on import.
 
 Checks that depend on what has been imported run in a fresh interpreter,
 since this test process has long loaded numpy.
@@ -87,6 +89,15 @@ def test_numpy_bound_command_loads_numpy():
 def test_import_serialize_leaves_fractions_and_decimal_unloaded():
     code = "import sys\nimport cantordim.serialize\nprint('fractions' in sys.modules, 'decimal' in sys.modules)\n"
     assert fresh(code) == "False False"
+
+
+def test_import_serialize_leaves_concurrent_futures_unloaded_and_starts_no_thread():
+    # the block loops use threading, which numpy loads; concurrent.futures would cost ms
+    code = (
+        "import sys, threading\nimport cantordim.serialize\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    assert fresh(code) == "False 1"
 
 
 def test_every_export_resolves_on_first_access():
