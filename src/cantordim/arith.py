@@ -58,7 +58,10 @@ class OperatorRow(NamedTuple):
     the void set absorbs, else the (condition, message) a zero operand
     raises; ``off_domain`` is the (condition, message) of a pair outside the
     domain. ``exact`` is a further predicate on scalar operands only, which
-    the grid never reads (see ``render.emit_operator_grid``).
+    the grid never reads (see ``render.emit_operator_grid``). ``homogeneous``
+    marks a ``d`` of degree 1, d(s*a, s*b) = s*d(a, b), which the scalar
+    operators evaluate at operands scaled up by ``_LIFT`` where a*b
+    underflows.
     """
 
     d: Callable
@@ -67,6 +70,12 @@ class OperatorRow(NamedTuple):
     zero: Optional[tuple[str, str]] = None
     off_domain: Optional[tuple[str, str]] = None
     exact: Optional[Callable] = None
+    homogeneous: bool = False
+
+
+#: 2**563 lifts every product of positive binary64 operands to a normal number: the least,
+#: (2**-1074)**2 * 2**1126, is 2**-1022; operands up to 1 stay below 2**564
+_LIFT = 2.0**563
 
 
 def _below_exact_sub_bound(d_a: float, d_b: float) -> bool:
@@ -81,6 +90,7 @@ OPERATOR_TABLE = {
         d=lambda a, b: a * b / (a + b),
         domain=None,
         gamma=lambda ga, gb, b: ga * gb,
+        homogeneous=True,
     ),
     "sub": OperatorRow(
         d=lambda a, b: a * b / (b - a),
@@ -91,6 +101,7 @@ OPERATOR_TABLE = {
             "subtraction requires D_A < D_B/(1+D_B)",
         ),
         exact=_below_exact_sub_bound,
+        homogeneous=True,
     ),
     "mul": OperatorRow(
         d=lambda a, b: a * b,
@@ -139,6 +150,9 @@ def _apply(tag: str, d_a: float, d_b: float, n: int) -> OpResult:
     for inside in (row.domain, row.exact):
         if inside is not None and not inside(d_a, d_b):
             raise OpDomainError(tag, (d_a, d_b), *row.off_domain)
+    if row.homogeneous and d_a * d_b < sys.float_info.min:
+        # a*b would lose bits: scaling by a power of two is exact both ways
+        return _materialize(n, row.d(d_a * _LIFT, d_b * _LIFT) / _LIFT)
     return _materialize(n, row.d(d_a, d_b))
 
 

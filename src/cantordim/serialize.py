@@ -5,27 +5,27 @@ binary64 exactly; importing validates the interval-set invariants and the
 JSON types of every field. All documents are UTF-8 text with LF line
 endings.
 
-Text is made and read in blocks of ``_BLOCK`` rows rather than one value at
-a time. Export (``format_rows``, and ``format_grid`` for grid sheets)
-lays a block out as one (rows x bytes) character matrix and a mask of the
-bytes to keep, and decodes it with one boolean compress: literal runs are
-constant columns, and every float column is a fixed 28-byte field written by
-``put_f17``, whose kept bytes are ``'%.17g' % x``. Import reads a document
-in the exporter's own layout with numpy (``_fast_json``, ``_fast_csv``) and
-gives every other document to ``json.loads`` or ``float`` (``_parse_json``,
-which checks the row and value types of the whole list at C level, and
-``_parse_csv``, which parses each block with one split and one
-``map(float, ...)``). The bytes written and the arrays read are the same as
-with a per-value loop.
+Text is made in blocks of ``_BLOCK`` rows and read in spans of about
+``_SCAN`` bytes rather than one value at a time. Export (``format_rows``,
+and ``format_grid`` for grid sheets) lays a block out as one (rows x bytes)
+character matrix and a mask of the bytes to keep, and decodes it with one
+boolean compress: literal runs are constant columns, and every float column
+is a fixed 28-byte field written by ``put_f17``, whose kept bytes are
+``'%.17g' % x``. Import reads a document in the exporter's own layout with
+numpy (``_read_exported``) and gives every other document to ``json.loads``
+or ``float`` (``_parse_json``, which checks the row and value types of the
+whole list at C level, and ``_parse_csv``, which parses each block with one
+split and one ``map(float, ...)``). The bytes written and the arrays read
+are the same as with a per-value loop.
 
-The block loops of export, the grid CSV and the block parser run on every
-usable CPU (``_in_shares``): the blocks split into one contiguous share per
-CPU, at most one per block, and numpy releases the interpreter lock inside
-each block's kernels. A document of one block, or a process with one usable
-CPU, starts no thread. Each share holds its own scratch: one character
-matrix for export and the grid, and a block's copy of its text for import.
-A str document is encoded one scan chunk or one block span at a time, so no
-copy of the whole document is made.
+The blocks of export and the grid CSV, and the spans of import, run on
+every usable CPU (``_in_shares``): they split into one contiguous share per
+CPU, at most one per block or span, and numpy releases the interpreter lock
+inside their kernels. A document of one block or span, or a process with one
+usable CPU, starts no thread. Each share holds its own scratch: one
+character matrix for export and the grid, and for import one buffer for a
+span's copy of its text and its mask of row marks. A str document is encoded
+one span at a time, so no copy of the whole document is made.
 
 ``put_f17`` gets the 17 significant digits D and the decimal exponent k of
 each x in 1e-280 < x < 1 with numpy array operations. With k from
@@ -49,25 +49,27 @@ an entry whose floor(y) falls outside [1e16, 1e17) (where log10 puts k one
 off near a power of ten), and one that rounds up to 1e17. NaN is written as
 ``nan`` on the fast path.
 
-The exporter's layouts are: for JSON, the ``_HEADER`` lines as export writes
-them, then ``'    [a, b]'`` rows joined by ``',\n'``, then ``'\n  ]\n}\n'``;
-for CSV, ``'start,end\n'``, then ``'a,b\n'`` rows. Every field is
-d[.d+][e-dd[d]], with at most 24 fraction digits. One scan finds the row
-marks (every ``,`` in JSON, every byte up to ``,`` in CSV), and each block
-checks the literals right before and after its fields (``_row_words``)
-before it reads them. The header values are read by ``json.loads`` of the
-head alone, closed by ``']}'``, and meet the checks of ``_params``. Any
-other document declines whole to the ``json.loads`` or ``float`` path, so
+The exporter's layouts are written once, in ``_LAYOUTS``, for export and
+the block reader. Every field is d[.d+][e-dd[d]], with at most 24 fraction
+digits. The rows are cut into spans just after a newline. A span finds its
+row marks, checks the literals around its fields, and must end where its
+last row's ``sep`` ends (the last, where the tail starts): so every byte
+between head and tail lies in a checked field or a checked literal. The
+head runs to the first copy of the exporter head's last line; its values,
+read by ``json.loads`` of the head closed by ``']}'``, meet the checks of
+``_params`` once the rows are read (so the whole document loads with the
+same header) and must print back as the same head. Any other document
+declines whole to the ``json.loads`` or ``float`` path, so
 its values, errors, messages and line numbers are that path's: one that is
 not ASCII, has a CR, a blank line or a missing final newline, another
 header (keys, order, spacing), an empty list, a field with a sign, a space,
 a tab, an ``E``, an ``_``, ``inf`` or ``nan``, a one- or four-digit
 exponent, more than 24 fraction digits, or any byte out of place.
 
-A block of ``_BLOCK`` fields gathers for each field the 24 bytes that end
-where its mantissa ends (one ``sliding_window_view`` row), keeps the f
-fraction digits and reads them as three uint64 of eight ASCII digits, each
-in three multiply-shift steps. With the lead digit d they make
+A span gathers for each field the 24 bytes that end where its mantissa
+ends (one ``sliding_window_view`` row), keeps the f fraction digits and
+reads them as three uint64 of eight ASCII digits, each in three
+multiply-shift steps. With the lead digit d they make
 D = d * 10**f + fraction, and the value is y = D * 10**-m, m = f plus the
 exponent. An entry with D >= 10**17 (more than 17 significant digits) or
 m > 292 takes ``float()`` of its own text. Otherwise D < 2**57 splits into
@@ -95,6 +97,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections import namedtuple
 from itertools import chain, repeat
 
 import numpy as np
@@ -104,9 +107,7 @@ from ._kernels_py import BLOCK as _BLOCK
 from .errors import DomainError, InvariantError, ParseError
 from .geometry import CantorParams, IntervalSet, check_intervals
 
-_FORMATS = ("json", "csv")
 _CSV_HEADER = "start,end"
-_JSON_TAIL = "\n  ]\n}\n"  # after the last row
 # header fields: the JSON types each accepts, how an error names them, how export writes them
 _HEADER = {
     "n": ((int,), "an integer", "%d"),
@@ -114,6 +115,37 @@ _HEADER = {
     "epsilon": ((int, float), "a number", "%.17g"),
     "stage": ((int,), "an integer", "%d"),
 }
+
+
+def _json_head(params) -> str:
+    """The JSON lines export writes before the first row: the header fields, the list opened."""
+    fields = (f'  "{key}": {fmt % getattr(params, key) if params else "null"},\n'
+              for key, (_, _, fmt) in _HEADER.items())
+    return "{\n" + "".join(fields) + '  "intervals": [\n'
+
+
+# A format's document as export writes it and the block reader reads it back: head(params),
+# then rows "before a mid b after" joined by sep, then tail; a set without rows is the head
+# with empty in place of its last byte. mark(byte, ord(mid[0])) holds at the first byte of
+# mid and of sep and at no other byte of a row; loads(head) gives the fields of a head.
+_Layout = namedtuple("_Layout", "head empty loads before mid after sep tail mark")
+_LAYOUTS = {
+    "json": _Layout(
+        head=_json_head, empty="]\n}\n", loads=lambda head: json.loads(head + "]}"),
+        before="    [", mid=", ", after="]", sep=",\n", tail="\n  ]\n}\n", mark=np.equal,
+    ),
+    "csv": _Layout(
+        head=lambda params: _CSV_HEADER + "\n", empty="\n", loads=lambda head: {},
+        before="", mid=",", after="", sep="\n", tail="\n", mark=np.less_equal,
+    ),
+}
+
+
+def _layout(format) -> _Layout:
+    """The layout of a format name; any other value, unhashable ones too, is a DomainError."""
+    if isinstance(format, str) and format in _LAYOUTS:
+        return _LAYOUTS[format]
+    raise DomainError(f"format must be one of {tuple(_LAYOUTS)}, got {format!r}")
 
 
 def _in_shares(work, n: int, block: int, step: int | None = None) -> list:
@@ -365,26 +397,20 @@ def format_grid(centers, values) -> str:
 def export_intervals(intervals: IntervalSet, format: str = "json") -> str:
     """Serialize a set; round-trips bit-identically through import_intervals.
 
-    The document is one join of the row blocks, with the header and footer
-    on the first and last block, so at most the blocks and the document are
-    held at once.
+    The document is one join of the row blocks, with the head and tail on the
+    first and last block, so at most the blocks and the document are held at
+    once.
     """
-    if format not in _FORMATS:
-        raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
+    layout = _layout(format)
     check_intervals(intervals)
-    if format == "csv":
-        rows = format_rows("%.17g,%.17g", "\n", intervals.starts, intervals.ends)
-        return "\n".join([_CSV_HEADER, *rows, ""])
-    p = intervals.params
-    fields = (f'  "{key}": {fmt % getattr(p, key) if p else "null"},\n'
-              for key, (_, _, fmt) in _HEADER.items())
-    head = "{\n" + "".join(fields) + '  "intervals": '
+    head = layout.head(intervals.params)
     if not len(intervals):
-        return head + "[]\n}\n"
-    rows = format_rows("    [%.17g, %.17g]", ",\n", intervals.starts, intervals.ends)
-    rows[0] = head + "[\n" + rows[0]
-    rows[-1] += _JSON_TAIL
-    return ",\n".join(rows)
+        return head[:-1] + layout.empty
+    row = "%.17g".join([layout.before, layout.mid, layout.after])
+    rows = format_rows(row, layout.sep, intervals.starts, intervals.ends)
+    rows[0] = head + rows[0]
+    rows[-1] += layout.tail
+    return layout.sep.join(rows)
 
 
 def _params(doc: dict) -> CantorParams | None:
@@ -411,17 +437,16 @@ _M_MAX = 292
 _FRAC = 24
 #: bytes each block's copy of the text keeps on either side of its fields
 _PAD = 2 * _FRAC
-#: bytes of text scanned for row marks at a time, through one mask per share
-_SCAN = 1 << 18
+#: bytes of text in a span: each cut between spans moves on to the next row start
+_SCAN = 1 << 19
 #: an entry whose residual lies this many ulps from a rounding midpoint takes float()
 _GUARD = 2.0**-40
 _ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
 _HIGH = np.uint64(int.from_bytes(b"\x80" * 8, "little"))
 _TO_HIGH = np.uint64(int.from_bytes(b"\x76" * 8, "little"))  # a byte above 9 reaches 0x80
-_JSON_HEAD = [b"{", *(f'  "{key}": '.encode() for key in _HEADER), b'  "intervals": [']
 
 
-def _row_words(before: tuple[bytes, bytes], after: tuple[bytes, bytes]):
+def _row_words(layout: _Layout):
     """uint64 (mask, value) pairs of the literals right before and right after a row's two fields.
 
     The literal before a field ends the 8 bytes that end where the field
@@ -429,15 +454,13 @@ def _row_words(before: tuple[bytes, bytes], after: tuple[bytes, bytes]):
     """
 
     def words(literals, align):
+        literals = [x.encode() for x in literals]
         mask = [int.from_bytes(align(b"\xff" * len(x)), "little") for x in literals]
         value = [int.from_bytes(align(x), "little") for x in literals]
         return np.array(mask, np.uint64), np.array(value, np.uint64)
 
+    before, after = (layout.before, ""), (layout.mid, layout.after + layout.sep)  # mid: after a
     return words(before, lambda x: x.rjust(8, b"\0")), words(after, lambda x: x.ljust(8, b"\0"))
-
-
-_JSON_ROW = _row_words((b"\n    [", b", "), (b",", b"]"))
-_CSV_ROW = _row_words((b"\n", b","), (b",", b"\n"))
 
 
 def _parse_tables():
@@ -530,113 +553,88 @@ def _span(data, start: int, stop: int):
     return np.frombuffer(memoryview(data)[start:stop], np.uint8)
 
 
-def _read_fields(data, starts, ends, row):
-    """start, end, start, ... of the rows whose two fields span ``data[starts[i]:ends[i]]``.
+def _read_span(data, lo: int, hi: int, layout: _Layout, scratch):
+    """The values a, b, a, ... of the rows that ``data[lo:hi]`` holds, or None.
 
-    ``starts`` and ``ends`` are pairs of offset arrays, for the first fields
-    and the second, and ``row`` holds the literals that must come right
-    before and after each (``_row_words``). None if a literal is out of place
-    or a field is not of the layout. The blocks of ``_BLOCK`` fields are
-    shared out as in ``_in_shares``, and each share writes its own slice of
-    the values. Each block reads its own copy of the text it spans, padded
-    with ``_PAD`` zeros.
+    The span's text goes between ``_PAD`` zeros at the front of ``scratch``,
+    its mask of marks at the back; the span that ends where the tail starts
+    gets a ``sep`` in the tail's place. Each pair of marks gives a row's
+    fields, whose literals (``_row_words``) and syntax (``_read_block``) must
+    hold, and the last row's ``sep`` must end the span.
     """
-    s, t = np.stack(starts, axis=1).ravel(), np.stack(ends, axis=1).ravel()
-    (before_mask, before), (after_mask, after) = row
-    values = np.empty(len(s))
-
-    def share(first, last):
-        for i in range(first, last, _BLOCK):
-            lo, hi = s[i:i + _BLOCK].min() - _PAD, t[i:i + _BLOCK].max() + _PAD
-            bs, bt = s[i:i + _BLOCK] - lo, t[i:i + _BLOCK] - lo
-            buf = np.zeros(hi - lo, np.uint8)
-            a, b = max(lo, 0), min(hi, len(data))
-            buf[a - lo:b - lo] = _span(data, a, b)
-            words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # 8 bytes from each
-            if not (((words[bs - 8].reshape(-1, 2) & before_mask) == before).all()
-                    and ((words[bt].reshape(-1, 2) & after_mask) == after).all()):
-                return False
-            block = _read_block(buf, bs, bt)
-            if block is None:
-                return False
-            values[i:i + len(bs)], slow = block
-            for j in np.flatnonzero(slow):
-                values[i + j] = float(buf[bs[j]:bt[j]].tobytes())
-        return True
-
-    return values if all(_in_shares(share, len(s), _BLOCK)) else None
-
-
-def _marks(data, start: int, stop: int, test, byte: int):
-    """The offsets in ``data[start:stop]`` of the bytes that pass ``test(text, byte)``, in order.
-
-    The text is scanned ``_SCAN`` bytes at a time, shared out as in
-    ``_in_shares``, each share through one reused mask.
-    """
-
-    def share(lo, hi):
-        hit = np.empty(min(_SCAN, hi - lo), bool)
-        found = []
-        for i in range(start + lo, start + hi, _SCAN):
-            part = _span(data, i, min(i + _SCAN, start + hi))
-            found.append(np.flatnonzero(test(part, byte, out=hit[:len(part)])) + i)
-        return found
-
-    return np.concatenate(list(chain.from_iterable(_in_shares(share, stop - start, _SCAN))))
-
-
-def _fast_json(data) -> IntervalSet | None:
-    """The set of a bytes or ASCII str document in ``export_intervals``' JSON layout, or None."""
-    newline = "\n" if isinstance(data, str) else b"\n"
-    end = 0
-    for _ in _JSON_HEAD:
-        end = data.find(newline, end) + 1
-        if not end:
-            return None
-    head = _span(data, 0, end).tobytes()
-    lines = head.split(b"\n")
-    stop = len(data) - len(_JSON_TAIL)
-    if not (
-        end < stop and _span(data, stop, len(data)).tobytes() == _JSON_TAIL.encode()
-        and lines[0] == _JSON_HEAD[0] and lines[-2] == _JSON_HEAD[-1]
-        and all(line.startswith(key) and line.endswith(b",")
-                for line, key in zip(lines[1:-2], _JSON_HEAD[1:-1]))
-    ):
+    sep = layout.sep.encode()
+    last = hi == len(data) - len(layout.tail)
+    size = hi - lo + len(sep) * last
+    buf = scratch[:size + 2 * _PAD]
+    text = buf[_PAD:_PAD + size]
+    text[:hi - lo] = _span(data, lo, hi)
+    if last:
+        text[hi - lo:] = np.frombuffer(sep, np.uint8)
+    buf[_PAD + size:] = 0  # what an earlier, longer span left
+    hit = scratch[len(scratch) - size:].view(bool)
+    marks = np.flatnonzero(layout.mark(text, ord(layout.mid[0]), out=hit)) + _PAD
+    if not len(marks) or len(marks) % 2 or marks[-1] + len(sep) != _PAD + size:
         return None
+    s, t = np.empty_like(marks), marks
+    s[0], s[2::2] = _PAD, marks[1:-1:2] + len(sep)  # the row starts
+    s[0::2] += len(layout.before)
+    s[1::2] = marks[0::2] + len(layout.mid)
+    t[1::2] -= len(layout.after)
+    (before_mask, before), (after_mask, after) = _row_words(layout)
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # 8 bytes from each
+    if not (((words[s - 8].reshape(-1, 2) & before_mask) == before).all()
+            and ((words[t].reshape(-1, 2) & after_mask) == after).all()):
+        return None
+    block = _read_block(buf, s, t)
+    if block is None:
+        return None
+    values, slow = block
+    for j in np.flatnonzero(slow):
+        values[j] = float(buf[s[j]:t[j]].tobytes())
+    return values
+
+
+def _read_exported(data, layout: _Layout) -> IntervalSet | None:
+    """The set of a bytes or ASCII str document in ``export_intervals``' ``layout``, or None.
+
+    The spans (``_read_span``) are shared out as in ``_in_shares``; the head
+    is checked once they are read (see the module docstring).
+    """
+    find = data.find if isinstance(data, str) else lambda x, *at: data.find(x.encode(), *at)
+    first = layout.head(None)
+    line = first[first.rfind("\n", 0, -1) + 1:]
+    end = find(line) + len(line)
+    stop = len(data) - len(layout.tail)
+    if not (len(line) <= end < stop
+            and _span(data, stop, len(data)).tobytes() == layout.tail.encode()):
+        return None
+    head = _span(data, 0, end).tobytes()
     try:
-        doc = json.loads(head.decode("ascii") + "]}")
+        fields = layout.loads(head.decode("ascii"))
     except (RecursionError, ValueError):
         return None
-    marks = _marks(data, end, stop, np.equal, ord(","))
-    if len(marks) % 2 != 1:
-        return None
-    # per row: the "," after a and the "," after the row's "]" (the tail's "\n" last)
-    comma, sep = np.append(marks, stop).reshape(-1, 2).T
-    first = np.empty(len(sep), np.int64)  # each row's a, after its "\n    ["
-    first[0], first[1:] = end + 5, sep[:-1] + 7
-    values = _read_fields(data, (first, comma + 2), (comma, sep - 1), _JSON_ROW)
-    if values is None:
-        return None
-    return IntervalSet(values[0::2], values[1::2], _params(doc))
+    cuts = [end]
+    while cuts[-1] < stop:
+        at = find("\n", cuts[-1] + _SCAN - 1, stop) + 1  # 0: no newline before the tail
+        cuts.append(at or stop)
 
+    def share(lo, hi):
+        scratch = np.zeros(2 * (max(np.diff(cuts[lo:hi + 1])) + len(layout.sep) + _PAD), np.uint8)
+        spans = []
+        for j in range(lo, hi):
+            spans.append(_read_span(data, cuts[j], cuts[j + 1], layout, scratch))
+            if spans[-1] is None:
+                return None
+        return spans
 
-def _fast_csv(data) -> IntervalSet | None:
-    """The set of a bytes or ASCII str document in ``export_intervals``' CSV layout, or None."""
-    header = f"{_CSV_HEADER}\n".encode()
-    head = len(header)
-    if not (len(data) > head and _span(data, 0, head).tobytes() == header
-            and _span(data, len(data) - 1, len(data))[0] == ord("\n")):
+    shares = _in_shares(share, len(cuts) - 1, 1)
+    if any(spans is None for spans in shares):
         return None
-    marks = _marks(data, head, len(data), np.less_equal, ord(","))  # "," "\n" and any junk
-    if len(marks) % 2:
+    params = _params(fields)
+    if head != layout.head(params).encode():
         return None
-    comma, newline = marks.reshape(-1, 2).T
-    starts = np.empty(len(comma), np.int64)
-    starts[0], starts[1:] = head, newline[:-1] + 1
-    values = _read_fields(data, (starts, comma + 1), (comma, newline), _CSV_ROW)
-    if values is None:
-        return None
-    return IntervalSet(values[0::2], values[1::2], None)
+    spans = list(chain.from_iterable(shares))
+    return IntervalSet._owning(*(np.concatenate([v[i::2] for v in spans]) for i in (0, 1)), params)
 
 
 def _parse_json(text: str) -> IntervalSet:
@@ -700,13 +698,12 @@ def _csv_error(lines: list[str]) -> ParseError:
 
 def import_intervals(data, format: str = "json") -> IntervalSet:
     """Parse a document produced by export_intervals, validating all invariants."""
-    if format not in _FORMATS:
-        raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
+    layout = _layout(format)
     if not isinstance(data, (str, bytes)):
         raise DomainError(f"data must be str or bytes, got {type(data).__name__}")
     # any other layout, and any str not ASCII, takes the path below
     if isinstance(data, bytes) or data.isascii():
-        intervals = (_fast_json if format == "json" else _fast_csv)(data)
+        intervals = _read_exported(data, layout)
         if intervals is not None:
             return intervals
     try:

@@ -296,6 +296,50 @@ class TestOpResultInvariant:
             assert (r.d, r.gamma, r.underflow) == (0.0, 0.0, False)
 
 
+def bits_to_float(bits):
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+# positive binary64 values up to 1: hypothesis' float draws, and bit patterns, whose
+# exponents are uniform, so half lie below 2**-511 and some are subnormal
+POSITIVE = st.floats(5e-324, 1.0) | st.integers(1, 0x3FF0000000000000).map(bits_to_float)
+EXACT_D = {
+    "add": (add, lambda a, b: a * b / (a + b)),
+    "sub": (sub, lambda a, b: a * b / (b - a)),
+    "mul": (mul, lambda a, b: a * b),
+    "div": (div, lambda a, b: a / b),
+}
+
+
+class TestExactness:
+    @pytest.mark.parametrize("op", sorted(EXACT_D))
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(d_a=POSITIVE, d_b=POSITIVE)
+    def test_d_is_the_exact_value_to_three_roundings(self, op, d_a, d_b):
+        # three roundings of 2**-53 in the normal range, then at most half a
+        # subnormal ulp (2**-1075) when D_C is subnormal; a D_C of 0 is flagged
+        call, formula = EXACT_D[op]
+        try:
+            r = call(d_a, d_b, 3)
+        except OpDomainError:
+            return
+        exact = formula(Fraction(d_a), Fraction(d_b))
+        assert abs(Fraction(r.d) - exact) <= exact / 2**51 + Fraction(1, 2**1075)
+        assert r.d > 0.0 or r.underflow
+
+    @pytest.mark.parametrize(
+        "call, d",
+        [
+            (lambda: add(1e-200, 1e-200, 3), 5e-201),
+            (lambda: add(1e-160, 1e-160, 3), 5e-161),
+            (lambda: sub(1e-200, 2e-200, 3), 2e-200),
+        ],
+        ids=["add 1e-200", "add 1e-160", "sub 1e-200"],
+    )
+    def test_operands_whose_product_underflows(self, call, d):
+        assert call().d == d
+
+
 class TestAlgebraicLaws:
     def test_commutativity_exact(self, rng):
         for a, b in zip(proper(rng, 300), proper(rng, 300)):

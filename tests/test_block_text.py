@@ -13,6 +13,7 @@ mutated out of the layout declines to that path, with its arrays or errors.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,17 +324,20 @@ def present(text, fmt):
 
 
 def outcome(parse, *args):
-    """The bits and params a parser returns, or the type and message of what it raises."""
+    """The bits and params a parser returns, or the type and message of what it raises.
+
+    None when the parser declines (the block parser alone does).
+    """
     try:
         s = parse(*args)
     except (ParseError, InvariantError) as exc:
         return type(exc), str(exc)
-    return s.starts.tobytes(), s.ends.tobytes(), s.params
+    return None if s is None else (s.starts.tobytes(), s.ends.tobytes(), s.params)
 
 
 def fast(text, fmt):
     """What the block parser alone makes of the document: None when it declines."""
-    return (serialize._fast_json if fmt == "json" else serialize._fast_csv)(text.encode())
+    return serialize._read_exported(text.encode(), serialize._LAYOUTS[fmt])
 
 
 def same_outcome(text, fmt):
@@ -492,6 +496,37 @@ class TestExporterLayoutOnly:
         text = "\n".join(lines)
         assert fast(text, "csv") is None
         same_outcome(text, "csv")
+
+
+# what an edit writes: bytes of the layouts and others, alone and as lines, which a span
+# may end with
+FRAGMENTS = ["", "9", "\n", ",", " ", "]", "e", "x", "9\n", "x]\n", "1,2\n", ",\n", "\n\n",
+             "    [0, 1],\n"]
+SPAN_DOCS = {fmt: export_intervals(paramless(12, seed=3), fmt) for fmt in ("json", "csv")}
+
+
+class TestSpans:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_edited_documents_decline_or_read_as_the_present_path(self, data):
+        # a few bytes replaced (inserted, deleted or substituted), read in spans of a
+        # few rows, of one row or less, or with the first cut right after the edit:
+        # the block parser declines or gives the present path's values, params or error
+        fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
+        text = SPAN_DOCS[fmt]
+        line_starts = [i + 1 for i, c in enumerate(text) if c == "\n"]
+        at = data.draw(st.sampled_from(line_starts) | st.integers(0, len(text)), label="at")
+        removed = data.draw(st.sampled_from([0, 1, 3]), label="bytes removed")
+        new = data.draw(st.sampled_from(FRAGMENTS), label="bytes written")
+        text = text[:at] + new + text[at + removed:]
+        rows = text.index("[\n") + 2 if fmt == "json" else text.index("\n") + 1
+        # the first cut is the first line end at or after rows + scan - 1
+        right_after = range(max(1, at - rows + 1), at - rows + 1 + len(new))
+        scan = data.draw(st.sampled_from([16, 64, 333, *right_after]), label="span bytes")
+        with mock.patch.object(serialize, "_SCAN", scan):
+            block = outcome(fast, text, fmt)
+            assert block is None or block == outcome(present, text, fmt)
+            same_outcome(text, fmt)
 
 
 def roundtrip(values):

@@ -107,7 +107,7 @@ def test_more_workers_than_cores_switching_every_microsecond(monkeypatch):
                 started.clear()
                 for doc in (want[fmt], want[fmt].encode()):
                     assert bits(import_intervals(doc, fmt)) == want_back[fmt]
-                    assert len(started) == 6, "four shares of the row marks, four of the fields"
+                    assert len(started) == 3, "four shares of the spans"
                     started.clear()
             assert serialize.format_grid(sheet.centers, sheet.values) == want_grid
             assert len(started) == 3, "four shares of 300 grid rows"
@@ -162,7 +162,7 @@ def test_a_bad_field_in_the_last_share_declines_with_the_present_error(monkeypat
     text = text[:at] + "x" + text[at:]
     usable_cpus(monkeypatch, 2)
     before = threading.active_count()
-    assert (serialize._fast_json if fmt == "json" else serialize._fast_csv)(text) is None
+    assert serialize._read_exported(text, serialize._LAYOUTS[fmt]) is None
     with pytest.raises(ParseError) as want:
         (serialize._parse_json if fmt == "json" else ref.import_csv)(text)
     with pytest.raises(ParseError) as got:

@@ -40,6 +40,7 @@ from cantordim import (
     construct_prefractal,
     dimension_from_scale,
 )
+from cantordim import serialize
 from cantordim.core import MAX_ARITY, check_arity
 from cantordim.estimation import DELTA_FLOOR, LADDER_CAP
 from cantordim.geometry import DEFAULT_CAP, RESOLUTION_FLOOR
@@ -79,6 +80,27 @@ HOSTILE_JSON = [
     '{"x": ' + "[" * 2000 + "]" * 2000 + ', "intervals": []}',
     '{"intervals": [[0, ' + "1" * (getattr(sys, "get_int_max_str_digits", int)() + 1) + "]]}",
 ]
+
+
+def hostile_spans(fmt):
+    """Exporter documents that cut the block parser's spans oddly, each longer than a span.
+
+    A row longer than a span (spaces after its first field), a run of bare
+    newlines between two rows, and row marks with no newline at all.
+    """
+    text = cantordim.export_intervals(SET, fmt)
+    rows = text.index("[\n") + 2 if fmt == "json" else text.index("\n") + 1
+    first_end = text.index("\n", rows) + 1
+    tail = len(text) - len(serialize._LAYOUTS[fmt].tail)
+    return [
+        text[:rows] + text[rows:].replace(",", "," + " " * serialize._SCAN, 1),
+        text[:first_end] + "\n" * (2 * serialize._SCAN) + text[first_end:],
+        text[:rows] + "," * (serialize._SCAN + 1) + text[tail:],
+    ]
+
+
+HOSTILE_SPANS = {fmt: hostile_spans(fmt) for fmt in ("json", "csv")}
+
 # drawn for a parameter-record parameter
 PARAMS = [CantorParams(2, 0.3, 0.0, 0), SET, (3, 0.2, 0.0, 3), {"n": 3, "gamma": 0.2}]
 # drawn for an endpoint array: valid ones, then malformed ones
@@ -340,7 +362,7 @@ ENTRIES = {
     "import_intervals": Entry(
         cantordim.import_intervals, dict(data=cantordim.export_intervals(SET), format="json"),
         dict(data=['{"intervals": []}', "start,end\n", b"\xff", b"start,end\n\xe9,1\n",
-                   *HOSTILE_JSON], format=["csv", "yaml"]),
+                   *HOSTILE_JSON, *HOSTILE_SPANS["json"]], format=["csv", "yaml"]),
         lambda r, a: isinstance(r, IntervalSet), errors=(ParseError, InvariantError),
     ),
 }
@@ -392,6 +414,25 @@ def test_every_public_entry_fails_closed(name, data):
 def test_the_valid_arguments_pass_the_invariants(name):
     entry = ENTRIES[name]
     assert entry.check(entry.call(**entry.valid), entry.valid)
+
+
+def outcome(parse, *args):
+    """The bits and params of a parse, or the type and message of what it raises."""
+    try:
+        s = parse(*args)
+    except (ParseError, InvariantError) as exc:
+        return type(exc), str(exc)
+    return s.starts.tobytes(), s.ends.tobytes(), s.params
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", range(3), ids=["long row", "bare newlines", "no newline"])
+def test_hostile_spans_read_as_the_present_path(fmt, case):
+    text = HOSTILE_SPANS[fmt][case]
+    present = serialize._parse_json if fmt == "json" else serialize._parse_csv
+    want = outcome(present, text)
+    assert outcome(cantordim.import_intervals, text, fmt) == want
+    assert outcome(cantordim.import_intervals, text.encode(), fmt) == want
 
 
 PROBES = {  # each once returned a value or raised a generic error
