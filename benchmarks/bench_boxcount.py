@@ -20,6 +20,11 @@ Four layers, each case timed in worker processes of every tree:
 - verify: ``verify_operator_geometrically`` (``mul``) at the stage of each
   tier of the benchmark's verify workload, for arities 2-5.
 
+Each count and fit row also gives, per tree, the gap rows its box sizes
+visit: the sum of the sizes' suffix lengths in the set's layout, one
+sentinel row each included, as ``_kernels_py._suffix_lengths`` gives them (a
+tree from before that helper starts each suffix at delta/2).
+
 The ladders and the single size are also counted with the seed's numpy sweep
 kept in ``tests/reference_kernel.py``, in this process, and timed best of
 REFERENCE_REPEATS. Before anything is timed, every tree's counts must equal the
@@ -134,6 +139,8 @@ def worker(mode: str) -> None:
     import hashlib
 
     import cantordim
+    import numpy as np
+
     from cantordim import (IntervalSet, _kernels_py, box_count, construct_prefractal,
                            estimate_dimension, verify_operator_geometrically)
     from cantordim.estimation import SNAP_ETA
@@ -143,12 +150,19 @@ def worker(mode: str) -> None:
         counts = _kernels_py.box_counts(layout, deltas, SNAP_ETA)
         return counts, sum(getattr(field, "nbytes", 0) for field in layout)
 
+    def gap_rows(s, deltas):
+        keys, deltas = s._box_layout.keys, np.array(deltas)
+        suffixes = getattr(_kernels_py, "_suffix_lengths", None)
+        if suffixes is None:
+            return int((len(keys) - keys.searchsorted(_kernels_py._width_keys(0.5 * deltas))).sum())
+        return int(suffixes(keys, deltas, SNAP_ETA).sum())
+
     def laid_out(s):
         s = IntervalSet(s.starts, s.ends, s.params)
         s._box_layout  # noqa: B018 - computed once per set, before the timed call
         return s
 
-    result = {}
+    result, visited = {}, {}
     for name, kind, case in cases():
         # prepare() runs untimed before each call(prepared)
         prepare = lambda: None  # noqa: E731
@@ -160,6 +174,8 @@ def worker(mode: str) -> None:
             answer = lambda r: [r.status, r.d_hat]  # noqa: E731
         else:
             s, deltas = build_set(case)
+            if kind != "construct" and mode == "result":
+                visited[name] = gap_rows(s, [one_size(deltas)] if kind == "one size" else deltas)
             if kind == "construct":
                 call = lambda _: construct_prefractal(s.params)  # noqa: E731
                 answer = lambda r: hashlib.sha256(  # noqa: E731
@@ -183,6 +199,8 @@ def worker(mode: str) -> None:
             best = min(best, time.perf_counter() - t0)
         result[name] = best if mode == "time" else answer(out)
     result["backend"] = cantordim.BACKEND
+    if mode == "result":
+        result["gap_rows"] = visited
     print(json.dumps(result))
 
 
@@ -197,6 +215,9 @@ def check(answers):
 
     out = {}
     for name, kind, case in cases():
+        if kind in ("one size", "ladder", "fit"):
+            out[name] = {"gap_rows_visited": {label: a["gap_rows"][name]
+                                              for label, a in answers.items()}}
         if kind not in ("ladder", "one size"):
             agree(answers, [name])
             continue
@@ -211,7 +232,7 @@ def check(answers):
         for label, a in answers.items():
             if a[name]["counts"] != counts:
                 sys.exit(f"{name}: {label} box counts differ from the reference")
-        out[name] = dict(box_sizes=len(counts), occupied_cells=sum(counts),
+        out[name].update(box_sizes=len(counts), occupied_cells=sum(counts),
                          counts_equal_to_reference=True, reference_best_ms=round(best * 1e3, 3))
         if kind == "one size":
             out[name]["box_size"] = deltas[0]

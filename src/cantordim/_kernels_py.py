@@ -10,11 +10,12 @@ the tests compare counts exactly, and its docstring holds the proof.
 starts and ends are both sorted. ``set_layout`` gathers, once per set, what
 every box size reuses: the shortest interval, and the gaps sorted by width
 (by a 16-bit key), with the interval on either side of each. Every set is
-counted from its gaps at least half a cell wide, one sorted suffix of those
-rows; at a size where some interval may be thinner than the snap band, each
-row also tests its two neighbours for thinness. A row finds its cells with
-one multiply by fl(1/delta), and compares with the rounded cell boundaries
-only where the quotient lies near one.
+counted from its gaps at least about delta*(1 - 4*eta) wide, a margin below
+the least width that ``box_counts`` proves can hold an empty cell: one
+sorted suffix of those rows. At a size where some interval may be thinner
+than the snap band, each row also tests its two neighbours for thinness. A
+row finds its cells with one multiply by fl(1/delta), and compares with the
+rounded cell boundaries only where the quotient lies near one.
 """
 
 import sys
@@ -70,8 +71,8 @@ def _width_keys(widths):
     binary64 pattern, less those of 2**-52 and clipped to [0, KEY_TOP]:
     non-decreasing in the width, and 16 bits wide, so that one radix sort
     orders the gaps (a float64 argsort costs several times more). The gaps
-    of ``set_layout`` and the half box sizes of ``box_counts`` take the same
-    keys, as the suffix bound of ``box_counts`` needs.
+    of ``set_layout`` and the suffix bounds of ``box_counts`` take the same
+    keys, as that bound's proof needs.
     """
     keys = widths.view(np.int64)
     keys >>= KEY_SHIFT
@@ -137,10 +138,10 @@ def box_counts(layout, deltas, eta):
     non-decreasing, as those of an IntervalSet do.
 
     The counts are proved exact for eta = ``estimation.SNAP_ETA`` only, the
-    eta every caller passes: the delta/2 bound on the gap suffix below needs
-    eta < 1/4. On 30 random 50-interval sets at the sizes 2**-1 .. 2**-30,
-    none of the 900 counts differs from the reference at eta <= 0.24, but 7
-    do at eta = 0.3 and 76 at eta = 0.45.
+    eta every caller passes: the delta/2 term of the gap suffix's bound
+    below needs eta < 1/4. On 30 random 50-interval sets at the sizes
+    2**-1 .. 2**-30, none of the 900 counts differs from the reference at
+    eta <= 0.24, but 7 do at eta = 0.3 and 76 at eta = 0.45.
 
     Interval j covers the cells lo_j..hi_j. With a = fl(start_j + snap) and
     b = fl(end_j - snap), the ends rule takes lo_j, the largest k with
@@ -172,9 +173,9 @@ def box_counts(layout, deltas, eta):
         e_j = max(0, lo_{j+1} - hi_j - 1),
 
     the empty cells between interval j and interval j+1. Only a gap whose
-    computed width g = fl(s - e) is at least delta/2 can have e_j > 0
-    (s = start_{j+1}, e = end_j), so one searchsorted finds the suffix of
-    the gap rows to count, and the sentinel row gives the span.
+    computed width g = fl(s - e) is at least B(delta), below, can have
+    e_j > 0 (s = start_{j+1}, e = end_j), so one searchsorted finds the
+    suffix of the gap rows to count, and the sentinel row gives the span.
 
     Proof, for ends-rule cells first. Let K = lo_{j+1} >= hi_j + 2. By the
     definitions of lo and hi, fl(K*delta) <= a = fl(s + snap), and
@@ -183,22 +184,40 @@ def box_counts(layout, deltas, eta):
     s - e = a - b - 2*snap ± 2u >= delta - 2*snap - 4u; and s - e <= 1, so
     g >= s - e - u/2. With snap <= eta*delta*(1 + u):
 
-        g >= delta*(1 - 2*eta*(1 + u)) - 4.5u,
+        g >= B(delta) = delta*(1 - 2*eta*(1 + u)) - 4.5u.
 
-    which is at least delta/2 when delta*(1/2 - 2*eta*(1 + u)) >= 4.5u,
-    that is for every delta >= 9.993e-16 at eta = SNAP_ETA = 1e-6. That
-    covers every admitted box size: at DELTA_FLOOR = 1e-15, about 4.5 ulps
-    of 1, with 0.08% to spare. A thin neighbour only shrinks e_j: a thin
-    interval j+1 takes K - 1 or K for its ends-rule lo K, never more, and a
-    thin interval j takes at least its ends-rule lo minus 1, which is at
-    least its ends-rule hi. So a gap with e_j > 0 has a positive ends-rule
-    e_j as well, and the bound holds for every row.
+    A thin neighbour only shrinks e_j: a thin interval j+1 takes K - 1 or K
+    for its ends-rule lo K, never more, and a thin interval j takes at
+    least its ends-rule lo minus 1, which is at least its ends-rule hi. So
+    a gap with e_j > 0 has a positive ends-rule e_j as well, and the bound
+    holds for every row.
 
-    The keys are non-decreasing in the width, so every gap at least delta/2
-    wide has a key at least that of delta/2 (which lies in [1152, 52224]
-    for delta in [DELTA_FLOOR, 1], so no clip applies to it), and the suffix
-    from searchsorted(keys, key(delta/2)) holds all of them. It may also
-    hold gaps narrower than delta/2 by less than 2**-10 of it, the ones
+    The suffix starts at the key of (``_suffix_lengths``)
+
+        T(delta) = max(delta/2, fl(delta*fl(1 - 4*eta)) - 2**-50),
+
+    both terms computed in binary64, and T(delta) <= B(delta) for every
+    admitted box size. First, delta/2 <= B(delta) when
+    delta*(1/2 - 2*eta*(1 + u)) >= 4.5u, that is for every delta >= 9.993e-16
+    at eta = SNAP_ETA = 1e-6: at DELTA_FLOOR = 1e-15, about 4.5 ulps of 1,
+    with 0.08% to spare (this term needs eta < 1/4). Second, the exact value
+    of the other term, delta*(1 - 4*eta) - 2**-50, lies
+    2*eta*delta*(1 - u) + 3.5u below B(delta), and its roundings move it by
+    less: c = fl(1 - 4*eta) lies within u/2 of 1 - 4*eta (4*eta is exact,
+    and 1 - 4*eta lies in [1/2, 1)), p = fl(delta*c) within u*delta of
+    delta*c, and fl(p - 2**-50) within u*(p + 2**-50) of p - 2**-50, so
+    the three move it by at most 2.6u*delta + 8u**2, which is below
+    2*eta*delta*(1 - u) + 3.5u for every delta in [DELTA_FLOOR, 1] (at any
+    eta >= 0). So that term lies about 2*eta*delta below B(delta), while
+    delta*(1 - 2*eta) lies about 4.5u above it.
+
+    The keys are non-decreasing in the width, so every gap at least B(delta)
+    wide has a key at least that of T(delta), and the suffix from
+    searchsorted(keys, key(T(delta))) holds all of them. T(delta) lies in
+    [delta/2, 1), so its key lies in [1152, 53247] for delta in
+    [DELTA_FLOOR, 1], and no clip applies to it. The suffix may also hold
+    gaps narrower than B(delta): those between T(delta) and B(delta), and
+    those narrower than T(delta) by less than 2**-10 of it, the ones
     sharing its key; like every narrower gap (and the ulp-negative gaps of
     touching intervals, keyed 0) they have e_j = 0 and add nothing.
 
@@ -226,8 +245,9 @@ def box_counts(layout, deltas, eta):
     (r, 1) columns, while r * rows <= BLOCK. A size whose suffix is longer
     than BLOCK forms a group alone and runs BLOCK rows at a time. Two facts
     make the counts those of one size at a time. A row before a size's own
-    suffix adds exactly 0: its gap is narrower than delta/2, so e_j = 0 by
-    the bound above, with or without the thin test. And the thin test is a
+    suffix adds exactly 0: its gap's key is below that of T(delta), so the
+    gap is narrower than T(delta) <= B(delta), and e_j = 0 by the bound
+    above, with or without the thin test. And the thin test is a
     no-op at a thin-free size: there every interval has a < b, so
     fl(lo*delta) <= a < b gives hi >= lo, and no neighbour is thin. So a
     group runs the thin test when any of its sizes needs it;
@@ -238,7 +258,7 @@ def box_counts(layout, deltas, eta):
     n, end = len(deltas), len(layout.keys)
     if n == 0 or end == 0:
         return [0] * n
-    lengths = end - layout.keys.searchsorted(_width_keys(0.5 * deltas))  # of each size's suffix
+    lengths = _suffix_lengths(layout.keys, deltas, eta)
     if n == 1:
         return _count_groups(layout, deltas, [((0,), int(lengths[0]))], eta)
     # numpy runs a ufunc with an (r, 1) column operand over rows shorter than
@@ -247,6 +267,17 @@ def box_counts(layout, deltas, eta):
     with np.errstate():  # restores the buffer size on exit
         np.setbufsize(ROW_BUFFER)
         return _count_groups(layout, deltas, _groups(lengths.tolist()), eta)
+
+
+def _suffix_lengths(keys, deltas, eta):
+    """The rows of each size's gap suffix in the sorted ``keys``, the sentinel included.
+
+    A size counts the gaps keyed at least as T(delta) = max(delta/2,
+    fl(delta*fl(1 - 4*eta)) - 2**-50), which ``box_counts`` proves lies below
+    every gap that can hold an empty cell; ``deltas`` is a float64 array.
+    """
+    floor = np.maximum(0.5 * deltas, deltas * (1.0 - 4.0 * eta) - 2.0**-50)
+    return len(keys) - keys.searchsorted(_width_keys(floor))
 
 
 def _count_groups(layout, deltas, groups, eta):

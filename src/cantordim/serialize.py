@@ -51,9 +51,11 @@ off near a power of ten), and one that rounds up to 1e17. NaN is written as
 
 The exporter's layouts are written once, in ``_LAYOUTS``, for export and
 the block reader. Every field is d[.d+][e-dd[d]], with at most 24 fraction
-digits. The rows are cut into spans just after a newline. A span finds its
-row marks, checks the literals around its fields, and must end where its
-last row's ``sep`` ends (the last, where the tail starts): so every byte
+digits. The rows are cut into spans just after a newline. A span counts its
+row marks first and declines more than two per shortest row (two one-digit
+fields), so a span of marks builds no 8-byte offsets. It then finds the
+marks, checks the literals around its fields, and must end where its last
+row's ``sep`` ends (the last, where the tail starts): so every byte
 between head and tail lies in a checked field or a checked literal. The
 head runs to the first copy of the exporter head's last line; its values,
 read by ``json.loads`` of the head closed by ``']}'``, meet the checks of
@@ -571,8 +573,13 @@ def _read_span(data, lo: int, hi: int, layout: _Layout, scratch):
     if last:
         text[hi - lo:] = np.frombuffer(sep, np.uint8)
     buf[_PAD + size:] = 0  # what an earlier, longer span left
-    hit = scratch[len(scratch) - size:].view(bool)
-    marks = np.flatnonzero(layout.mark(text, ord(layout.mid[0]), out=hit)) + _PAD
+    hit = layout.mark(text, ord(layout.mid[0]), out=scratch[len(scratch) - size:].view(bool))
+    # each row holds two marks, and none is shorter than the row of two one-digit fields:
+    # more marks than that cannot be rows, so decline before building their offsets
+    shortest = len("0".join([layout.before, layout.mid, layout.after]) + layout.sep)
+    if np.count_nonzero(hit) > 2 * (size // shortest):
+        return None
+    marks = np.flatnonzero(hit) + _PAD
     if not len(marks) or len(marks) % 2 or marks[-1] + len(sep) != _PAD + size:
         return None
     s, t = np.empty_like(marks), marks
@@ -686,11 +693,12 @@ def _csv_error(lines: list[str]) -> ParseError:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            return ParseError(f"expected 2 fields, got {len(parts)}", f"line {lineno}")
+        fields = line.count(",") + 1  # counted, not split: a line may hold millions
+        if fields != 2:
+            return ParseError(f"expected 2 fields, got {fields}", f"line {lineno}")
+        start, _, end = line.partition(",")
         try:
-            float(parts[0]), float(parts[1])
+            float(start), float(end)
         except ValueError:
             return ParseError(f"non-numeric field in {line!r}", f"line {lineno}")
     raise AssertionError("a block failed but every row parses")

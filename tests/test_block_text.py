@@ -528,6 +528,19 @@ class TestSpans:
             assert block is None or block == outcome(present, text, fmt)
             same_outcome(text, fmt)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_span_of_the_shortest_rows_is_read(self, fmt):
+        # rows of two one-digit fields hold the most marks per byte that a span
+        # admits: counting the marks before reading them must not decline such a span
+        layout = serialize._LAYOUTS[fmt]
+        pairs = [(i % 9, i % 9 + 1) for i in range(1000)]
+        data = layout.sep.join(f"{layout.before}{a}{layout.mid}{b}{layout.after}"
+                               for a, b in pairs) + layout.tail
+        stop = len(data) - len(layout.tail)
+        scratch = np.zeros(2 * (stop + len(layout.sep) + serialize._PAD), np.uint8)
+        values = serialize._read_span(data, 0, stop, layout, scratch)
+        assert values is not None and values.tolist() == [float(v) for pair in pairs for v in pair]
+
 
 def roundtrip(values):
     """Export and import a paramless set of the distinct values in [0, 1], bit-identically."""

@@ -11,6 +11,7 @@ where sizes share blocks.
 
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -393,6 +394,49 @@ def test_wide_suffix_across_small_blocks(rng):
                 delta = min(2 * float(gaps[int(q * len(gaps))]), 1.0)
                 assert 2 * BLOCKS["small"] < wide_gaps(starts, ends, delta) < len(starts) - 1
                 assert_counts_match(starts, ends, [delta, nudged(delta, -1), nudged(delta, 1)])
+
+
+# -- each size visits only the gaps keyed at least as T(delta) <= B(delta)
+
+U = Fraction(1, 2**53)
+ALL_KEYS = np.arange(2**16, dtype=np.uint16)  # every width key, then the sentinel's
+
+
+def proved_bound(delta):
+    """B(delta) of the box_counts docstring, exactly: no narrower gap holds an empty cell."""
+    return Fraction(delta) * (1 - 2 * Fraction(SNAP_ETA) * (1 + U)) - Fraction(9, 2) * U
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats(DELTA_FLOOR, 1.0))
+@example(DELTA_FLOOR)
+@example(1.0)
+@example(1.7763710503686536e-15)  # about where the two terms of T(delta) cross
+def test_suffix_bound_lies_below_the_proved_one(delta):
+    bound = max(0.5 * delta, delta * (1.0 - 4.0 * SNAP_ETA) - 2.0**-50)  # T(delta)
+    assert Fraction(bound) <= proved_bound(delta)
+    assert 1152 <= key(bound) <= 53247
+    # the kernel's suffix over a table of every key starts at key(T(delta))
+    assert len(ALL_KEYS) - kernel._suffix_lengths(ALL_KEYS, np.array([delta]), SNAP_ETA)[0] == key(bound)
+
+
+def test_gaps_narrower_than_a_cell_are_not_visited(rng, blocks):
+    # wide intervals whose gaps all lie between delta/2 and 0.99*delta at every
+    # size: none can hold an empty cell, so each size's suffix is its sentinel alone
+    deltas = [2.5e-4, 3e-4, 3.5e-4, 3.98e-4]
+    m = 800
+    gaps = rng.uniform(2e-4, 2.4e-4, m - 1)
+    widths = rng.uniform(4e-4, 8e-4, m)
+    starts = 0.01 + np.concatenate([[0.0], np.cumsum(widths[:-1] + gaps)])
+    ends = starts + widths
+    s = IntervalSet(starts, ends)
+    computed = s.starts[1:] - s.ends[:-1]
+    for delta in deltas:
+        assert delta / 2 <= computed.min() and computed.max() <= 0.99 * delta
+        assert wide_gaps(starts, ends, delta) == m - 1  # all at least delta/2 wide
+    lengths = kernel._suffix_lengths(s._box_layout.keys, np.array(deltas), SNAP_ETA)
+    assert lengths.tolist() == [1] * len(deltas)
+    assert_counts_match(s.starts, s.ends, deltas)
 
 
 @st.composite

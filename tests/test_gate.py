@@ -15,6 +15,7 @@ import math
 import numbers
 import re
 import sys
+import tracemalloc
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -433,6 +434,27 @@ def test_hostile_spans_read_as_the_present_path(fmt, case):
     want = outcome(present, text)
     assert outcome(cantordim.import_intervals, text, fmt) == want
     assert outcome(cantordim.import_intervals, text.encode(), fmt) == want
+
+
+# every hostile span but the CSV bare newlines, which go to _parse_csv: its list of
+# lines holds 8 bytes a line, 16 times a document of blank lines
+@pytest.mark.parametrize("fmt, case", [("json", 0), ("json", 1), ("json", 2), ("csv", 0), ("csv", 2)])
+@pytest.mark.parametrize("kind", [str, bytes])
+def test_hostile_spans_take_memory_in_proportion(fmt, case, kind):
+    # a span of commas (or, in CSV, of spaces) is all marks; they are counted before
+    # their 8-byte offsets are built, and each comma of a line is counted, not split
+    text = HOSTILE_SPANS[fmt][case]
+    data = text if kind is str else text.encode()
+    present = serialize._parse_json if fmt == "json" else serialize._parse_csv
+    want = outcome(present, text)
+    tracemalloc.start()
+    try:
+        got = outcome(cantordim.import_intervals, data, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 5 * len(text)
 
 
 PROBES = {  # each once returned a value or raised a generic error
