@@ -23,7 +23,9 @@ Four layers, each case timed in worker processes of every tree:
 Each count and fit row also gives, per tree, the gap rows its box sizes
 visit: the sum of the sizes' suffix lengths in the set's layout, one
 sentinel row each included, as ``_kernels_py._suffix_lengths`` gives them (a
-tree from before that helper starts each suffix at delta/2).
+tree from before that helper starts each suffix at delta/2). Each verify row
+gives, per tree, the minor page faults (``ru_minflt``) of each of the result
+worker's timed calls, in order.
 
 The ladders and the single size are also counted with the seed's numpy sweep
 kept in ``tests/reference_kernel.py``, in this process, and timed best of
@@ -37,6 +39,7 @@ Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
 """
 
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -65,8 +68,9 @@ TIERS = {"small": {2: 10, 3: 7, 4: 6, 5: 5},
          "medium": {2: 13, 3: 9, 4: 7, 5: 6},
          "large": {2: 15, 3: 10, 4: 8, 5: 7}}
 VERIFY_OPERANDS = (0.8, 0.8)  # mul: D_C = 0.64
-# calls per worker of a case, best of them; the rest take one call
-CALLS = {"one size": 50, "fit": 5, "verify": 5}
+# calls per worker of a case, best of them: a first call can also pay the page
+# faults of memory that the case before it handed back to the system
+CALLS = {"construct": 3, "ladder": 3, "one size": 50, "fit": 5, "verify": 5}
 REFERENCE_REPEATS = 3
 LAYERS = {"construct": "geometry.construct", "ladder": "estimation.box_count",
           "one size": "estimation.box_count", "fit": "estimation.fit",
@@ -162,7 +166,10 @@ def worker(mode: str) -> None:
         s._box_layout  # noqa: B018 - computed once per set, before the timed call
         return s
 
-    result, visited = {}, {}
+    def minor_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    result, visited, faulted = {}, {}, {}
     for name, kind, case in cases():
         # prepare() runs untimed before each call(prepared)
         prepare = lambda: None  # noqa: E731
@@ -191,16 +198,21 @@ def worker(mode: str) -> None:
                 prepare = lambda: IntervalSet(s.starts, s.ends, s.params)  # noqa: E731
                 call = lambda fresh: estimate_dimension(fresh, deltas)  # noqa: E731
                 answer = lambda r: r.d_hat  # noqa: E731
-        best = float("inf")
-        for _ in range(CALLS.get(kind, 1)):
+        best, faults = float("inf"), []
+        for _ in range(CALLS[kind]):
             prepared = prepare()
+            f0 = minor_faults()
             t0 = time.perf_counter()
             out = call(prepared)
             best = min(best, time.perf_counter() - t0)
+            faults.append(minor_faults() - f0)
+        if kind == "verify":
+            faulted[name] = faults
         result[name] = best if mode == "time" else answer(out)
     result["backend"] = cantordim.BACKEND
     if mode == "result":
         result["gap_rows"] = visited
+        result["minor_page_faults"] = faulted
     print(json.dumps(result))
 
 
@@ -218,6 +230,9 @@ def check(answers):
         if kind in ("one size", "ladder", "fit"):
             out[name] = {"gap_rows_visited": {label: a["gap_rows"][name]
                                               for label, a in answers.items()}}
+        if kind == "verify":
+            out[name] = {"minor_page_faults": {label: a["minor_page_faults"][name]
+                                               for label, a in answers.items()}}
         if kind not in ("ladder", "one size"):
             agree(answers, [name])
             continue

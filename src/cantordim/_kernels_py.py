@@ -19,6 +19,7 @@ rounded cell boundaries only where the quotient lies near one.
 """
 
 import sys
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -34,8 +35,8 @@ def available_backends():
 #: call reuses one scratch of this many cells
 BLOCK = 16384
 
-#: numpy's ufunc buffer, in elements, while a ladder's (r, 1) columns broadcast
-#: over its blocks: rows at least this long run without a copy through it
+#: the largest ufunc buffer, in elements, while a ladder's (r, 1) columns
+#: broadcast over its blocks: rows at least this long run without a copy through it
 ROW_BUFFER = 1024
 
 #: absolute slack on the thin-free test: an interval wider than 2*snap + THIN_SLACK
@@ -48,14 +49,17 @@ def prefractal_starts(offsets, gamma, stage):
 
     Level s adds offsets[digit_s] * gamma**(s-1) with the gamma powers formed
     by successive multiplication, so position i carries the base-n digit
-    expansion of i evaluated left-to-right.
+    expansion of i evaluated left-to-right. The steps offsets * gamma**(s-1)
+    of every level come from one outer product.
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    out = np.zeros(1, dtype=np.float64)
-    pw = 1.0
+    powers, pw = [], 1.0
     for _ in range(stage):
-        out = (out[:, None] + offsets * pw).ravel()
+        powers.append(pw)
         pw *= gamma
+    out = np.zeros(1, dtype=np.float64)
+    for step in np.multiply.outer(powers, offsets):
+        out = (out[:, None] + step).ravel()
     return out
 
 
@@ -77,14 +81,9 @@ def _width_keys(widths):
     keys = widths.view(np.int64)
     keys >>= KEY_SHIFT
     keys -= KEY_BASE
-    return np.clip(keys, 0, KEY_TOP, out=keys).astype(np.uint16)
-
-
-def _gathered(values, order, last):
-    out = np.empty(len(values) + 1, dtype=values.dtype)
-    np.take(values, order, out=out[:-1])
-    out[-1] = last
-    return out
+    np.maximum(keys, 0, out=keys)
+    np.minimum(keys, KEY_TOP, out=keys)
+    return keys.astype(np.uint16)
 
 
 class SetLayout(NamedTuple):
@@ -105,20 +104,32 @@ class SetLayout(NamedTuple):
     before_end: np.ndarray
 
 
+def _gap_keys(starts, ends):
+    """The shortest interval's length, and the keys of the gaps and then the sentinel's."""
+    widths = ends - starts
+    min_len = float(widths.min())
+    np.subtract(starts[1:], ends[:-1], out=widths[:-1])
+    keys = _width_keys(widths)
+    keys[-1] = KEY_TOP + 1
+    return min_len, keys
+
+
 def set_layout(starts, ends):
-    """The SetLayout of a set: a few linear passes and one radix sort of the gap keys."""
+    """The SetLayout of a set: a few linear passes and one radix sort of the gap keys.
+
+    The sentinel is keyed as the last gap, after interval n - 1, so that one
+    stable sort orders it after every gap, and the gathers by the sorted gap
+    index j (before) and j + 1 (after, wrapping to interval 0 under the
+    sentinel) give every row at once.
+    """
     if len(starts) == 0:
         return SetLayout(0.0, *(np.empty(0),) * 5)
-    keys = _width_keys(starts[1:] - ends[:-1])
-    order = np.argsort(keys, kind="stable")  # a radix sort for 16-bit keys
-    return SetLayout(
-        float((ends - starts).min()),
-        _gathered(keys, order, KEY_TOP + 1),
-        _gathered(starts[1:], order, starts[0]),
-        _gathered(ends[1:], order, ends[0]),
-        _gathered(starts[:-1], order, starts[-1]),
-        _gathered(ends[:-1], order, ends[-1]),
-    )
+    min_len, keys = _gap_keys(starts, ends)
+    order = keys.argsort(kind="stable")  # a radix sort for 16-bit keys
+    keys, before_start, before_end = keys.take(order), starts.take(order), ends.take(order)
+    order += 1
+    return SetLayout(min_len, keys, starts.take(order, mode="wrap"),
+                     ends.take(order, mode="wrap"), before_start, before_end)
 
 
 def box_count(starts, ends, delta, eta):
@@ -239,12 +250,13 @@ def box_counts(layout, deltas, eta):
 
     A whole ladder is counted this way, several sizes per numpy call; a
     single size skips the planning and runs on 1-D (2, rows) blocks. A
-    ladder orders its sizes by the length of their suffixes and packs
-    neighbours greedily into groups: r sizes share blocks of the rows of the
-    longest suffix among them, as (r, rows) arrays with delta and snap as
-    (r, 1) columns, while r * rows <= BLOCK. A size whose suffix is longer
-    than BLOCK forms a group alone and runs BLOCK rows at a time. Two facts
-    make the counts those of one size at a time. A row before a size's own
+    ladder takes its sizes coarsest first, so that their suffixes never
+    shorten (T(delta) and the keys are non-decreasing), and packs neighbours
+    greedily into groups: r sizes share blocks of the rows of the longest
+    suffix among them, as (r, rows) arrays with delta and snap as (r, 1)
+    columns, while r * rows <= BLOCK. A size whose suffix is longer than
+    BLOCK forms a group alone and runs BLOCK rows at a time. Two facts make
+    the counts those of one size at a time. A row before a size's own
     suffix adds exactly 0: its gap's key is below that of T(delta), so the
     gap is narrower than T(delta) <= B(delta), and e_j = 0 by the bound
     above, with or without the thin test. And the thin test is a
@@ -252,21 +264,42 @@ def box_counts(layout, deltas, eta):
     fl(lo*delta) <= a < b gives hi >= lo, and no neighbour is thin. So a
     group runs the thin test when any of its sizes needs it;
     2*fl(eta*delta) + THIN_SLACK is non-decreasing in delta, so that is when
-    its largest size needs it.
+    its first, coarsest size needs it.
     """
-    deltas = np.array(deltas, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
     n, end = len(deltas), len(layout.keys)
     if n == 0 or end == 0:
         return [0] * n
-    lengths = _suffix_lengths(layout.keys, deltas, eta)
     if n == 1:
-        return _count_groups(layout, deltas, [((0,), int(lengths[0]))], eta)
+        delta = float(deltas[0])
+        rows = int(_suffix_lengths(layout.keys, deltas, eta)[0])
+        thin_test = _needs_thin_test(layout, delta, eta)
+        scratch = _scratch(min(rows, BLOCK))
+        return [int(_count_group(layout, _grid(delta, eta), 1, rows, thin_test, scratch))]
+    order = (-deltas).argsort(kind="stable")
+    deltas = deltas[order]
+    lengths = _suffix_lengths(layout.keys, deltas, eta)
+    groups = _groups(lengths.tolist())
+    scratch = _scratch(max(min((last - first) * rows, BLOCK) for first, last, rows in groups))
+    columns = _grid(deltas[:, None], eta)
+    totals = np.empty(n)
     # numpy runs a ufunc with an (r, 1) column operand over rows shorter than
     # its buffer by copying them through the buffer, which costs several times
-    # the arithmetic; a buffer of ROW_BUFFER lets most rows run in place
+    # the arithmetic; a buffer no longer than a group's rows (numpy takes
+    # multiples of 16) and at most ROW_BUFFER lets them run in place
     with np.errstate():  # restores the buffer size on exit
-        np.setbufsize(ROW_BUFFER)
-        return _count_groups(layout, deltas, _groups(lengths.tolist()), eta)
+        for first, last, rows in groups:
+            delta = float(deltas[first])  # the coarsest of the group
+            if last - first == 1:  # scalars and 1-D blocks take numpy's fastest loops
+                grid = _grid(delta, eta)
+            else:
+                grid = [column[first:last] for column in columns]
+                np.setbufsize(min(ROW_BUFFER, max(16, rows // 16 * 16)))
+            thin_test = _needs_thin_test(layout, delta, eta)
+            totals[first:last] = _count_group(layout, grid, last - first, rows, thin_test, scratch)
+    counts = np.empty(n, dtype=np.int64)
+    counts[order] = totals
+    return counts.tolist()
 
 
 def _suffix_lengths(keys, deltas, eta):
@@ -276,76 +309,83 @@ def _suffix_lengths(keys, deltas, eta):
     fl(delta*fl(1 - 4*eta)) - 2**-50), which ``box_counts`` proves lies below
     every gap that can hold an empty cell; ``deltas`` is a float64 array.
     """
-    floor = np.maximum(0.5 * deltas, deltas * (1.0 - 4.0 * eta) - 2.0**-50)
+    floor = deltas * (1.0 - 4.0 * eta)
+    floor -= 2.0**-50
+    np.maximum(floor, 0.5 * deltas, out=floor)
     return len(keys) - keys.searchsorted(_width_keys(floor))
 
 
-def _count_groups(layout, deltas, groups, eta):
-    """The counts of ``box_counts``, group by group: (sizes, rows) as ``_groups`` gives them."""
+def _grid(delta, eta):
+    """(delta, snap, inv, eps, 1 - eps) of ``_cell_ranges``, for a size or an (r, 1) column."""
+    inv = 1.0 / delta
+    eps = 2.0**-50 * (inv + 1.0)
+    return delta, eta * delta, inv, eps, 1.0 - eps
+
+
+def _scratch(cells):
+    """Scratch for blocks of up to ``cells`` cells: every block of a call reuses it.
+
+    Fresh temporaries for each block of a ladder cost more in page faults
+    than the arithmetic.
+    """
+    return np.empty(8 * cells), np.empty(4 * cells, dtype=bool)
+
+
+def _needs_thin_test(layout, delta, eta):
+    """Whether some interval may be thinner than the snap band at box size ``delta``."""
+    return not layout.min_len > 2.0 * (eta * delta) + THIN_SLACK
+
+
+def _count_group(layout, grid, r, rows, thin_test, scratch):
+    """The counts of r sizes over the last ``rows`` gap rows: a float, or r of them.
+
+    ``grid`` holds scalars for one size and (r, 1) columns for r sizes.
+    """
+    scratch, flags = scratch
     end = len(layout.keys)
-    width = max(len(sizes) * min(rows, BLOCK // len(sizes)) for sizes, rows in groups)
-    # one scratch for every block: fresh temporaries for each block of a
-    # ladder cost more in page faults than the arithmetic
-    scratch, flags = np.empty(8 * width), np.empty(4 * width, dtype=bool)
-    counts = [0] * len(deltas)
-    for sizes, rows in groups:
-        r = len(sizes)
-        if r == 1:  # scalars and 1-D blocks take numpy's fastest loops
-            delta = coarsest = float(deltas[sizes[0]])
-        else:  # (r, 1) columns against the (r, rows) arrays
-            delta = deltas[list(sizes)][:, None]
-            coarsest = float(delta.max())
-        thin_test = not layout.min_len > 2.0 * (eta * coarsest) + THIN_SLACK
-        inv = 1.0 / delta
-        eps = 2.0**-50 * (inv + 1.0)
-        grid = (delta, eta * delta, inv, eps, 1.0 - eps)
-        step = BLOCK // r
-        total = float(rows)  # min(0, hi - lo + 1) = min(hi - lo, -1) + 1 on each row
-        for first in range(end - rows, end, step):
-            block = slice(first, first + step)
-            m = min(step, end - first)
-            shape = (2, m) if r == 1 else (2, r, m)
-            work = scratch[: 8 * r * m].reshape(4, *shape)
-            fix = flags[: 4 * r * m].reshape(2, *shape)
-            lo, hi = work[2]
-            _cell_ranges(layout.after_start[block], layout.before_end[block], grid,
-                         work, fix, work[2])
-            if thin_test:
-                before_lo, after_hi = work[3]
-                _cell_ranges(layout.before_start[block], layout.after_end[block], grid,
-                             work, fix, work[3])
-                thin, mid = fix[0, 0], work[1, 0]
-                np.less(after_hi, lo, out=thin)
-                _midpoint_cells(layout.after_start[block], layout.after_end[block], delta, mid)
-                np.copyto(lo, mid, where=thin)
-                np.less(hi, before_lo, out=thin)
-                _midpoint_cells(layout.before_start[block], layout.before_end[block], delta, mid)
-                np.copyto(hi, mid, where=thin)
-            hi -= lo
-            span = hi[..., -1] + 1.0  # the sentinel is the last row of the last block
-            total += np.add.reduce(np.minimum(hi, -1.0, out=hi), axis=-1)
-        found = (total + span).tolist()  # a float, or a list of r
-        for k, count in zip(sizes, found if r > 1 else [found]):
-            counts[k] = int(count)
-    return counts
+    step = BLOCK // r
+    total = float(rows)  # min(0, hi - lo + 1) = min(hi - lo, -1) + 1 on each row
+    for first in range(end - rows, end, step):
+        block = slice(first, first + step)
+        m = min(step, end - first)
+        shape = (2, m) if r == 1 else (2, r, m)
+        work = scratch[: 8 * r * m].reshape(4, *shape)
+        fix = flags[: 4 * r * m].reshape(2, *shape)
+        lo, hi = work[2]
+        _cell_ranges(layout.after_start[block], layout.before_end[block], grid,
+                     work, fix, work[2])
+        if thin_test:
+            before_lo, after_hi = work[3]
+            _cell_ranges(layout.before_start[block], layout.after_end[block], grid,
+                         work, fix, work[3])
+            thin, mid = fix[0, 0], work[1, 0]
+            np.less(after_hi, lo, out=thin)
+            _midpoint_cells(layout.after_start[block], layout.after_end[block], grid[0], mid)
+            np.copyto(lo, mid, where=thin)
+            np.less(hi, before_lo, out=thin)
+            _midpoint_cells(layout.before_start[block], layout.before_end[block], grid[0], mid)
+            np.copyto(hi, mid, where=thin)
+        hi -= lo
+        span = hi[..., -1] + 1.0  # the sentinel is the last row of the last block
+        total += np.add.reduce(np.minimum(hi, -1.0, out=hi), axis=-1)
+    return total + span
 
 
 def _groups(lengths):
-    """(sizes, rows) for each group of a ladder whose suffixes have these lengths.
+    """(first, last, rows) for each group of a ladder whose suffixes have these lengths.
 
-    The sizes go in order of suffix length, the shortest first; each group
-    takes the next sizes while r sizes of the longest suffix among them fit
-    r * rows <= BLOCK, and at least one.
+    The lengths never decrease; each group takes the next sizes while r
+    sizes of the longest suffix among them fit r * rows <= BLOCK, and at
+    least one. As r * lengths[first + r - 1] never decreases in r, a
+    bisection finds each group's r.
     """
-    n = len(lengths)
-    order = sorted(range(n), key=lengths.__getitem__)
-    groups, i = [], 0
-    while i < n:
-        j = i + 1
-        while j < n and (j + 1 - i) * lengths[order[j]] <= BLOCK:
-            j += 1
-        groups.append((order[i:j], lengths[order[j - 1]]))
-        i = j
+    n, groups, first = len(lengths), [], 0
+    while first < n:
+        fits = bisect_right(range(1, n - first + 1), BLOCK,
+                            key=lambda r: r * lengths[first + r - 1])
+        last = first + max(1, fits)
+        groups.append((first, last, lengths[last - 1]))
+        first = last
     return groups
 
 

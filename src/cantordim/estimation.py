@@ -117,18 +117,23 @@ def estimate_dimension(
     return DimensionEstimate(*_fit(deltas, counts), tuple(map(BoxCountSample, deltas, counts)))
 
 
-def _fit(deltas: list[float], counts: list[int]) -> tuple[float, float]:
-    """(slope, its standard error) of ln(count) versus ln(1/delta) over a counted ladder."""
-    counts = np.array(counts, dtype=np.float64)
-    if (counts == counts[0]).all():
-        raise FitDegenerate(f"all {len(counts)} box counts equal {int(counts[0])}")
-    x = np.log(1.0 / np.array(deltas))
-    y = np.log(counts)
-    dx = x - x.mean()
-    slope = float((dx * (y - y.mean())).sum() / (dx * dx).sum())
-    resid = y - (y.mean() + slope * dx)
-    dof = len(x) - 2
-    stderr = float(math.sqrt((resid @ resid) / dof / (dx * dx).sum())) if dof > 0 else float("nan")
+def _fit(deltas: Sequence[float], counts: list[int]) -> tuple[float, float]:
+    """(slope, its standard error) of ln(count) versus ln(1/delta) over a counted ladder.
+
+    A mean is ``np.add.reduce`` over the length: the reduction of ``mean``
+    and ``sum``, without their Python wrappers.
+    """
+    n = len(counts)
+    if counts.count(counts[0]) == n:
+        raise FitDegenerate(f"all {n} box counts equal {int(counts[0])}")
+    x = np.log(1.0 / np.asarray(deltas))
+    y = np.log(np.array(counts, dtype=np.float64))
+    dx = x - np.add.reduce(x) / n
+    sxx = np.add.reduce(dx * dx)
+    y_mean = np.add.reduce(y) / n
+    slope = float(np.add.reduce(dx * (y - y_mean)) / sxx)
+    resid = y - (y_mean + slope * dx)
+    stderr = float(math.sqrt((resid @ resid) / (n - 2) / sxx)) if n > 2 else float("nan")
     return slope, stderr
 
 
@@ -222,7 +227,7 @@ def verify_operator_geometrically(
     try:
         params = CantorParams(n, result.gamma, regular_epsilon(n, result.gamma), stage)
         prefractal = construct_prefractal(params)
-        deltas = _verify_ladder(result.gamma, stage)
+        deltas = np.array(_verify_ladder(result.gamma, stage))
     except (CapExceeded, DomainError) as exc:
         return unverifiable(str(exc))
     counts = _kernels_py.box_counts(prefractal._box_layout, deltas, SNAP_ETA)

@@ -150,16 +150,24 @@ class IntervalSet:
     def _check(starts, ends):
         if starts.ndim != 1 or starts.shape != ends.shape:
             raise InvariantError("starts/ends must be 1-d arrays of equal length")
-        if len(starts) == 0:
+        n = len(starts)
+        # every rule at once: NaN fails each comparison, and 0 <= starts[0] and
+        # ends[-1] <= 1 with both sorts and start < end keep infinities out
+        if n == 0 or (
+            starts[0] >= 0.0 and ends[-1] <= 1.0 and np.count_nonzero(starts < ends) == n
+            and np.count_nonzero(starts[1:] >= starts[:-1]) == n - 1
+            and np.count_nonzero(ends[1:] >= ends[:-1]) == n - 1
+            and np.count_nonzero(starts[1:] - ends[:-1] >= -OVERLAP_TOL) == n - 1
+        ):
             return
+        # a rule is broken: name the first, in this order
         if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
             raise InvariantError("interval endpoints must be finite")
         if starts[0] < 0.0 or ends[-1] > 1.0 or (starts >= ends).any():
             raise InvariantError("need 0 <= start < end <= 1 for every interval")
         if (starts[1:] < starts[:-1]).any() or (ends[1:] < ends[:-1]).any():
             raise InvariantError("intervals must be sorted by start and by end")
-        if (starts[1:] - ends[:-1] < -OVERLAP_TOL).any():
-            raise InvariantError(f"intervals overlap by more than {OVERLAP_TOL}")
+        raise InvariantError(f"intervals overlap by more than {OVERLAP_TOL}")
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -188,7 +196,11 @@ class IntervalSet:
 
 def stage_one_offsets(n: int, gamma: float, epsilon: float = 0.0) -> list[float]:
     """Left endpoints of the n <= DEFAULT_CAP stage-1 copies, ascending; first 0, last 1-gamma."""
-    n, gamma, epsilon = _validate_family(n, gamma, epsilon)
+    return _offsets(*_validate_family(n, gamma, epsilon))
+
+
+def _offsets(n: int, gamma: float, epsilon: float) -> list[float]:
+    """``stage_one_offsets`` of a checked family, such as a CantorParams holds."""
     if n > DEFAULT_CAP:
         raise CapExceeded(f"n = {n} exceeds the cap of {DEFAULT_CAP} copies")
     step = gamma + epsilon
@@ -221,10 +233,11 @@ def construct_prefractal(params: CantorParams, cap: int = DEFAULT_CAP) -> Interv
             f"gamma**stage = {width!r} is below the positional resolution floor "
             f"({RESOLUTION_FLOOR}); the stage is too deep for binary64 geometry"
         )
-    offsets = np.asarray(stage_one_offsets(params.n, params.gamma, params.epsilon))
+    offsets = _offsets(params.n, params.gamma, params.epsilon)
     starts = _kernels_py.prefractal_starts(offsets, params.gamma, params.stage)
     # the last end telescopes to 1 exactly in real arithmetic; clamp the ulp spill
-    ends = np.minimum(starts + width, 1.0)
+    ends = starts + width
+    np.minimum(ends, 1.0, out=ends)
     return IntervalSet._owning(starts, ends, params)
 
 

@@ -14,9 +14,10 @@ is a fixed 28-byte field written by ``put_f17``, whose kept bytes are
 ``'%.17g' % x``. Import reads a document in the exporter's own layout with
 numpy (``_read_exported``) and gives every other document to ``json.loads``
 or ``float`` (``_parse_json``, which checks the row and value types of the
-whole list at C level, and ``_parse_csv``, which parses each block with one
-split and one ``map(float, ...)``). The bytes written and the arrays read
-are the same as with a per-value loop.
+whole list at C level, and ``_parse_csv``, which splits the text into lines
+a block at a time and parses each block with one split and one
+``map(float, ...)``). The bytes written and the arrays read are the same as
+with a per-value loop.
 
 The blocks of export and the grid CSV, and the spans of import, run on
 every usable CPU (``_in_shares``): they split into one contiguous share per
@@ -98,6 +99,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from collections import namedtuple
 from itertools import chain, repeat
@@ -672,25 +674,45 @@ def _parse_json(text: str) -> IntervalSet:
 
 
 def _parse_csv(text: str) -> IntervalSet:
-    lines = text.splitlines()
+    blocks = _line_blocks(text)
+    lines = next(blocks, [])
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ParseError(f"first line must be the header '{_CSV_HEADER}'", "line 1")
-    rows = list(filter(str.strip, lines[1:]))
-    values = np.empty(2 * len(rows))
-    for i in range(0, len(rows), _BLOCK):
-        block = rows[i:i + _BLOCK]
+    values, lineno = [], 2  # the line number of the block's first row
+    for block in chain([lines[1:]], blocks):
+        rows = list(filter(str.strip, block))
         try:
-            if set(map(str.count, block, repeat(","))) != {1}:
-                raise ValueError
-            values[2 * i:2 * (i + len(block))] = list(map(float, ",".join(block).split(",")))
+            if rows:
+                if set(map(str.count, rows, repeat(","))) != {1}:
+                    raise ValueError
+                fields = ",".join(rows).split(",")
+                values.append(np.fromiter(map(float, fields), np.float64, len(fields)))
         except ValueError:
-            raise _csv_error(lines) from None
+            raise _csv_error(block, lineno) from None
+        lineno += len(block)
+    values = np.concatenate(values) if values else np.empty(0)
     return IntervalSet(values[0::2], values[1::2], None)
 
 
-def _csv_error(lines: list[str]) -> ParseError:
-    """The error of the first malformed row, named by its line number."""
-    for lineno, line in enumerate(lines[1:], start=2):
+def _line_blocks(text: str):
+    """``text.splitlines()``, one block of lines at a time.
+
+    A block is the text up to the first line break at least ``_SCAN // 8``
+    characters on, so its list of lines takes at most about ``_SCAN`` bytes.
+    The breaks are those of ``str.splitlines``, with CR LF as one.
+    """
+    breaks = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+    start = 0
+    while start < len(text):
+        found = breaks.search(text, start + _SCAN // 8)
+        end = found.end() if found else len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _csv_error(lines: list[str], lineno: int) -> ParseError:
+    """The error of the first malformed row of ``lines``, the first of them line ``lineno``."""
+    for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
             continue
         fields = line.count(",") + 1  # counted, not split: a line may hold millions

@@ -230,6 +230,11 @@ def same_error(text):
     return str(got.value)
 
 
+# the line breaks of str.splitlines, and none at the end
+CSV_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029", "\n\n", "\r\r\n", ""]
+
+
 class TestCsvImport:
     @pytest.mark.parametrize("m", SIZES)
     def test_arrays_match_reference(self, m):
@@ -279,6 +284,23 @@ class TestCsvImport:
     def test_fields_parse_as_float_does(self, row):
         text = csv_doc([row])
         assert same_bits(import_intervals(text, "csv"), ref.import_csv(text))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        lines=st.lists(st.sampled_from(
+            ["0.25,0.5", "0.5,0.75", "", "  ", "0.5", "0.1,0.2,0.3", "0.5,x", "start,end"]
+        ), max_size=12),
+        breaks=st.lists(st.sampled_from(CSV_BREAKS), min_size=13, max_size=13),
+        scan=st.sampled_from([8, 16, 24, 64]),
+    )
+    def test_lines_read_a_block_at_a_time_as_splitlines(self, lines, breaks, scan):
+        # every line break of str.splitlines, CR LF among them, with blocks of one
+        # to a few lines: the same values, errors and line numbers as the reference
+        text = "".join(map("".join, zip(["start,end", *lines], breaks)))
+        with mock.patch.object(serialize, "_SCAN", scan):
+            assert [line for block in serialize._line_blocks(text) for line in block] == (
+                text.splitlines())
+            assert outcome(serialize._parse_csv, text) == outcome(ref.import_csv, text)
 
 
 class TestJsonRowCheck:

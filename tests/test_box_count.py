@@ -25,6 +25,7 @@ from cantordim import (
     box_count,
     construct_prefractal,
     lacunarity_bounds,
+    regular_epsilon,
     scale_ladder,
 )
 from cantordim import _kernels_py as kernel
@@ -235,7 +236,7 @@ def test_thin_and_thin_free_sizes_in_one_block(rng, blocks):
 
 
 def test_ladder_restores_the_ufunc_buffer_size():
-    # a ladder lowers numpy's ufunc buffer to ROW_BUFFER while it counts; the
+    # a ladder lowers numpy's ufunc buffer (to at most ROW_BUFFER) while it counts; the
     # caller's size must be back afterwards (numpy >= 2.0 errstate restores it)
     s = construct_prefractal(CantorParams(3, 0.2, 0.0, 5))
     ladder = scale_ladder(0.2, 5, per_level=4)
@@ -254,6 +255,50 @@ def test_layout_is_computed_once_per_set():
     s = construct_prefractal(CantorParams(2, 1 / 3, 0.0, 6))
     assert s._box_layout is s._box_layout
     assert same_layout(s._box_layout, kernel.set_layout(s.starts, s.ends))
+
+
+def gathered_layout(starts, ends):
+    """The SetLayout by plain fancy-index gathers of the gap rows, and the sentinel appended."""
+    widths = starts[1:] - ends[:-1]
+    keys = np.clip((widths.view(np.int64) >> kernel.KEY_SHIFT) - kernel.KEY_BASE, 0, kernel.KEY_TOP)
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    return kernel.SetLayout(
+        float((ends - starts).min()),
+        np.append(keys.astype(np.uint16)[order], np.uint16(kernel.KEY_TOP + 1)),
+        np.append(starts[1:][order], starts[0]),
+        np.append(ends[1:][order], ends[0]),
+        np.append(starts[:-1][order], starts[-1]),
+        np.append(ends[:-1][order], ends[-1]),
+    )
+
+
+def assert_layout_bits(starts, ends):
+    got, want = kernel.set_layout(starts, ends), gathered_layout(starts, ends)
+    assert got.min_len == want.min_len
+    for field in kernel.SetLayout._fields[1:]:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.sampled_from([0, 3, 60]))
+def test_layout_gathers_as_fancy_indexing(m, seed, ties):
+    # random ordered sets, some gaps ulp-negative or equal in width, whose keys tie
+    rng = np.random.default_rng(seed)
+    points = np.sort(rng.uniform(0.0, 1.0, 2 * m))
+    starts, ends = points[0::2].copy(), points[1::2].copy()
+    touch = rng.choice(m, size=min(ties, m), replace=False)
+    starts[touch[touch > 0]] = ends[touch[touch > 0] - 1] - rng.uniform(0, OVERLAP_TOL)
+    assert_layout_bits(starts, ends)
+
+
+@pytest.mark.parametrize("n, stage", [(5, 7), (2, 17), (7, 6)])
+def test_layout_of_large_constructed_sets_gathers_as_fancy_indexing(n, stage):
+    # 78,125, 131,072 and 117,649 intervals, as large as the benchmark's verify and documents sets
+    gamma = n ** (-1.0 / 0.7)
+    s = construct_prefractal(CantorParams(n, gamma, regular_epsilon(n, gamma), stage))
+    assert len(s) >= 78_125
+    assert_layout_bits(s.starts, s.ends)
 
 
 # -- the width keys of gaps and of half box sizes

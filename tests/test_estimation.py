@@ -1,7 +1,11 @@
 """Box counting and the dimension estimator, including operator verification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordim import (
     CantorParams,
@@ -268,3 +272,32 @@ class TestVerifyOperator:
 def test_unknown_operator_tags_raise_domain_error(entry, tag):
     with pytest.raises(DomainError, match="unknown operator tag"):
         entry(tag)
+
+
+def mean_form_fit(deltas, counts):
+    """The least-squares fit written with ndarray.mean and ndarray.sum."""
+    counts = np.array(counts, dtype=np.float64)
+    x = np.log(1.0 / np.array(deltas))
+    y = np.log(counts)
+    dx = x - x.mean()
+    slope = float((dx * (y - y.mean())).sum() / (dx * dx).sum())
+    resid = y - (y.mean() + slope * dx)
+    dof = len(x) - 2
+    stderr = float(math.sqrt((resid @ resid) / dof / (dx * dx).sum())) if dof > 0 else float("nan")
+    return slope, stderr
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_fit_keeps_the_bits_of_the_mean_form(data):
+    # random ladders (2 to 300 sizes, repeats allowed) and counts up to 2**53
+    n = data.draw(st.integers(2, 300), label="sizes")
+    deltas = data.draw(st.lists(st.floats(estimation.DELTA_FLOOR, 1.0), min_size=n, max_size=n))
+    counts = data.draw(st.lists(st.integers(1, 2**53), min_size=n, max_size=n))
+    if len(set(counts)) == 1:
+        with pytest.raises(FitDegenerate, match=f"all {n} box counts equal {counts[0]}"):
+            estimation._fit(deltas, counts)
+        return
+    with np.errstate(invalid="ignore"):  # a ladder of one repeated size fits 0/0
+        got, want = estimation._fit(deltas, counts), mean_form_fit(deltas, counts)
+    assert [x.hex() for x in got] == [x.hex() for x in want]

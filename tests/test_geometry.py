@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordim import (
     CantorParams,
@@ -15,6 +17,8 @@ from cantordim import (
     regular_epsilon,
     stage_one_offsets,
 )
+from cantordim import _kernels_py as kernel
+from cantordim import arith
 from cantordim.geometry import OVERLAP_TOL
 
 TOL = 1e-12
@@ -286,3 +290,106 @@ class TestIntervalSet:
         a[0] = 0.05
         assert a[0] == 0.05
         assert s.starts.tolist() == [0.1, 0.6]
+
+
+# -- construction pinned to the bytes of its per-stage form
+
+
+def per_stage_construct(params):
+    """Starts and ends as the per-stage digit expansion builds them, one level at a time."""
+    offsets = np.asarray(stage_one_offsets(params.n, params.gamma, params.epsilon))
+    starts, pw = np.zeros(1), 1.0
+    for _ in range(params.stage):
+        starts = (starts[:, None] + offsets * pw).ravel()
+        pw *= params.gamma
+    width = 1.0
+    for _ in range(params.stage):
+        width *= params.gamma
+    return starts, np.minimum(starts + width, 1.0)
+
+
+def bench_params():
+    """The constructed sets that benchmarks/bench_boxcount.py times and counts."""
+    for n, dim, eps_mode, stage in [
+        (2, 0.63, None, 20), (4, 0.70, "reg", 10), (10, 0.55, "reg", 6), (5, 0.80, "max", 9),
+        (2, 0.45, None, 15), (3, 0.60, None, 10), (4, 0.75, "reg", 8), (5, 0.90, "reg", 7),
+        (7, 0.70, "reg", 6),
+    ]:
+        gamma = n ** (-1.0 / dim)
+        eps = 0.0
+        if eps_mode:
+            bounds = lacunarity_bounds(n, gamma)
+            eps = bounds.eps_reg if eps_mode == "reg" else bounds.eps_max
+        yield CantorParams(n, gamma, eps, stage)
+    # the verify rows: mul(0.8, 0.8) at the stages of each tier
+    for n, stages in [(2, (10, 13, 15)), (3, (7, 9, 10)), (4, (6, 7, 8)), (5, (5, 6, 7))]:
+        gamma = arith.mul(0.8, 0.8, n).gamma
+        for stage in stages:
+            yield CantorParams(n, gamma, regular_epsilon(n, gamma), stage)
+
+
+@pytest.mark.parametrize("params", list(bench_params()), ids=repr)
+def test_construction_keeps_the_bytes_of_the_per_stage_form(params):
+    want_starts, want_ends = per_stage_construct(params)
+    s = construct_prefractal(params)
+    assert s.starts.tobytes() == want_starts.tobytes()
+    assert s.ends.tobytes() == want_ends.tobytes()
+    offsets = stage_one_offsets(params.n, params.gamma, params.epsilon)
+    starts = kernel.prefractal_starts(np.array(offsets), params.gamma, params.stage)
+    assert starts.tobytes() == want_starts.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-1.0, 1.0) | st.sampled_from([-0.0, np.nan, np.inf, -np.inf]), max_size=6),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_prefractal_starts_keep_the_bytes_of_the_per_stage_form(offsets, stage, seed):
+    gamma = float(np.random.default_rng(seed).uniform(0.0, 1.0))
+    want, pw = np.zeros(1), 1.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for _ in range(stage):
+            want = (want[:, None] + np.array(offsets, dtype=np.float64) * pw).ravel()
+            pw *= gamma
+        got = kernel.prefractal_starts(offsets, gamma, stage)
+    assert got.tobytes() == want.tobytes()
+
+
+def ordered_check(starts, ends):
+    """The message of the first broken set rule, the rules checked one by one; None if none is."""
+    if len(starts) == 0:
+        return None
+    if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
+        return "interval endpoints must be finite"
+    if starts[0] < 0.0 or ends[-1] > 1.0 or (starts >= ends).any():
+        return "need 0 <= start < end <= 1 for every interval"
+    if (starts[1:] < starts[:-1]).any() or (ends[1:] < ends[:-1]).any():
+        return "intervals must be sorted by start and by end"
+    if (starts[1:] - ends[:-1] < -OVERLAP_TOL).any():
+        return f"intervals overlap by more than {OVERLAP_TOL}"
+    return None
+
+
+endpoint = st.one_of(
+    st.floats(-0.1, 1.1),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.5 + OVERLAP_TOL, 0.5 - OVERLAP_TOL, 1e300,
+                     np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(endpoint, endpoint), max_size=6), st.booleans())
+def test_interval_checks_name_the_first_broken_rule(pairs, sort):
+    # near-sets (sorted endpoints, ties, overlaps at the tolerance) and arbitrary arrays
+    points = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    if sort:
+        points = np.sort(points, axis=0)
+    starts, ends = points[:, 0].copy(), points[:, 1].copy()
+    want = ordered_check(starts, ends)
+    if want is None:
+        IntervalSet._check(starts, ends)
+    else:
+        with pytest.raises(InvariantError) as err:
+            IntervalSet._check(starts, ends)
+        assert str(err.value) == want
