@@ -2,9 +2,13 @@
 """Time JSON/CSV export and import, grid CSV and SVG rendering; write BENCH_documents.json.
 
 Cases: ``export_intervals`` and ``import_intervals`` in JSON and CSV on
-constructed sets of 1e5 and 1e6 intervals, ``emit_operator_grid`` for
-``sub`` (69% NaN cells) at resolutions 256 and 1024 and for ``add`` (no NaN)
-at 256, and ``render_stages_svg`` up to stage 5. Each worker process runs
+constructed sets of 1e5 and 1e6 intervals and of n=7 stage 6 (117,649
+intervals, 7.2 blocks of rows: the perfbench ``documents`` set's size), and
+on a set of 1e5 intervals whose every value lies in [1e-9, 1e-5), so is
+written in exponent notation; ``emit_operator_grid`` for ``sub`` (69% NaN
+cells) at resolutions 256 and 1024, for ``add`` (no NaN) at 256 and for
+``mul`` at 192 (the perfbench grids); and ``render_stages_svg`` up to
+stage 5. Each worker process runs
 every case once, against one tree. Before anything is timed, the trees must
 give the same SHA-256 for every exported, rendered and imported output
 (import digests cover the arrays and the params). The shared driver in
@@ -20,19 +24,21 @@ import time
 
 from _host import bench
 
-# (name, construction params (n, gamma, stage); epsilon is eps_reg)
-SETS = [("1e5", (10, 0.06, 5)), ("1e6", (10, 0.06, 6))]
-GRIDS = [("sub", 256), ("add", 256), ("sub", 1024)]  # (operator, resolution)
+# (name, construction params (n, gamma, stage), epsilon eps_reg, or None: the exponent set)
+SETS = [("1e5", (10, 0.06, 5)), ("1e6", (10, 0.06, 6)), ("7^6", (7, 0.1, 6)), ("exp 1e5", None)]
+EXP_SIZE = 100_000  # intervals of the exponent-notation set
+GRIDS = [("sub", 256), ("add", 256), ("sub", 1024), ("mul", 192)]  # (operator, resolution)
 SVG = (5, 0.1, 0.05, 5)  # n, gamma, epsilon, max_stage
 
 
 def cases():
     """Case name -> its layer and size, in the order a worker runs them."""
     out = {}
-    for label, (n, _, stage) in SETS:
+    for label, params in SETS:
+        size = params[0] ** params[2] if params else EXP_SIZE
         for fmt in ("json", "csv"):
-            out[f"export_{fmt} {label}"] = {"layer": f"serialize.export_{fmt}", "size": n**stage}
-            out[f"import_{fmt} {label}"] = {"layer": f"serialize.import_{fmt}", "size": n**stage}
+            out[f"export_{fmt} {label}"] = {"layer": f"serialize.export_{fmt}", "size": size}
+            out[f"import_{fmt} {label}"] = {"layer": f"serialize.import_{fmt}", "size": size}
     for op, res in GRIDS:
         out[f"grid {op} res {res}"] = {"layer": "render.grid", "size": res * res}
     out[f"svg stages 0..{SVG[3]}"] = {"layer": "render.svg", "size": SVG[3]}
@@ -41,8 +47,10 @@ def cases():
 
 def worker(mode: str) -> None:
     """Run every case once in this interpreter; print times or output digests as JSON."""
+    import numpy as np
+
     import cantordim
-    from cantordim import (CantorParams, construct_prefractal, emit_operator_grid,
+    from cantordim import (CantorParams, IntervalSet, construct_prefractal, emit_operator_grid,
                            export_intervals, import_intervals, lacunarity_bounds,
                            render_stages_svg)
 
@@ -53,10 +61,20 @@ def worker(mode: str) -> None:
             out = out.starts.tobytes() + out.ends.tobytes() + repr(out.params).encode()
         return hashlib.sha256(out if isinstance(out, bytes) else out.encode()).hexdigest()
 
+    def exponent_set():
+        """EXP_SIZE disjoint intervals, every endpoint a distinct value in [1e-9, 1e-5)."""
+        x = np.unique(10 ** np.random.default_rng(11).uniform(-9, -5, 2 * EXP_SIZE + 100))
+        x = x[: 2 * EXP_SIZE]
+        return IntervalSet(x[0::2], x[1::2])
+
     calls = []
-    for _, (n, gamma, stage) in SETS:
-        eps = lacunarity_bounds(n, gamma).eps_reg
-        s = construct_prefractal(CantorParams(n, gamma, eps, stage))
+    for _, params in SETS:
+        if params is None:
+            s = exponent_set()
+        else:
+            n, gamma, stage = params
+            eps = lacunarity_bounds(n, gamma).eps_reg
+            s = construct_prefractal(CantorParams(n, gamma, eps, stage))
         for fmt in ("json", "csv"):
             text = export_intervals(s, fmt)
             calls.append(lambda s=s, fmt=fmt: export_intervals(s, fmt))

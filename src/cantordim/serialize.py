@@ -5,13 +5,16 @@ binary64 exactly; importing validates the interval-set invariants and the
 JSON types of every field. All documents are UTF-8 text with LF line
 endings.
 
-Text is made in blocks of ``_BLOCK`` rows and read in spans of about
+Text is made in blocks of ``_BLOCK`` rows and read in spans of at most about
 ``_SCAN`` bytes rather than one value at a time. Export (``format_rows``,
 and ``format_grid`` for grid sheets) lays a block out as one (rows x bytes)
-character matrix and a mask of the bytes to keep, and decodes it with one
-boolean compress: literal runs are constant columns, and every float column
-is a fixed 28-byte field written by ``put_f17``, whose kept bytes are
-``'%.17g' % x``. Import reads a document in the exporter's own layout with
+character matrix and decodes it with one boolean compress of its non-NUL
+bytes: literal runs are constant columns, and every float column is a fixed
+24-byte field written by ``put_f17``, ``'%.17g' % x`` from its first byte
+and then NULs. So each field's text runs on from the literal before it, and
+a row is one run of kept bytes per field (a grid row three, a JSON row two,
+as the literal after a row's last field runs on into the next row's first).
+Import reads a document in the exporter's own layout with
 numpy (``_read_exported``) and gives every other document to ``json.loads``
 or ``float`` (``_parse_json``, which checks the row and value types of the
 whole list at C level, and ``_parse_csv``, which splits the text into lines
@@ -19,14 +22,18 @@ a block at a time and parses each block with one split and one
 ``map(float, ...)``). The bytes written and the arrays read are the same as
 with a per-value loop.
 
-The blocks of export and the grid CSV, and the spans of import, run on
-every usable CPU (``_in_shares``): they split into one contiguous share per
-CPU, at most one per block or span, and numpy releases the interpreter lock
-inside their kernels. A document of one block or span, or a process with one
-usable CPU, starts no thread. Each share holds its own scratch: one
-character matrix for export and the grid, and for import one buffer for a
-span's copy of its text and its mask of row marks. A str document is encoded
-one span at a time, so no copy of the whole document is made.
+The rows of export, the grid rows of the grid CSV and the spans of import
+run on every usable CPU (``_cpus``, ``_in_shares``): they split into one
+contiguous share per CPU, at most one per block or span, and numpy releases
+the interpreter lock inside their kernels. Export's shares are near-equal
+runs of rows, each cut where the blocks end (a block cut by two shares is
+joined again), and import cuts its rows into near-equal spans, as many as a
+multiple of the shares, so that the shares get near-equal work. A document
+of one block or span, or a process with one usable CPU, starts no thread.
+Each share holds its own scratch: one character matrix for export and the
+grid, and for import one buffer for a span's copy of its text and its mask
+of row marks. A str document is encoded one span at a time, so no copy of
+the whole document is made.
 
 ``put_f17`` gets the 17 significant digits D and the decimal exponent k of
 each x in 1e-280 < x < 1 with numpy array operations. With k from
@@ -48,7 +55,10 @@ lies closer, such as the exact decimal tie 26215/2**18, takes
 ``'%.17g' % x``; so do x <= 1e-280, x >= 1, zeros, negatives and infinities,
 an entry whose floor(y) falls outside [1e16, 1e17) (where log10 puts k one
 off near a power of ten), and one that rounds up to 1e17. NaN is written as
-``nan`` on the fast path.
+``nan`` on the fast path. The digits are written without a branch on the
+notation or on NaN: every field is three uint64 words, the digits' bytes
+shifted into place and ORed with one table row per shape and count of kept
+digits (the layout is set out at ``_FIELD``).
 
 The exporter's layouts are written once, in ``_LAYOUTS``, for export and
 the block reader. Every field is d[.d+][e-dd[d]], with at most 24 fraction
@@ -152,25 +162,28 @@ def _layout(format) -> _Layout:
     raise DomainError(f"format must be one of {tuple(_LAYOUTS)}, got {format!r}")
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _in_shares(work, n: int, block: int, step: int | None = None) -> list:
     """``[work(lo, hi) for each share]`` of ``range(n)``, the shares run on threads at once.
 
-    There is one share per usable CPU, at most one per ``block`` items; the
-    shares are contiguous runs of whole ``step``s (``block`` by default) as
-    equal as those allow. This thread runs the first share and each other
-    share gets a thread of its own, joined before the call returns; one share
-    starts no thread. numpy releases the interpreter lock in the block
-    kernels, so the shares run in parallel. An exception raised in any share
-    is raised here, the first share's first.
+    There is one share per usable CPU (``_cpus``), at most one per ``block``
+    items; the shares are contiguous runs of whole ``step``s (``block`` by
+    default) as equal as those allow. This thread runs the first share and
+    each other share gets a thread of its own, joined before the call
+    returns; one share starts no thread. numpy releases the interpreter lock
+    in the block kernels, so the shares run in parallel. An exception raised
+    in any share is raised here, the first share's first.
     """
     step = step or block
     blocks = -(-n // block)
-    workers = 1
-    if blocks > 1:
-        try:
-            workers = min(len(os.sched_getaffinity(0)), blocks)
-        except AttributeError:  # a platform without CPU affinity
-            workers = min(os.cpu_count() or 1, blocks)
+    workers = min(_cpus(), blocks) if blocks > 1 else 1
     steps = -(-n // step)
     cuts = [min(n, step * (steps * j // workers)) for j in range(workers + 1)]
     results, errors = [None] * workers, [None] * workers
@@ -200,8 +213,8 @@ def _in_shares(work, n: int, block: int, step: int | None = None) -> list:
 # ---------------------------------------------------------------------------
 # '%.17g' in numpy blocks
 
-#: bytes of one float field: the widest fast layout (a fallback text has at most 24)
-_W = 28
+#: bytes of one float field: the longest '%.17g' of a binary64 is "-2.2250738585072014e-308"
+_W = 24
 #: the fast path takes _X_MIN < x < 1, so it needs 10**p for p = 16 - k in [15, 298]
 _X_MIN = 1e-280
 _P_MAX = 300
@@ -209,52 +222,56 @@ _P_MAX = 300
 _TIE = 2.0**-30
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 _E16, _E17 = 10**16, 10**17
-# field layout: 0 "0", 1 ".", 2-4 "000", 5 d0, 6 ".", 7-22 d1..d16, 23 "e",
-# 24-27 "-" and the three digits of -k. A shape picks the bytes kept: 0-3 fixed
-# notation for k = -1..-4 ("0." then -k-1 zeros, d0, the rest), 4 and 5
-# exponent notation with two and three exponent digits (d0 "." the rest "e-"
-# -k); a digit count of 1 drops the ".". Mask row shape * 17 + digits - 1; the
-# last row keeps the "nan" written over bytes 0-2.
-_TEMPLATE = np.frombuffer(b"0.000?.????????????????e-???", np.uint8)
-_NAN = 6 * 17
-_NAN_TEXT = np.frombuffer(b"nan", np.uint8)
+# The field layout. A fast field holds the text of x and then NULs, in three little-endian
+# uint64 words. With d0 the lead digit, d1..d16 the digits after it and j = -k, the text
+# is "0." + (j - 1) zeros + d0 d1..d16 for j = 1..4 and d0 "." d1..d16 "e-" j (two or
+# three digits) for j >= 5, less its trailing zero digits (and the "." when d1..d16 are
+# all zeros). put_f17 shifts the byte values 0-9 of d0 to bit _LEAD_AT[j] and those of
+# d1..d16 to bit _DIGITS_AT[j], so a dropped digit is a NUL byte, and ORs in row
+# 17 * j + (digits of d1..d16 kept) of _FIELD: the "0" bits of d0 and of each kept digit,
+# "0." and its zeros, the "." and the exponent. No finite x < 1 has j = 0: that shape is
+# NaN's, whose row is "nan" and whose shifts of 192 bits move every digit out of the field
+# (numpy shifts a uint64 by 64 bits or more to 0). A _FIELD row ends in a fourth word of
+# NULs, as numpy's take copies rows of 32 bytes fastest.
+_J = _P_MAX - 15  # shapes j = 0..284: p = 16 + j <= _P_MAX
 
 
 def _tables():
-    """10**p as (hi, the halves of hi, lo); digit, exponent and trailing-zero tables; masks."""
+    """10**p as (hi, the halves of hi, lo)."""
     exact = [10**p for p in range(_P_MAX + 1)]
     hi = np.array([float(v) for v in exact])
     lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
     t = _SPLIT * hi
     hi_h = t - (t - hi)
-    d = np.arange(10000, dtype=np.int16)
-    digits = np.empty((10000, 4), np.uint8)
-    for i in range(4):
-        digits[:, i] = d // 10 ** (3 - i) % 10 + ord("0")
-    text4 = digits.view(np.uint32).ravel()  # "0000".."9999", 4 bytes each
-    digits = digits.copy()
-    digits[:, 0] = ord("-")
-    exp4 = digits.view(np.uint32).ravel()  # "-000".."-999"
-    zeros4 = sum((d % 10**j == 0).astype(np.int8) for j in range(1, 5))  # 4 for 0
-    j = np.arange(1000)  # -k
-    shape = (np.minimum(j, 5) - 1 + (j >= 100)) * 17 + 16  # the mask row of 17 digits
-    keep = np.zeros((_NAN + 1, _W), bool)
-    for nd in range(1, 18):
-        for s in range(4):
-            row = keep[s * 17 + nd - 1]
-            row[[0, 1, 5]] = True
-            row[2:s + 2] = True
-            row[7:6 + nd] = True
-        for s in (4, 5):
-            row = keep[s * 17 + nd - 1]
-            row[[5, 23, 24, 26, 27]] = True
-            row[6], row[25] = nd > 1, s == 5
-            row[7:6 + nd] = True
-    keep[_NAN, :3] = True
-    return hi, hi_h, hi - hi_h, lo, text4, exp4, zeros4, shape, keep.view(np.uint32)
+    return hi, hi_h, hi - hi_h, lo
 
 
-_HI, _HI_H, _HI_L, _LO, _TEXT4, _EXP4, _ZEROS4, _SHAPE, _KEEP = _tables()
+def _field_tables():
+    """The _FIELD rows of every shape j and number of digits kept, and the digit shifts of j."""
+    kept = np.arange(17)
+    # where the mantissa ends: "0." + (j - 1) zeros + d0 and the kept digits for j = 1..4,
+    # then d0 "." and the kept digits (d0 alone when none is) for every j >= 5
+    end = np.vstack([np.arange(3, 7)[:, None] + kept, np.where(kept > 0, kept + 2, 1)])
+    mantissa = np.greater.outer(end, np.arange(_W)).view(np.uint8) * np.uint8(ord("0"))
+    mantissa[..., 1] = np.where(end > 1, ord("."), 0)
+    j = np.arange(_J)
+    text = mantissa.take(np.clip(j, 1, 5) - 1, axis=0)
+    exponent = b"".join((b"e-%02d" % v).ljust(5, b"\0") for v in range(5, _J))
+    for k, at in enumerate(end[4]):
+        text[5:, k, at:at + 5] = np.frombuffer(exponent, np.uint8).reshape(-1, 5)
+    text[0] = 0
+    text[0, :, :3] = np.frombuffer(b"nan", np.uint8)
+    field = np.zeros((_J * 17, 4), np.uint64)
+    field[:, :3] = text.reshape(-1, _W).view(np.uint64)
+    fixed = (j >= 1) & (j <= 4)
+    digits_at = np.where(fixed, 8 * j + 16, 16).astype(np.uint64)
+    lead_at = np.where(fixed, 8 * j + 8, 0).astype(np.uint64)
+    digits_at[0] = lead_at[0] = 192
+    return field, digits_at, lead_at
+
+
+_HI, _HI_H, _HI_L, _LO = _tables()
+_FIELD, _DIGITS_AT, _LEAD_AT = _field_tables()
 
 
 def _digits(x, k):
@@ -271,12 +288,39 @@ def _digits(x, k):
     return ph.astype(np.int64) + f.astype(np.int64), r - f
 
 
-def put_f17(x, chars, keep) -> None:
-    """Write ``'%.17g' % v`` of each float ``v`` of ``x`` into its row of ``chars``.
+def _digit_bytes(v):
+    """Each uint64 of ``v``, a number below 10**8, as its eight digits: byte values, first lowest.
 
-    ``chars`` (uint8) and ``keep`` (bool) are (len(x), ``_W``) views; a row's
-    text is its bytes where ``keep`` is set, in order. The entries the fast
-    path cannot prove (see the module docstring) take ``'%.17g' % v``.
+    The inverse of ``_eight_digits``: each step splits every lane into a
+    quotient q (low half) and remainder r (high half) by a multiply-shift,
+    as (v << half) - q * ((divisor << half) - 1).
+    """
+    q = v * np.uint64(109951163)  # ceil(2**40 / 10**4): v // 10**4 for v < 10**8
+    q >>= np.uint64(40)
+    v <<= np.uint64(32)
+    q *= np.uint64((10**4 << 32) - 1)
+    v -= q
+    np.multiply(v, np.uint64(10486), out=q)  # ceil(2**20 / 100): // 100 for lanes < 10**4
+    q >>= np.uint64(20)
+    q &= np.uint64(0x0000007F0000007F)
+    v <<= np.uint64(16)
+    q *= np.uint64((100 << 16) - 1)
+    v -= q
+    np.multiply(v, np.uint64(103), out=q)  # ceil(2**10 / 10): // 10 for lanes < 100
+    q >>= np.uint64(10)
+    q &= np.uint64(0x000F000F000F000F)
+    v <<= np.uint64(8)
+    q *= np.uint64((10 << 8) - 1)
+    v -= q
+    return v
+
+
+def put_f17(x, chars) -> None:
+    """Write ``'%.17g' % v`` of each float ``v`` of ``x`` into its row of ``chars``, then NULs.
+
+    ``chars`` is a (len(x), ``_W``) uint8 view; a row's text is its bytes
+    before the first NUL. The entries the fast path cannot prove (see the
+    module docstring) take ``'%.17g' % v``.
     """
     fast = (x > _X_MIN) & (x < 1.0)
     xs = np.where(fast, x, 0.5)
@@ -285,60 +329,57 @@ def put_f17(x, chars, keep) -> None:
     fast &= (digits >= _E16) & (np.abs(frac - 0.5) >= _TIE)
     digits += frac > 0.5
     fast &= digits < _E17
-    j = -k
+    nan = np.isnan(x)
+    j = np.where(nan, 0, -k)
 
     lead = digits // _E16
-    high = digits // 10**8 - lead * 10**8
-    low = digits % 10**8
-    groups = np.empty((len(x), 4), np.int64)  # d1..d16 in four groups of 4 digits
-    np.floor_divide(high, 10**4, out=groups[:, 0])
-    np.floor_divide(low, 10**4, out=groups[:, 2])
-    groups[:, 1] = high - groups[:, 0] * 10**4
-    groups[:, 3] = low - groups[:, 2] * 10**4
-    chars[:] = _TEMPLATE
-    chars[:, 5] = lead + ord("0")
-    chars[:, 7:23] = _TEXT4.take(groups).view(np.uint8)
-    chars[:, 24:28] = _EXP4.take(j)[:, None].view(np.uint8)
-    z, empty = _ZEROS4.take(groups), groups == 0
-    zeros = z[:, 3] + empty[:, 3] * (z[:, 2] + empty[:, 2] * (z[:, 1] + empty[:, 1] * z[:, 0]))
-    index = _SHAPE.take(j) - zeros
-    nan = np.isnan(x)
-    index[nan] = _NAN
-    keep[:] = _KEEP.take(index, axis=0).view(bool)
-    chars[nan, :3] = _NAN_TEXT
+    digits -= lead * _E16
+    words = np.empty((2, len(x)), np.int64)  # d1..d8 and d9..d16
+    np.floor_divide(digits, 10**8, out=words[0])
+    np.subtract(digits, words[0] * 10**8, out=words[1])
+    a, b = _digit_bytes(words.view(np.uint64))
+    # the digits kept end at the highest nonzero byte of b * 2**64 + a: its float has
+    # that bit length, as no byte exceeds 9 and so no rounding carries into the next
+    kept = (np.frexp(b * 2.0**64 + a)[1] + 7) // 8
+    field = _FIELD.take(j * 17 + kept, axis=0)
+    at = _DIGITS_AT.take(j)
+    field[:, 0] |= lead.view(np.uint64) << _LEAD_AT.take(j)
+    field[:, 0] |= a << at
+    field[:, 1] |= b << at
+    at = np.subtract(np.uint64(64), at, out=at)
+    field[:, 1] |= a >> at
+    field[:, 2] |= b >> at
+    chars.view(np.uint64)[:] = field[:, :3]
 
     slow = np.flatnonzero(~(fast | nan))
     if len(slow):
-        texts = ["%.17g" % v for v in x[slow].tolist()]
-        padded = "".join(t.ljust(_W) for t in texts).encode()
-        chars[slow] = np.frombuffer(padded, np.uint8).reshape(len(slow), _W)
-        keep[slow] = np.arange(_W) < np.array(list(map(len, texts)))[:, None]
+        texts = "".join(("%.17g" % v).ljust(_W, "\0") for v in x[slow].tolist())
+        chars[slow] = np.frombuffer(texts.encode(), np.uint8).reshape(len(slow), _W)
 
 
 def row_matrix(row: str, sep: str, k: int):
-    """(chars, keep, fields) for k rows of ``row + sep``: the literals written, a slice per field.
+    """(chars, fields) for k rows of ``row + sep``: the literals written, a slice per field.
 
-    Each ``%.17g`` of ``row`` is a field of ``_W`` bytes, for ``put_f17``.
+    Each ``%.17g`` of ``row`` is a field of ``_W`` bytes, for ``put_f17``; the
+    literals hold no NUL.
     """
     parts = [part.encode() for part in (row + sep).split("%.17g")]
     width = sum(map(len, parts)) + _W * (len(parts) - 1)
     chars = np.empty((k, width), np.uint8)
-    keep = np.empty((k, width), bool)
     fields, at = [], 0
     for i, part in enumerate(parts):
         chars[:, at:at + len(part)] = np.frombuffer(part, np.uint8)
-        keep[:, at:at + len(part)] = True
         at += len(part)
         if i < len(parts) - 1:
             fields.append(slice(at, at + _W))
             at += _W
-    return chars, keep, fields
+    return chars, fields
 
 
-def matrix_text(chars, keep, sep: str) -> str:
-    """The kept bytes of the rows as one string, without the ``sep`` that ends the last row."""
-    end = chars.size - len(sep)
-    return chars.ravel()[:end][keep.ravel()[:end]].tobytes().decode("ascii")
+def matrix_text(chars, sep: str) -> str:
+    """The rows' bytes but their NULs as one string, without the ``sep`` that ends the last row."""
+    text = chars.ravel()[:chars.size - len(sep)]
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def format_rows(row: str, sep: str, *columns) -> list[str]:
@@ -346,22 +387,31 @@ def format_rows(row: str, sep: str, *columns) -> list[str]:
 
     ``row`` holds one ``%.17g`` per column, and the columns are equal-length
     float64 arrays. Each block is one string; the blocks are returned for
-    the caller to join with ``sep``. The blocks are shared out as in
+    the caller to join with ``sep``. The rows are shared out as in
     ``_in_shares``; every share reuses one matrix, whose literals are written
     once.
     """
 
     def share(lo, hi):
-        chars, keep, fields = row_matrix(row, sep, min(_BLOCK, hi - lo))
-        blocks = []
-        for i in range(lo, hi, _BLOCK):
-            k = min(_BLOCK, hi - i)
+        chars, fields = row_matrix(row, sep, min(_BLOCK, hi - lo))
+        pieces, i = [], lo
+        while i < hi:
+            j = min(hi, i - i % _BLOCK + _BLOCK)  # where i's block ends
             for column, field in zip(columns, fields):
-                put_f17(column[i:i + k], chars[:k, field], keep[:k, field])
-            blocks.append(matrix_text(chars[:k], keep[:k], sep))
-        return blocks
+                put_f17(column[i:j], chars[:j - i, field])
+            pieces.append((i, matrix_text(chars[:j - i], sep)))
+            i = j
+        return pieces
 
-    return list(chain.from_iterable(_in_shares(share, len(columns[0]), _BLOCK)))
+    # the shares split rows, not whole blocks (117,649 rows: 58,824 against 58,825), and
+    # each cuts its rows where the blocks end; a block that two shares cut is joined again
+    blocks = []
+    for i, text in chain.from_iterable(_in_shares(share, len(columns[0]), _BLOCK, step=1)):
+        if i % _BLOCK:
+            blocks[-1] = sep.join([blocks[-1], text])
+        else:
+            blocks.append(text)
+    return blocks
 
 
 def format_grid(centers, values) -> str:
@@ -374,23 +424,22 @@ def format_grid(centers, values) -> str:
     block writes the da fields of its grid rows and formats its dc values.
     """
     resolution = len(centers)
-    center_chars, center_keep, _ = row_matrix("%.17g", "", resolution)
-    put_f17(centers, center_chars, center_keep)
+    center_chars, _ = row_matrix("%.17g", "", resolution)
+    put_f17(centers, center_chars)
     rows_per_block = max(1, _BLOCK // resolution)
 
     def share(lo, hi):
         k = min(rows_per_block, hi - lo)
-        chars, keep, (a, b, c) = row_matrix("%.17g,%.17g,%.17g", "\n", k * resolution)
-        grid_chars, grid_keep = chars.reshape(k, resolution, -1), keep.reshape(k, resolution, -1)
-        grid_chars[:, :, b], grid_keep[:, :, b] = center_chars, center_keep
+        chars, (a, b, c) = row_matrix("%.17g,%.17g,%.17g", "\n", k * resolution)
+        grid = chars.reshape(k, resolution, -1)
+        grid[:, :, b] = center_chars
         lines = []
         for i in range(lo, hi, rows_per_block):
             k = min(rows_per_block, hi - i)
             m = k * resolution
-            grid_chars[:k, :, a] = center_chars[i:i + k, None]
-            grid_keep[:k, :, a] = center_keep[i:i + k, None]
-            put_f17(values[i:i + k].ravel(), chars[:m, c], keep[:m, c])
-            lines.append(matrix_text(chars[:m], keep[:m], "\n"))
+            grid[:k, :, a] = center_chars[i:i + k, None]
+            put_f17(values[i:i + k].ravel(), chars[:m, c])
+            lines.append(matrix_text(chars[:m], "\n"))
         return lines
 
     # shares of whole grid rows: res 192 (blocks of 85, 85, 22 rows) splits 96 against 96
@@ -441,7 +490,7 @@ _M_MAX = 292
 _FRAC = 24
 #: bytes each block's copy of the text keeps on either side of its fields
 _PAD = 2 * _FRAC
-#: bytes of text in a span: each cut between spans moves on to the next row start
+#: bytes of text in a span, at most: each cut between spans moves on to the next row start
 _SCAN = 1 << 19
 #: an entry whose residual lies this many ulps from a rounding midpoint takes float()
 _GUARD = 2.0**-40
@@ -622,10 +671,18 @@ def _read_exported(data, layout: _Layout) -> IntervalSet | None:
         fields = layout.loads(head.decode("ascii"))
     except (RecursionError, ValueError):
         return None
+    # near-equal spans of at most about _SCAN bytes, as many as a multiple of the shares:
+    # each cut moves on to the next row start, and one that a long row has carried the
+    # cut before it past is dropped
+    count = -(-(stop - end) // _SCAN)
+    workers = min(_cpus(), count)
+    count = -(-count // workers) * workers
     cuts = [end]
-    while cuts[-1] < stop:
-        at = find("\n", cuts[-1] + _SCAN - 1, stop) + 1  # 0: no newline before the tail
-        cuts.append(at or stop)
+    for i in range(1, count + 1):
+        target = end + (stop - end) * i // count
+        at = find("\n", target - 1, stop) + 1 or stop  # 0: no newline before the tail
+        if at > cuts[-1]:
+            cuts.append(at)
 
     def share(lo, hi):
         scratch = np.zeros(2 * (max(np.diff(cuts[lo:hi + 1])) + len(layout.sep) + _PAD), np.uint8)

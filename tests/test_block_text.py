@@ -5,7 +5,10 @@ each float by the numpy formatter ``put_f17``; these tests pin its bytes to
 the seed's one-``format()``-per-value loops in ``reference_text.py``: on
 random bit patterns, at powers of ten, on decimal ties and special values,
 with the exponent estimate one off, at and around the block boundaries, and
-where whole blocks take the fallback. They also pin the bulk import checks
+where whole blocks take the fallback. They pin each field's layout too: its
+text from the first byte of its slot, then NULs, on every shape of the text
+and at slot offsets and row widths that leave its 8-byte words unaligned.
+They also pin the bulk import checks
 to the seed's per-row checks, messages and line numbers, and the block
 parser of exporter layouts to the ``json.loads``/``float`` path: exporter
 output is read by it bit-identically to ``float()``, and every document
@@ -13,12 +16,13 @@ mutated out of the layout declines to that path, with its arrays or errors.
 """
 
 import json
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
 import reference_text as ref
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantordim import (
@@ -186,6 +190,95 @@ class TestF17:
         text = "\n".join(format_rows("%.17g,%.17g,%.17g", "\n", a, a[::-1], c))
         want = "\n".join(f"{ref.f17(x)},{ref.f17(y)},{ref.f17(z)}" for x, y, z in zip(a, a[::-1], c))
         same_text(text, want)
+
+
+# the shapes of a fast field's text by j = -k: fixed notation for k = -1..-4, then
+# exponents of two and of three digits
+SHAPES = {"k=-1": [1], "k=-2": [2], "k=-3": [3], "k=-4": [4],
+          "e-dd": list(range(5, 100)), "e-ddd": list(range(100, 281))}
+# row widths: a JSON row, a grid row, and odd ones
+WIDTHS = [58, 75, 25, 49]
+
+
+def shaped(shape, lead, kept, seed):
+    """A float whose ``'%.17g'`` is of ``shape``, leads with ``lead`` and keeps ``kept`` of
+    the 16 digits after it (the other 16 - kept are trailing zeros, dropped).
+
+    None when 200 tries find none: no double prints some short fixed-notation
+    texts, such as 0.3 (0.29999999999999999).
+    """
+    rng = random.Random(seed)
+    for _ in range(200):
+        j = rng.choice(SHAPES[shape])
+        digits = "".join(rng.choices("0123456789", k=kept))
+        if kept:  # the last kept digit is not a zero
+            digits = digits[:-1] + rng.choice("123456789")
+        if j <= 4:
+            text = "0." + "0" * (j - 1) + str(lead) + digits
+        else:
+            text = f"{lead}{'.' if kept else ''}{digits}e-{j:02d}"
+        if "%.17g" % float(text) == text:
+            return float(text)
+    return None
+
+
+def slot_bytes(values, width, at):
+    """Rows of ``width`` bytes of 0xFF with ``put_f17`` of ``values`` written at byte ``at``."""
+    chars = np.full((len(values), width), 0xFF, np.uint8)
+    serialize.put_f17(np.asarray(values, dtype=np.float64), chars[:, at:at + serialize._W])
+    return chars
+
+
+def assert_fields(values, chars, at):
+    """Each row's slot holds the value's '%.17g' from its first byte, then NULs, and the
+    bytes outside the slot are untouched."""
+    w = serialize._W
+    for v, row in zip(values, chars):
+        text = ref.f17(v).encode()
+        assert row[at:at + len(text)].tobytes() == text, (v, row[at:at + w].tobytes())
+        assert not row[at + len(text):at + w].any(), (v, row[at:at + w].tobytes())
+        assert (row[:at] == 0xFF).all() and (row[at + w:] == 0xFF).all()
+
+
+class TestFieldLayout:
+    def test_the_widest_text_fills_the_slot(self):
+        widest = max(len(ref.f17(-v)) for v in (2.2250738585072014e-308, 5e-324))
+        assert serialize._W == widest == 24
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        shapes=st.lists(st.tuples(st.sampled_from(list(SHAPES)), st.integers(1, 9),
+                                  st.integers(0, 16), st.integers(0, 2**32)),
+                        min_size=1, max_size=8),
+        width=st.sampled_from(WIDTHS),
+        data=st.data(),
+    )
+    def test_a_field_is_its_text_from_the_slot_start(self, shapes, width, data):
+        values = [v for v in (shaped(*s) for s in shapes) if v is not None]
+        assume(values)
+        at = data.draw(st.integers(0, width - serialize._W), label="slot offset")
+        assert_fields(values, slot_bytes(values, width, at), at)
+
+    @pytest.mark.parametrize("width, at", [(58, 5), (58, 31), (75, 25), (75, 50), (25, 1),
+                                           (49, 0), (49, 24)])
+    def test_every_shape_lead_digit_and_count_of_trailing_zeros(self, width, at):
+        found = {(shape, lead, kept): shaped(shape, lead, kept, seed=kept * 10 + lead)
+                 for shape in SHAPES for lead in range(1, 10) for kept in range(17)}
+        # every exponent shape is found; fixed notation lacks only texts no double prints
+        missing = [key for key, v in found.items() if v is None]
+        assert all(shape.startswith("k=") and kept <= 1 for shape, _, kept in missing), missing
+        values = [v for v in found.values() if v is not None]
+        assert len(values) > 0.95 * len(found)
+        values += [np.nan, 0.5, 1.0, -0.25, 5e-324, 1e-280, *TIES]  # NaN and the fallback
+        assert_fields(values, slot_bytes(values, width, at), at)
+
+    def test_digit_bytes_are_the_decimal_digits(self):
+        v = np.concatenate([
+            [0, 1, 9, 10, 99, 100, 9999, 10**4, 10**7, 10**8 - 1, 12345678, 87654321],
+            np.random.default_rng(9).integers(0, 10**8, 10_000),
+        ]).astype(np.uint64)
+        got = serialize._digit_bytes(v.copy()).view(np.uint8).reshape(-1, 8) + ord("0")
+        assert [row.tobytes().decode() for row in got] == [f"{int(x):08d}" for x in v]
 
 
 class TestGridBytes:
