@@ -149,9 +149,12 @@ def worker(mode: str) -> None:
                            estimate_dimension, verify_operator_geometrically)
     from cantordim.estimation import SNAP_ETA
 
+    # a tree from before the kernel held SNAP_ETA passes it to the kernel
+    eta = () if hasattr(_kernels_py, "SNAP_ETA") else (SNAP_ETA,)
+
     def ladder(starts, ends, deltas):
         layout = _kernels_py.set_layout(starts, ends)
-        counts = _kernels_py.box_counts(layout, deltas, SNAP_ETA)
+        counts = _kernels_py.box_counts(layout, deltas, *eta)
         return counts, sum(getattr(field, "nbytes", 0) for field in layout)
 
     def gap_rows(s, deltas):
@@ -159,7 +162,7 @@ def worker(mode: str) -> None:
         suffixes = getattr(_kernels_py, "_suffix_lengths", None)
         if suffixes is None:
             return int((len(keys) - keys.searchsorted(_kernels_py._width_keys(0.5 * deltas))).sum())
-        return int(suffixes(keys, deltas, SNAP_ETA).sum())
+        return int(suffixes(keys, deltas, *eta).sum())
 
     def laid_out(s):
         s = IntervalSet(s.starts, s.ends, s.params)

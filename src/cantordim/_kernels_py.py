@@ -3,16 +3,16 @@
 ``prefractal_starts`` builds positions with a fixed sequence of float
 operations, so a construction is reproducible bit for bit. ``box_counts``
 counts a whole ladder of box sizes in one call and returns, for every box
-size down to ``estimation.DELTA_FLOOR`` at eta = ``estimation.SNAP_ETA``,
-the count of the sequential sweep kept in the tests as the slow reference;
-the tests compare counts exactly, and its docstring holds the proof.
+size down to ``estimation.DELTA_FLOOR``, the count of the sequential sweep
+kept in the tests as the slow reference, at the snap band ``SNAP_ETA``; the
+tests compare counts exactly, and its docstring holds the proof.
 ``box_count`` is its one-size case on the arrays of an IntervalSet, whose
 starts and ends are both sorted. ``set_layout`` gathers, once per set, what
 every box size reuses: the shortest interval, and the gaps sorted by width
 (by a 16-bit key), with the interval on either side of each. Every set is
-counted from its gaps at least about delta*(1 - 4*eta) wide, a margin below
-the least width that ``box_counts`` proves can hold an empty cell: one
-sorted suffix of those rows. At a size where some interval may be thinner
+counted from its gaps at least about delta*(1 - 4*SNAP_ETA) wide, a margin
+below the least width that ``box_counts`` proves can hold an empty cell:
+one sorted suffix of those rows. At a size where some interval may be thinner
 than the snap band, each row also tests its two neighbours for thinness. A
 row finds its cells with one multiply by fl(1/delta), and compares with the
 rounded cell boundaries only where the quotient lies near one.
@@ -24,12 +24,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DomainError
+
 BACKEND = "python"
 
 
 def available_backends():
     """Name -> kernel module; the numpy kernel is the only one."""
     return {BACKEND: sys.modules[__name__]}
+
+#: occupancy snap band as a fraction of the cell size: the only eta ``box_counts`` is proved for
+SNAP_ETA = 1e-6
 
 #: cells per block of the count (box sizes times gap rows): every block of a
 #: call reuses one scratch of this many cells
@@ -133,26 +138,27 @@ def set_layout(starts, ends):
 
 
 def box_count(starts, ends, delta, eta):
-    """``box_counts`` at one size, on arrays; kept for the tests and perfbench's kernel_parity."""
-    return box_counts(set_layout(starts, ends), (delta,), eta)[0]
+    """``box_counts`` at one size, on arrays; kept for the tests and perfbench's kernel_parity.
+
+    Any ``eta`` but ``SNAP_ETA`` is a DomainError.
+    """
+    if eta != SNAP_ETA:
+        raise DomainError(f"eta must be SNAP_ETA = {SNAP_ETA!r}, got {eta!r}")
+    return box_counts(set_layout(starts, ends), (delta,))[0]
 
 
-def box_counts(layout, deltas, eta):
+def box_counts(layout, deltas):
     """Occupied cells of the grid [k*delta, (k+1)*delta) at every box size of ``deltas``.
 
     The counts, Python ints, come in the order of ``deltas``, which may come
     in any order and repeat; ``layout`` is the SetLayout of the set.
 
-    A cell is occupied when its overlap with an interval exceeds eta*delta;
-    intervals thinner than the snap band are assigned their midpoint cell.
-    The intervals must lie in [0, 1] with starts and ends both
-    non-decreasing, as those of an IntervalSet do.
+    A cell is occupied when its overlap with an interval exceeds eta*delta,
+    eta = ``SNAP_ETA``; intervals thinner than the snap band are assigned
+    their midpoint cell. The intervals must lie in [0, 1] with starts and
+    ends both non-decreasing, as those of an IntervalSet do.
 
-    The counts are proved exact for eta = ``estimation.SNAP_ETA`` only, the
-    eta every caller passes: the delta/2 term of the gap suffix's bound
-    below needs eta < 1/4. On 30 random 50-interval sets at the sizes
-    2**-1 .. 2**-30, none of the 900 counts differs from the reference at
-    eta <= 0.24, but 7 do at eta = 0.3 and 76 at eta = 0.45.
+    ``SNAP_ETA`` is the only eta: the proof below takes its value.
 
     Interval j covers the cells lo_j..hi_j. With a = fl(start_j + snap) and
     b = fl(end_j - snap), the ends rule takes lo_j, the largest k with
@@ -272,16 +278,16 @@ def box_counts(layout, deltas, eta):
         return [0] * n
     if n == 1:
         delta = float(deltas[0])
-        rows = int(_suffix_lengths(layout.keys, deltas, eta)[0])
-        thin_test = _needs_thin_test(layout, delta, eta)
+        rows = int(_suffix_lengths(layout.keys, deltas)[0])
+        thin_test = _needs_thin_test(layout, delta)
         scratch = _scratch(min(rows, BLOCK))
-        return [int(_count_group(layout, _grid(delta, eta), 1, rows, thin_test, scratch))]
+        return [int(_count_group(layout, _grid(delta), 1, rows, thin_test, scratch))]
     order = (-deltas).argsort(kind="stable")
     deltas = deltas[order]
-    lengths = _suffix_lengths(layout.keys, deltas, eta)
+    lengths = _suffix_lengths(layout.keys, deltas)
     groups = _groups(lengths.tolist())
     scratch = _scratch(max(min((last - first) * rows, BLOCK) for first, last, rows in groups))
-    columns = _grid(deltas[:, None], eta)
+    columns = _grid(deltas[:, None])
     totals = np.empty(n)
     # numpy runs a ufunc with an (r, 1) column operand over rows shorter than
     # its buffer by copying them through the buffer, which costs several times
@@ -291,35 +297,35 @@ def box_counts(layout, deltas, eta):
         for first, last, rows in groups:
             delta = float(deltas[first])  # the coarsest of the group
             if last - first == 1:  # scalars and 1-D blocks take numpy's fastest loops
-                grid = _grid(delta, eta)
+                grid = _grid(delta)
             else:
                 grid = [column[first:last] for column in columns]
                 np.setbufsize(min(ROW_BUFFER, max(16, rows // 16 * 16)))
-            thin_test = _needs_thin_test(layout, delta, eta)
+            thin_test = _needs_thin_test(layout, delta)
             totals[first:last] = _count_group(layout, grid, last - first, rows, thin_test, scratch)
     counts = np.empty(n, dtype=np.int64)
     counts[order] = totals
     return counts.tolist()
 
 
-def _suffix_lengths(keys, deltas, eta):
+def _suffix_lengths(keys, deltas):
     """The rows of each size's gap suffix in the sorted ``keys``, the sentinel included.
 
     A size counts the gaps keyed at least as T(delta) = max(delta/2,
-    fl(delta*fl(1 - 4*eta)) - 2**-50), which ``box_counts`` proves lies below
-    every gap that can hold an empty cell; ``deltas`` is a float64 array.
+    fl(delta*fl(1 - 4*SNAP_ETA)) - 2**-50), which ``box_counts`` proves lies
+    below every gap that can hold an empty cell; ``deltas`` is a float64 array.
     """
-    floor = deltas * (1.0 - 4.0 * eta)
+    floor = deltas * (1.0 - 4.0 * SNAP_ETA)
     floor -= 2.0**-50
     np.maximum(floor, 0.5 * deltas, out=floor)
     return len(keys) - keys.searchsorted(_width_keys(floor))
 
 
-def _grid(delta, eta):
+def _grid(delta):
     """(delta, snap, inv, eps, 1 - eps) of ``_cell_ranges``, for a size or an (r, 1) column."""
     inv = 1.0 / delta
     eps = 2.0**-50 * (inv + 1.0)
-    return delta, eta * delta, inv, eps, 1.0 - eps
+    return delta, SNAP_ETA * delta, inv, eps, 1.0 - eps
 
 
 def _scratch(cells):
@@ -331,9 +337,9 @@ def _scratch(cells):
     return np.empty(8 * cells), np.empty(4 * cells, dtype=bool)
 
 
-def _needs_thin_test(layout, delta, eta):
+def _needs_thin_test(layout, delta):
     """Whether some interval may be thinner than the snap band at box size ``delta``."""
-    return not layout.min_len > 2.0 * (eta * delta) + THIN_SLACK
+    return not layout.min_len > 2.0 * (SNAP_ETA * delta) + THIN_SLACK
 
 
 def _count_group(layout, grid, r, rows, thin_test, scratch):

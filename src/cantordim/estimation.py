@@ -34,8 +34,8 @@ from .geometry import (
     regular_epsilon,
 )
 
-#: occupancy snap band as a fraction of the cell size
-SNAP_ETA = 1e-6
+#: occupancy snap band as a fraction of the cell size: the kernel's, the only one it counts with
+SNAP_ETA = _kernels_py.SNAP_ETA
 
 #: cells must be indexable in exact int64 arithmetic
 DELTA_FLOOR = 1e-15
@@ -59,7 +59,7 @@ def box_count(intervals: IntervalSet, delta: float) -> int:
     """Number of grid cells [k*delta, (k+1)*delta) meeting the set with positive measure."""
     check_intervals(intervals)
     delta = check_real(delta, "box size", DELTA_FLOOR, 1)
-    return _kernels_py.box_counts(intervals._box_layout, (delta,), SNAP_ETA)[0]
+    return _kernels_py.box_counts(intervals._box_layout, (delta,))[0]
 
 
 def scale_ladder(
@@ -230,7 +230,7 @@ def verify_operator_geometrically(
         deltas = np.array(_verify_ladder(result.gamma, stage))
     except (CapExceeded, DomainError) as exc:
         return unverifiable(str(exc))
-    counts = _kernels_py.box_counts(prefractal._box_layout, deltas, SNAP_ETA)
+    counts = _kernels_py.box_counts(prefractal._box_layout, deltas)
     d_hat, stderr = _fit(deltas, counts)
     err = abs(d_hat - result.d)
     status = "pass" if err <= tolerance * result.d else "fail"

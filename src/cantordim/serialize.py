@@ -26,10 +26,10 @@ The rows of export, the grid rows of the grid CSV and the spans of import
 run on every usable CPU (``_cpus``, ``_in_shares``): they split into one
 contiguous share per CPU, at most one per block or span, and numpy releases
 the interpreter lock inside their kernels. Export's shares are near-equal
-runs of rows, each cut where the blocks end (a block cut by two shares is
-joined again), and import cuts its rows into near-equal spans, as many as a
-multiple of the shares, so that the shares get near-equal work. A document
-of one block or span, or a process with one usable CPU, starts no thread.
+runs of rows, each cut into pieces where the blocks end, and import cuts
+its rows into near-equal spans, as many as a multiple of the shares, so
+that the shares get near-equal work. A document of one block or span, or a
+process with one usable CPU, starts no thread.
 Each share holds its own scratch: one character matrix for export and the
 grid, and for import one buffer for a span's copy of its text and its mask
 of row marks. A str document is encoded one span at a time, so no copy of
@@ -170,22 +170,20 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_shares(work, n: int, block: int, step: int | None = None) -> list:
+def _in_shares(work, n: int, block: int) -> list:
     """``[work(lo, hi) for each share]`` of ``range(n)``, the shares run on threads at once.
 
     There is one share per usable CPU (``_cpus``), at most one per ``block``
-    items; the shares are contiguous runs of whole ``step``s (``block`` by
-    default) as equal as those allow. This thread runs the first share and
-    each other share gets a thread of its own, joined before the call
-    returns; one share starts no thread. numpy releases the interpreter lock
-    in the block kernels, so the shares run in parallel. An exception raised
-    in any share is raised here, the first share's first.
+    items; the shares are contiguous runs of items, as equal as can be. This
+    thread runs the first share and each other share gets a thread of its
+    own, joined before the call returns; one share starts no thread. numpy
+    releases the interpreter lock in the block kernels, so the shares run in
+    parallel. An exception raised in any share is raised here, the first
+    share's first.
     """
-    step = step or block
     blocks = -(-n // block)
     workers = min(_cpus(), blocks) if blocks > 1 else 1
-    steps = -(-n // step)
-    cuts = [min(n, step * (steps * j // workers)) for j in range(workers + 1)]
+    cuts = [n * j // workers for j in range(workers + 1)]
     results, errors = [None] * workers, [None] * workers
 
     def run(j):
@@ -274,15 +272,20 @@ _HI, _HI_H, _HI_L, _LO = _tables()
 _FIELD, _DIGITS_AT, _LEAD_AT = _field_tables()
 
 
-def _digits(x, k):
-    """floor(x * 10**(16 - k)) as int64 and its fraction (bounds in the module docstring)."""
-    p = 16 - k
-    hi_h, hi_l = _HI_H.take(p), _HI_L.take(p)
-    ph = x * _HI.take(p)
+def _two_product(x, hi, hi_h, hi_l):
+    """(ph, pl) with x * hi = ph + pl exactly: Dekker's two-product, hi split as hi_h + hi_l."""
+    ph = x * hi
     t = _SPLIT * x
     xh = t - (t - x)
     xl = x - xh
     pl = ((xh * hi_h - ph) + xh * hi_l + xl * hi_h) + xl * hi_l
+    return ph, pl
+
+
+def _digits(x, k):
+    """floor(x * 10**(16 - k)) as int64 and its fraction (bounds in the module docstring)."""
+    p = 16 - k
+    ph, pl = _two_product(x, _HI.take(p), _HI_H.take(p), _HI_L.take(p))
     r = pl + x * _LO.take(p)
     f = np.floor(r)
     return ph.astype(np.int64) + f.astype(np.int64), r - f
@@ -379,17 +382,17 @@ def row_matrix(row: str, sep: str, k: int):
 def matrix_text(chars, sep: str) -> str:
     """The rows' bytes but their NULs as one string, without the ``sep`` that ends the last row."""
     text = chars.ravel()[:chars.size - len(sep)]
-    return text[text != 0].tobytes().decode("ascii")
+    return str(text[text != 0].data, "ascii")
 
 
 def format_rows(row: str, sep: str, *columns) -> list[str]:
     """``sep.join(row % values for values in zip(*columns))``, in blocks of ``_BLOCK`` rows.
 
     ``row`` holds one ``%.17g`` per column, and the columns are equal-length
-    float64 arrays. Each block is one string; the blocks are returned for
-    the caller to join with ``sep``. The rows are shared out as in
-    ``_in_shares``; every share reuses one matrix, whose literals are written
-    once.
+    float64 arrays. The rows are shared out as in ``_in_shares``, and each
+    share cuts its rows where the blocks end; the pieces, one string each,
+    are returned for the caller to join with ``sep``. Every share reuses one
+    matrix, whose literals are written once.
     """
 
     def share(lo, hi):
@@ -399,19 +402,12 @@ def format_rows(row: str, sep: str, *columns) -> list[str]:
             j = min(hi, i - i % _BLOCK + _BLOCK)  # where i's block ends
             for column, field in zip(columns, fields):
                 put_f17(column[i:j], chars[:j - i, field])
-            pieces.append((i, matrix_text(chars[:j - i], sep)))
+            pieces.append(matrix_text(chars[:j - i], sep))
             i = j
         return pieces
 
-    # the shares split rows, not whole blocks (117,649 rows: 58,824 against 58,825), and
-    # each cuts its rows where the blocks end; a block that two shares cut is joined again
-    blocks = []
-    for i, text in chain.from_iterable(_in_shares(share, len(columns[0]), _BLOCK, step=1)):
-        if i % _BLOCK:
-            blocks[-1] = sep.join([blocks[-1], text])
-        else:
-            blocks.append(text)
-    return blocks
+    # the shares split rows, not whole blocks: 117,649 rows go 58,824 against 58,825
+    return list(chain.from_iterable(_in_shares(share, len(columns[0]), _BLOCK)))
 
 
 def format_grid(centers, values) -> str:
@@ -443,7 +439,7 @@ def format_grid(centers, values) -> str:
         return lines
 
     # shares of whole grid rows: res 192 (blocks of 85, 85, 22 rows) splits 96 against 96
-    shares = _in_shares(share, resolution, rows_per_block, step=1)
+    shares = _in_shares(share, resolution, rows_per_block)
     return "\n".join(["da,db,dc", *chain.from_iterable(shares), ""])
 
 
@@ -580,11 +576,7 @@ def _read_block(buf, s, t):
     hi, hi_h, hi_l, lo = _TEN.take(np.minimum(m, _M_MAX), axis=1)
     dh = digits.astype(np.float64)
     dl = (digits - dh.astype(np.int64)).astype(np.float64)
-    ph = dh * hi
-    u = _SPLIT * dh
-    xh = u - (u - dh)
-    xl = dh - xh
-    pl = ((xh * hi_h - ph) + xh * hi_l + xl * hi_h) + xl * hi_l
+    ph, pl = _two_product(dh, hi, hi_h, hi_l)
     tail = (pl + dh * lo) + dl * hi
     r = ph + tail
     e = (ph - r) + tail

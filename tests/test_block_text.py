@@ -16,6 +16,7 @@ mutated out of the layout declines to that path, with its arrays or errors.
 """
 
 import json
+import os
 import random
 from unittest import mock
 
@@ -106,13 +107,15 @@ class TestExportBytes:
         assert rows[:2] == ["nan", "nan"]
 
     @pytest.mark.parametrize("m", SIZES)
-    def test_blocks_hold_at_most_block_rows(self, m):
+    def test_blocks_hold_at_most_block_rows(self, m, monkeypatch):
+        # each share's rows in pieces cut where the blocks end: with two usable CPUs the
+        # _BLOCK + 1 rows split at _BLOCK // 2, and the second share cuts its rows at _BLOCK
         column = np.arange(m, dtype=np.float64)
-        blocks = format_rows("%.17g", "\n", column)
-        assert [b.count("\n") + 1 for b in blocks] == [
-            min(_BLOCK, m - i) for i in range(0, m, _BLOCK)
-        ]
-        same_text("\n".join(blocks), "\n".join(ref.f17(v) for v in column))
+        for cpus, over in ((1, [_BLOCK, 1]), (2, [_BLOCK // 2, _BLOCK // 2, 1])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            pieces = format_rows("%.17g", "\n", column)
+            assert [p.count("\n") + 1 for p in pieces] == {0: [], _BLOCK + 1: over}.get(m, [m])
+            same_text("\n".join(pieces), "\n".join(ref.f17(v) for v in column))
 
 
 def f17_rows(values) -> list[str]:
@@ -624,8 +627,8 @@ class TestSpans:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_edited_documents_decline_or_read_as_the_present_path(self, data):
-        # a few bytes replaced (inserted, deleted or substituted), read in spans of a
-        # few rows, of one row or less, or with the first cut right after the edit:
+        # a few bytes replaced (inserted, deleted or substituted), read on one CPU in
+        # spans of a few rows, of one row or less, or with a cut right after the edit:
         # the block parser declines or gives the present path's values, params or error
         fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
         text = SPAN_DOCS[fmt]
@@ -635,10 +638,21 @@ class TestSpans:
         new = data.draw(st.sampled_from(FRAGMENTS), label="bytes written")
         text = text[:at] + new + text[at + removed:]
         rows = text.index("[\n") + 2 if fmt == "json" else text.index("\n") + 1
-        # the first cut is the first line end at or after rows + scan - 1
-        right_after = range(max(1, at - rows + 1), at - rows + 1 + len(new))
+        # the rows' size bytes go into count = ceil(size / scan) spans, and cut i is the
+        # first line end at or after rows + size * i // count - 1: aim some cut's search
+        # from the edited row's start to the end of the bytes written
+        size = len(text) - len(serialize._LAYOUTS[fmt].tail) - rows
+        row_start = text.rfind("\n", 0, at) + 1
+        right_after = []
+        for count in range(2, size + 1):
+            scan = -(-size // count)
+            i = max(1, -(-(row_start + 1 - rows) * count // size))  # the first cut from there
+            if (-(-size // scan) == count and i < count
+                    and rows + size * i // count - 1 <= at + len(new)):
+                right_after.append(scan)
         scan = data.draw(st.sampled_from([16, 64, 333, *right_after]), label="span bytes")
-        with mock.patch.object(serialize, "_SCAN", scan):
+        with (mock.patch.object(serialize, "_SCAN", scan),
+              mock.patch.object(serialize, "_cpus", lambda: 1)):
             block = outcome(fast, text, fmt)
             assert block is None or block == outcome(present, text, fmt)
             same_outcome(text, fmt)

@@ -29,7 +29,7 @@ from cantordim import (
     scale_ladder,
 )
 from cantordim import _kernels_py as kernel
-from cantordim.errors import InvariantError
+from cantordim.errors import DomainError, InvariantError
 from cantordim.estimation import DELTA_FLOOR, SNAP_ETA
 from cantordim.geometry import OVERLAP_TOL
 
@@ -63,11 +63,11 @@ def assert_counts_match(starts, ends, deltas):
     wants = []
     for delta in deltas:
         want = reference_count(starts, ends, delta, SNAP_ETA)
-        got = kernel.box_counts(layout, (delta,), SNAP_ETA)[0]
+        got = kernel.box_counts(layout, (delta,))[0]
         assert got == want, f"delta={delta!r}: kernel {got}, reference {want}"
         assert kernel.box_count(starts, ends, delta, SNAP_ETA) == want
         wants.append(want)
-    got = kernel.box_counts(layout, deltas, SNAP_ETA)
+    got = kernel.box_counts(layout, deltas)
     assert got == wants, [(d, g, w) for d, g, w in zip(deltas, got, wants) if g != w]
 
 
@@ -194,13 +194,30 @@ def test_runs_of_equal_ends_just_above_a_boundary(blocks):
 def test_empty_and_single_interval(blocks):
     assert kernel.box_count(np.array([]), np.array([]), 0.5, SNAP_ETA) == 0
     empty = kernel.set_layout(np.array([]), np.array([]))
-    assert kernel.box_counts(empty, [0.5, 1.0, 0.5], SNAP_ETA) == [0, 0, 0]
-    assert kernel.box_counts(empty, [], SNAP_ETA) == []
+    assert kernel.box_counts(empty, [0.5, 1.0, 0.5]) == [0, 0, 0]
+    assert kernel.box_counts(empty, []) == []
     one = kernel.set_layout(np.array([0.25]), np.array([0.5]))
-    assert kernel.box_counts(one, [], SNAP_ETA) == []
+    assert kernel.box_counts(one, []) == []
     deltas = [1.0, 0.5, 1e-3, DELTA_FLOOR, nudged(DELTA_FLOOR, 1), 2 * DELTA_FLOOR]
     for start, end in ((0.0, 1.0), (0.25, 0.5), (0.5 - 1e-14, 0.5 + 1e-14), (1 / 3, 2 / 3)):
         assert_counts_match([start], [end], deltas)
+
+
+@pytest.mark.parametrize("eta", [0.45, 0.0])
+def test_the_kernel_counts_at_snap_eta_only(eta):
+    with pytest.raises(DomainError, match="SNAP_ETA"):
+        kernel.box_count(np.array([0.25]), np.array([0.5]), 0.5, eta)
+
+
+def test_the_sweep_at_another_eta_is_not_the_kernel_rule():
+    # why eta is no parameter of the kernel: at eta = 0.45 both intervals overlap cell 2
+    # ([0.25, 0.375)) by less than the snap, so the sweep leaves it empty, but their gap
+    # is narrower than delta/2, where the gap suffix (proved for SNAP_ETA only) starts,
+    # and a kernel that took that eta counted 6
+    starts, ends = np.array([0.0, 0.33]), np.array([0.305, 0.75])
+    assert reference_count(starts, ends, 0.125, 0.45) == 5
+    assert reference_count(starts, ends, 0.125, SNAP_ETA) == 6
+    assert_counts_match(starts, ends, [0.125])
 
 
 def test_box_sizes_at_one_and_near_the_floor(blocks):
@@ -242,7 +259,7 @@ def test_ladder_restores_the_ufunc_buffer_size():
     ladder = scale_ladder(0.2, 5, per_level=4)
     before = np.getbufsize()
     assert before != kernel.ROW_BUFFER and len(ladder) > 1
-    kernel.box_counts(s._box_layout, ladder, SNAP_ETA)
+    kernel.box_counts(s._box_layout, ladder)
     assert np.getbufsize() == before
 
 
@@ -462,7 +479,7 @@ def test_suffix_bound_lies_below_the_proved_one(delta):
     assert Fraction(bound) <= proved_bound(delta)
     assert 1152 <= key(bound) <= 53247
     # the kernel's suffix over a table of every key starts at key(T(delta))
-    assert len(ALL_KEYS) - kernel._suffix_lengths(ALL_KEYS, np.array([delta]), SNAP_ETA)[0] == key(bound)
+    assert len(ALL_KEYS) - kernel._suffix_lengths(ALL_KEYS, np.array([delta]))[0] == key(bound)
 
 
 def test_gaps_narrower_than_a_cell_are_not_visited(rng, blocks):
@@ -479,7 +496,7 @@ def test_gaps_narrower_than_a_cell_are_not_visited(rng, blocks):
     for delta in deltas:
         assert delta / 2 <= computed.min() and computed.max() <= 0.99 * delta
         assert wide_gaps(starts, ends, delta) == m - 1  # all at least delta/2 wide
-    lengths = kernel._suffix_lengths(s._box_layout.keys, np.array(deltas), SNAP_ETA)
+    lengths = kernel._suffix_lengths(s._box_layout.keys, np.array(deltas))
     assert lengths.tolist() == [1] * len(deltas)
     assert_counts_match(s.starts, s.ends, deltas)
 
