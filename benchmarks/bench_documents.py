@@ -5,7 +5,10 @@ Cases: ``export_intervals`` and ``import_intervals`` in JSON and CSV on
 constructed sets of 1e5 and 1e6 intervals and of n=7 stage 6 (117,649
 intervals, 7.2 blocks of rows: the perfbench ``documents`` set's size), and
 on a set of 1e5 intervals whose every value lies in [1e-9, 1e-5), so is
-written in exponent notation; ``emit_operator_grid`` for ``sub`` (69% NaN
+written in exponent notation. The imports of the n=7 stage 6 set and of the
+exponent set are timed a second time with ``serialize._cpus`` patched to 1,
+so that those rows show the work per field apart from how it spreads over
+threads; ``emit_operator_grid`` for ``sub`` (69% NaN
 cells) at resolutions 256 and 1024, for ``add`` (no NaN) at 256 and for
 ``mul`` at 192 (the perfbench grids); and ``render_stages_svg`` up to
 stage 5. Each worker process runs
@@ -27,6 +30,7 @@ from _host import bench
 # (name, construction params (n, gamma, stage), epsilon eps_reg, or None: the exponent set)
 SETS = [("1e5", (10, 0.06, 5)), ("1e6", (10, 0.06, 6)), ("7^6", (7, 0.1, 6)), ("exp 1e5", None)]
 EXP_SIZE = 100_000  # intervals of the exponent-notation set
+ONE_CPU = ("7^6", "exp 1e5")  # sets whose imports are timed on one usable CPU too
 GRIDS = [("sub", 256), ("add", 256), ("sub", 1024), ("mul", 192)]  # (operator, resolution)
 SVG = (5, 0.1, 0.05, 5)  # n, gamma, epsilon, max_stage
 
@@ -39,6 +43,8 @@ def cases():
         for fmt in ("json", "csv"):
             out[f"export_{fmt} {label}"] = {"layer": f"serialize.export_{fmt}", "size": size}
             out[f"import_{fmt} {label}"] = {"layer": f"serialize.import_{fmt}", "size": size}
+            if label in ONE_CPU:
+                out[f"import_{fmt} {label} 1 cpu"] = out[f"import_{fmt} {label}"]
     for op, res in GRIDS:
         out[f"grid {op} res {res}"] = {"layer": "render.grid", "size": res * res}
     out[f"svg stages 0..{SVG[3]}"] = {"layer": "render.svg", "size": SVG[3]}
@@ -47,12 +53,14 @@ def cases():
 
 def worker(mode: str) -> None:
     """Run every case once in this interpreter; print times or output digests as JSON."""
+    from unittest import mock
+
     import numpy as np
 
     import cantordim
     from cantordim import (CantorParams, IntervalSet, construct_prefractal, emit_operator_grid,
                            export_intervals, import_intervals, lacunarity_bounds,
-                           render_stages_svg)
+                           render_stages_svg, serialize)
 
     def digest(out) -> str:
         if isinstance(out, tuple):  # (GridSheet, csv text)
@@ -67,8 +75,13 @@ def worker(mode: str) -> None:
         x = x[: 2 * EXP_SIZE]
         return IntervalSet(x[0::2], x[1::2])
 
+    def one_cpu(text, fmt):
+        """import_intervals with its shares on this thread alone."""
+        with mock.patch.object(serialize, "_cpus", lambda: 1):
+            return import_intervals(text, fmt)
+
     calls = []
-    for _, params in SETS:
+    for label, params in SETS:
         if params is None:
             s = exponent_set()
         else:
@@ -79,6 +92,8 @@ def worker(mode: str) -> None:
             text = export_intervals(s, fmt)
             calls.append(lambda s=s, fmt=fmt: export_intervals(s, fmt))
             calls.append(lambda text=text, fmt=fmt: import_intervals(text, fmt))
+            if label in ONE_CPU:
+                calls.append(lambda text=text, fmt=fmt: one_cpu(text, fmt))
     calls += [lambda op=op, res=res: emit_operator_grid(op, res, 2) for op, res in GRIDS]
     n, gamma, eps, max_stage = SVG
     calls.append(lambda: render_stages_svg(CantorParams(n, gamma, eps, 0), max_stage))

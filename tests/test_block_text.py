@@ -670,6 +670,84 @@ class TestSpans:
         values = serialize._read_span(data, 0, stop, layout, scratch)
         assert values is not None and values.tolist() == [float(v) for pair in pairs for v in pair]
 
+    @pytest.mark.parametrize("new", ["   x[", "    (", "[    ", "\t   [", "    ]"])
+    def test_a_broken_before_on_the_first_row_of_a_span_declines(self, new):
+        # the literal after a row's last field runs on to the next row's first field, so
+        # it checks each row's "    [" but that of a span's first row, checked on its own
+        text = SPAN_DOCS["json"]
+        rows = text.index("[\n") + 2
+        stop = len(text) - len(serialize._LAYOUTS["json"].tail)
+        at = text.find("\n", rows + (stop - rows) // 2 - 1) + 1  # where the middle cut lands
+        text = text[:at] + new + text[at + len(new):]
+        starts = []
+
+        def read_span(data, lo, *args):
+            starts.append(lo)
+            return serialize._read_span.__wrapped__(data, lo, *args)
+
+        read_span.__wrapped__ = serialize._read_span
+        with (mock.patch.object(serialize, "_SCAN", -(-(stop - rows) // 2)),
+              mock.patch.object(serialize, "_cpus", lambda: 1),
+              mock.patch.object(serialize, "_read_span", read_span)):
+            assert fast(text, "json") is None
+            assert starts == [rows, at]  # two spans, the second from the broken row
+            same_outcome(text, "json")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fmt, old, new", [
+        ("json", "]\n  ]\n}\n", ")\n  ]\n}\n"), ("json", "]\n  ]\n}\n", "] \n  ]\n}\n"),
+        ("json", "]\n  ]\n}\n", "],\n  ]\n}\n"), ("json", "]\n  ]\n}\n", "]\n  ]}\n"),
+        ("json", "]\n  ]\n}\n", "]\n  ]\n}\n\n"), ("json", "]\n  ]\n}\n", "]\n   ]\n}\n"),
+        ("csv", "\n", " \n"), ("csv", "\n", ",\n"), ("csv", "\n", "\n\n"), ("csv", "\n", "]\n"),
+    ])
+    def test_a_broken_end_or_tail_after_the_last_row_declines(self, fmt, old, new, cpus):
+        # the last row's literal after its last field takes a before written past the span
+        text = SPAN_DOCS[fmt]
+        text = text[:len(text) - len(old)] + new
+        with (mock.patch.object(serialize, "_SCAN", 64),
+              mock.patch.object(serialize, "_cpus", lambda: cpus)):
+            assert fast(text, fmt) is None
+            same_outcome(text, fmt)
+
+
+def with_exponents(m, share, seed=5):
+    """m intervals whose first ``share`` of values lie below 1e-4, so are written with exponents."""
+    rng = np.random.default_rng(seed)
+    k = round(2 * m * share)
+    x = np.unique(np.concatenate([10 ** rng.uniform(-9, -5, k), rng.uniform(1e-3, 1, 2 * m - k)]))
+    assert len(x) == 2 * m
+    return IntervalSet(x[0::2], x[1::2])
+
+
+class TestExponentFields:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_spans_of_every_exponent_mix_take_the_block_parser(self, cpus):
+        # a span reads a minority of exponent fields apart and a majority with all its
+        # fields at their mantissa end: spans of none, a minority, a majority and only
+        # exponent fields read as float() does. One CPU reads each document in one span,
+        # two CPUs in two, which hold the exponent fields of the first 2/5 and 4/5 of
+        # the values in a minority and a majority.
+        mixes = set()
+
+        def read_block(buf, s, t, window):
+            exponents = sum(b"e" in buf[a:b].tobytes() for a, b in zip(s, t))
+            mixes.add("none" if not exponents else "all" if exponents == len(t)
+                      else "minority" if 2 * exponents < len(t) else "majority")
+            return read_block.__wrapped__(buf, s, t, window)
+
+        read_block.__wrapped__ = serialize._read_block
+        for share in (0, 0.2, 0.8, 1):
+            s = with_exponents(500, share)
+            for fmt in ("json", "csv"):
+                text = export_intervals(s, fmt)
+                with (mock.patch.object(serialize, "_SCAN", len(text) // cpus + 1),
+                      mock.patch.object(serialize, "_cpus", lambda: cpus),
+                      mock.patch.object(serialize, "_read_block", read_block)):
+                    assert fast(text, fmt) is not None
+                    assert same_bits(import_intervals(text, fmt), s)
+                    assert same_bits(import_intervals(text.encode(), fmt), s)
+        assert mixes == {"none", "minority", "majority", "all"}
+
 
 def roundtrip(values):
     """Export and import a paramless set of the distinct values in [0, 1], bit-identically."""
