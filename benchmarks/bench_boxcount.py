@@ -22,10 +22,9 @@ Four layers, each case timed in worker processes of every tree:
 
 Each count and fit row also gives, per tree, the gap rows its box sizes
 visit: the sum of the sizes' suffix lengths in the set's layout, one
-sentinel row each included, as ``_kernels_py._suffix_lengths`` gives them (a
-tree from before that helper starts each suffix at delta/2). Each verify row
-gives, per tree, the minor page faults (``ru_minflt``) of each of the result
-worker's timed calls, in order.
+sentinel row each included, as ``_kernels_py._suffix_lengths`` gives them.
+Each verify row gives, per tree, the minor page faults (``ru_minflt``) of
+each of the result worker's timed calls, in order.
 
 The ladders and the single size are also counted with the seed's numpy sweep
 kept in ``tests/reference_kernel.py``, in this process, and timed best of
@@ -147,22 +146,14 @@ def worker(mode: str) -> None:
 
     from cantordim import (IntervalSet, _kernels_py, box_count, construct_prefractal,
                            estimate_dimension, verify_operator_geometrically)
-    from cantordim.estimation import SNAP_ETA
-
-    # a tree from before the kernel held SNAP_ETA passes it to the kernel
-    eta = () if hasattr(_kernels_py, "SNAP_ETA") else (SNAP_ETA,)
 
     def ladder(starts, ends, deltas):
         layout = _kernels_py.set_layout(starts, ends)
-        counts = _kernels_py.box_counts(layout, deltas, *eta)
+        counts = _kernels_py.box_counts(layout, deltas)
         return counts, sum(getattr(field, "nbytes", 0) for field in layout)
 
     def gap_rows(s, deltas):
-        keys, deltas = s._box_layout.keys, np.array(deltas)
-        suffixes = getattr(_kernels_py, "_suffix_lengths", None)
-        if suffixes is None:
-            return int((len(keys) - keys.searchsorted(_kernels_py._width_keys(0.5 * deltas))).sum())
-        return int(suffixes(keys, deltas, *eta).sum())
+        return int(_kernels_py._suffix_lengths(s._box_layout.keys, np.array(deltas)).sum())
 
     def laid_out(s):
         s = IntervalSet(s.starts, s.ends, s.params)

@@ -31,14 +31,11 @@ _EXPORTS = {
     ),
     "core": (
         "ABS_TOL",
-        "FractalSpec",
         "LacunarityBounds",
         "ScaleResult",
-        "ValidationReport",
         "dimension_from_scale",
         "lacunarity_bounds",
         "scale_from_dimension",
-        "validate_spec",
     ),
     "errors": (
         "CantorDimError",

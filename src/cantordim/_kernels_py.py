@@ -6,16 +6,17 @@ counts a whole ladder of box sizes in one call and returns, for every box
 size down to ``estimation.DELTA_FLOOR``, the count of the sequential sweep
 kept in the tests as the slow reference, at the snap band ``SNAP_ETA``; the
 tests compare counts exactly, and its docstring holds the proof.
-``box_count`` is its one-size case on the arrays of an IntervalSet, whose
-starts and ends are both sorted. ``set_layout`` gathers, once per set, what
-every box size reuses: the shortest interval, and the gaps sorted by width
-(by a 16-bit key), with the interval on either side of each. Every set is
-counted from its gaps at least about delta*(1 - 4*SNAP_ETA) wide, a margin
-below the least width that ``box_counts`` proves can hold an empty cell:
-one sorted suffix of those rows. At a size where some interval may be thinner
-than the snap band, each row also tests its two neighbours for thinness. A
-row finds its cells with one multiply by fl(1/delta), and compares with the
-rounded cell boundaries only where the quotient lies near one.
+``box_count`` counts a ladder of one size on the arrays of an IntervalSet,
+whose starts and ends are both sorted. ``set_layout`` gathers, once per
+set, what every box size reuses: the shortest interval, and the gaps
+sorted by width (by a 16-bit key), with the interval on either side of
+each. Every set is counted from its gaps at least about
+delta*(1 - 4*SNAP_ETA) wide, a margin below the least width that
+``box_counts`` proves can hold an empty cell: one sorted suffix of those
+rows. At a size where some interval may be thinner than the snap band,
+each row also tests its two neighbours for thinness. A row finds its cells
+with one multiply by fl(1/delta), and compares with the rounded cell
+boundaries only where the quotient lies near one.
 """
 
 import sys
@@ -254,14 +255,15 @@ def box_counts(layout, deltas):
     quotient and of the boundaries fl(k*delta); the other entries, at most
     one cell off, take the sweep's two comparisons (derived there).
 
-    A whole ladder is counted this way, several sizes per numpy call; a
-    single size skips the planning and runs on 1-D (2, rows) blocks. A
-    ladder takes its sizes coarsest first, so that their suffixes never
-    shorten (T(delta) and the keys are non-decreasing), and packs neighbours
+    A whole ladder is counted this way, several sizes per numpy call, and
+    a single size is a ladder of one. A ladder takes its sizes coarsest
+    first, so that their suffixes never shorten (T(delta) and the keys are
+    non-decreasing), and packs neighbours
     greedily into groups: r sizes share blocks of the rows of the longest
     suffix among them, as (r, rows) arrays with delta and snap as (r, 1)
     columns, while r * rows <= BLOCK. A size whose suffix is longer than
-    BLOCK forms a group alone and runs BLOCK rows at a time. Two facts make
+    BLOCK forms a group alone and runs BLOCK rows at a time; a group of one
+    size runs on scalars and 1-D (2, rows) blocks. Two facts make
     the counts those of one size at a time. A row before a size's own
     suffix adds exactly 0: its gap's key is below that of T(delta), so the
     gap is narrower than T(delta) <= B(delta), and e_j = 0 by the bound
@@ -276,12 +278,6 @@ def box_counts(layout, deltas):
     n, end = len(deltas), len(layout.keys)
     if n == 0 or end == 0:
         return [0] * n
-    if n == 1:
-        delta = float(deltas[0])
-        rows = int(_suffix_lengths(layout.keys, deltas)[0])
-        thin_test = _needs_thin_test(layout, delta)
-        scratch = _scratch(min(rows, BLOCK))
-        return [int(_count_group(layout, _grid(delta), 1, rows, thin_test, scratch))]
     order = (-deltas).argsort(kind="stable")
     deltas = deltas[order]
     lengths = _suffix_lengths(layout.keys, deltas)

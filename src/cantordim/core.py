@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-#: absolute tolerance used for all equality-style checks in this package
+#: absolute tolerance of equality-style checks on dimensions, such as the dimension/scale round trip
 ABS_TOL = 1e-12
 
 #: largest arity: up to 2**53 every N is exact in binary64 and 1.0 / N correctly rounded
@@ -155,68 +155,3 @@ def lacunarity_bounds(n: int, gamma: float) -> LacunarityBounds:
     eps_max = free / (n - 2) if n % 2 == 0 else free / (n - 3)
     return LacunarityBounds(0.0, eps_reg, eps_max)
 
-
-class FractalSpec(NamedTuple):
-    """An (N, gamma) family member together with its cached dimension.
-
-    Plain record: instances built by hand may be inconsistent, which is what
-    :func:`validate_spec` reports on. Use the factories for guaranteed-valid
-    values.
-    """
-
-    n: int
-    gamma: float
-    d: float
-
-    @classmethod
-    def from_scale(cls, n: int, gamma: float) -> "FractalSpec":
-        return cls(n, check_scale(check_arity(n), gamma, True), dimension_from_scale(n, gamma))
-
-    @classmethod
-    def from_dimension(cls, n: int, d: float) -> "FractalSpec":
-        gamma, underflow = scale_from_dimension(n, d)
-        if underflow:
-            raise DomainError(f"gamma underflows binary64 for n={n}, d={d}")
-        return cls(n, gamma, float(d))
-
-
-class Violation(NamedTuple):
-    code: str
-    message: str
-
-
-class ValidationReport(NamedTuple):
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "; ".join(v.message for v in self.violations)
-
-
-def validate_spec(spec: FractalSpec) -> ValidationReport:
-    """Report every violated invariant of a FractalSpec (empty report = valid).
-
-    Each field goes through its gate check; without a valid arity, gamma is held to [0, 1].
-    """
-    found = []
-
-    def gate(code, check, *args):
-        try:
-            return check(*args)
-        except DomainError as exc:
-            found.append(Violation(code, str(exc)))
-
-    n = gate("arity", check_arity, spec.n)
-    gamma = gate("gamma_range", check_scale, n or 1, spec.gamma, True)
-    d = gate("dim_range", check_dimension, spec.d)
-    if None not in (n, gamma, d):
-        expected = dimension_from_scale(n, gamma)
-        if abs(expected - d) > ABS_TOL:
-            message = f"d={d!r} disagrees with dimension_from_scale(n={n}, gamma={gamma!r})"
-            found.append(Violation("d_gamma_mismatch", f"{message}={expected!r}"))
-    return ValidationReport(tuple(found))

@@ -257,14 +257,19 @@ _E16, _E17 = 10**16, 10**17
 _J = _P_MAX - 15  # shapes j = 0..284: p = 16 + j <= _P_MAX
 
 
+def _split(x):
+    """(high, low) with x = high + low, each of at most 26 significant bits: Veltkamp's split."""
+    t = _SPLIT * x
+    high = t - (t - x)
+    return high, x - high
+
+
 def _tables():
     """10**p as (hi, the halves of hi, lo)."""
     exact = [10**p for p in range(_P_MAX + 1)]
     hi = np.array([float(v) for v in exact])
     lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
-    t = _SPLIT * hi
-    hi_h = t - (t - hi)
-    return hi, hi_h, hi - hi_h, lo
+    return hi, *_split(hi), lo
 
 
 def _field_tables():
@@ -298,9 +303,7 @@ _FIELD, _DIGITS_AT, _LEAD_AT = _field_tables()
 def _two_product(x, hi, hi_h, hi_l):
     """(ph, pl) with x * hi = ph + pl exactly: Dekker's two-product, hi split as hi_h + hi_l."""
     ph = x * hi
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
+    xh, xl = _split(x)
     pl = ((xh * hi_h - ph) + xh * hi_l + xl * hi_h) + xl * hi_l
     return ph, pl
 
@@ -527,12 +530,10 @@ def _parse_tables():
         rows.append((hi, (b - a * ten) / (b * ten)))  # lo = fl(10**-m - hi)
         ten *= 10
     hi, lo = np.array(rows).T
-    t = _SPLIT * hi
-    hi_h = t - (t - hi)
     at = np.arange(_FRAC + 8)
     keep = (at >= _FRAC - np.arange(_FRAC + 1)[:, None]) & (at < _FRAC)
     masks = (keep * np.uint8(0xFF)).view("<u8")  # (f, word) -> the last f of the first 24 bytes
-    return np.stack([hi, hi_h, hi - hi_h, lo]), masks
+    return np.stack([hi, *_split(hi), lo]), masks
 
 
 _TEN, _FRAC_MASK = _parse_tables()

@@ -1,4 +1,4 @@
-"""Dimension/scale duality: formulas, boundaries, round trips, validation."""
+"""Dimension/scale duality: formulas, boundaries, round trips, the argument gate."""
 
 import math
 
@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from cantordim import (
+    ABS_TOL,
     DomainError,
-    FractalSpec,
+    LacunarityBounds,
+    ScaleResult,
     dimension_from_scale,
+    lacunarity_bounds,
     scale_from_dimension,
-    validate_spec,
 )
 from cantordim.core import MAX_ARITY, check_arity, check_index, check_real, check_scale
 
@@ -100,51 +102,60 @@ class TestScaleFromDimension:
                 assert dimension_from_scale(n, gamma) == pytest.approx(d, abs=1e-12)
 
 
-class TestValidateSpec:
-    def test_consistent_spec_valid(self):
-        report = validate_spec(FractalSpec(5, 0.1, LN5_LN10))
-        assert report.ok
-        assert str(report) == "valid"
+class TestMemberInvariants:
+    """A family member (n, gamma, d) is valid when each field passes its gate and d agrees
+    with gamma to ABS_TOL; the scalar functions hold each rule."""
 
-    def test_void_spec_valid(self):
-        assert validate_spec(FractalSpec(2, 0.0, 0.0)).ok
+    def test_consistent_member(self):
+        assert abs(dimension_from_scale(5, 0.1) - LN5_LN10) <= ABS_TOL
+        assert scale_from_dimension(5, LN5_LN10) == (pytest.approx(0.1, abs=1e-12), False)
+
+    def test_void_member(self):
+        assert dimension_from_scale(2, 0.0) == 0.0
+        assert scale_from_dimension(2, 0.0) == (0.0, False)
 
     def test_gamma_above_family_bound(self):
-        report = validate_spec(FractalSpec(5, 0.25, 0.5))
-        assert not report.ok
-        assert [v.code for v in report.violations] == ["gamma_range"]
+        with pytest.raises(DomainError, match="gamma"):
+            dimension_from_scale(5, 0.25)
 
-    def test_inconsistent_dimension_reported(self):
-        report = validate_spec(FractalSpec(3, 1 / 9, 0.73))
-        assert [v.code for v in report.violations] == ["d_gamma_mismatch"]
+    def test_inconsistent_dimension_detected(self):
+        assert abs(dimension_from_scale(3, 1 / 9) - 0.73) > ABS_TOL
+        assert scale_from_dimension(3, 0.73).gamma != pytest.approx(1 / 9, abs=1e-12)
 
     @pytest.mark.parametrize("gamma", ["x", None, "0.3", True, 10**400])
-    def test_gamma_that_is_not_a_real_is_reported(self, gamma):
-        report = validate_spec(FractalSpec(2, gamma, 0.5))
-        assert [v.code for v in report.violations] == ["gamma_range"]
-        assert "gamma" in str(report)
+    def test_gamma_that_is_not_a_real_is_rejected(self, gamma):
+        with pytest.raises(DomainError, match="gamma"):
+            dimension_from_scale(2, gamma)
 
     @pytest.mark.parametrize("d", ["x", None, b"0.5", False])
-    def test_dimension_that_is_not_a_real_is_reported(self, d):
-        report = validate_spec(FractalSpec(4, 0.25, d))
-        assert [v.code for v in report.violations] == ["dim_range"]
+    def test_dimension_that_is_not_a_real_is_rejected(self, d):
+        with pytest.raises(DomainError, match="dimension"):
+            scale_from_dimension(4, d)
 
     def test_numpy_integer_arity_and_capped_arity(self):
-        assert validate_spec(FractalSpec(np.int64(5), 0.1, LN5_LN10)).ok
-        report = validate_spec(FractalSpec(2**53 + 1, 0.0, 0.0))
-        assert [v.code for v in report.violations] == ["arity"]
+        assert abs(dimension_from_scale(np.int64(5), 0.1) - LN5_LN10) <= ABS_TOL
+        assert scale_from_dimension(np.int64(5), LN5_LN10).gamma == pytest.approx(0.1)
+        for call in (dimension_from_scale, scale_from_dimension):
+            with pytest.raises(DomainError, match="arity"):
+                call(2**53 + 1, 0.0)
 
-    def test_multiple_violations_all_listed(self):
-        report = validate_spec(FractalSpec(1, -0.5, 2.0))
-        assert {v.code for v in report.violations} == {"arity", "gamma_range", "dim_range"}
+    def test_each_field_is_rejected_on_its_own(self):
+        # the member (1, -0.5, 2.0) breaks the rule of every field
+        with pytest.raises(DomainError, match="arity"):
+            dimension_from_scale(1, 0.0)
+        with pytest.raises(DomainError, match="gamma"):
+            dimension_from_scale(2, -0.5)
+        with pytest.raises(DomainError, match="dimension"):
+            scale_from_dimension(2, 2.0)
 
-    def test_factories_produce_valid_specs(self, rng):
+    def test_members_built_either_way_are_consistent(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 10))
             d = float(rng.uniform(0.05, 1.0))
-            assert validate_spec(FractalSpec.from_dimension(n, d)).ok
+            gamma, underflow = scale_from_dimension(n, d)
+            assert not underflow and abs(dimension_from_scale(n, gamma) - d) <= ABS_TOL
             g = float(rng.uniform(1e-6, 1.0 / n))
-            assert validate_spec(FractalSpec.from_scale(n, g)).ok
+            assert scale_from_dimension(n, dimension_from_scale(n, g)).gamma == pytest.approx(g)
 
 
 class TestGate:
@@ -198,13 +209,15 @@ class TestGate:
         assert check_scale(4, math.nextafter(0.25, 0)) < 0.25
 
     def test_records_keep_repr_equality_and_immutability(self):
-        spec = FractalSpec(5, 0.1, LN5_LN10)
-        assert repr(spec) == f"FractalSpec(n=5, gamma=0.1, d={LN5_LN10!r})"
-        assert spec == FractalSpec(5, 0.1, LN5_LN10) and spec != FractalSpec(5, 0.1, 0.5)
-        report = validate_spec(spec)
-        assert repr(report) == "ValidationReport(violations=())"
-        assert report == validate_spec(FractalSpec(5, 0.1, LN5_LN10))
+        scale = scale_from_dimension(2, 1.0)
+        assert repr(scale) == "ScaleResult(gamma=0.5, underflow=False)"
+        assert scale == ScaleResult(0.5, False) and scale != ScaleResult(0.5, True)
+        bounds = lacunarity_bounds(4, 0.125)
+        assert repr(bounds) == (
+            "LacunarityBounds(eps_min=0.0, eps_reg=0.16666666666666666, eps_max=0.25)")
+        assert bounds == LacunarityBounds(0.0, 0.5 / 3, 0.25)
+        assert bounds != LacunarityBounds(0.0, 0.1, 0.25)
         with pytest.raises(AttributeError):
-            spec.n = 3
+            scale.gamma = 0.25
         with pytest.raises(AttributeError):
-            report.violations = ()
+            bounds.eps_max = 0.0

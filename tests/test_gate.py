@@ -13,7 +13,6 @@ and edge cases (an empty set, a set of one interval) instead of bounds.
 
 import math
 import numbers
-import re
 import sys
 import tracemalloc
 from typing import Callable, NamedTuple
@@ -30,13 +29,11 @@ from cantordim import (
     DimensionEstimate,
     DomainError,
     FitDegenerate,
-    FractalSpec,
     IntervalSet,
     InvariantError,
     OpResult,
     ParseError,
     ScaleResult,
-    ValidationReport,
     VerificationReport,
     construct_prefractal,
     dimension_from_scale,
@@ -133,14 +130,14 @@ def scale(r, a):
     return isinstance(r, ScaleResult) and 0.0 <= r.gamma <= 1.0 / check_arity(a["n"])
 
 
-def consistent_spec(r, a):
-    return isinstance(r, FractalSpec) and cantordim.validate_spec(r).ok
-
-
-def spec_report(r, a):
-    if not isinstance(r, ValidationReport):
+def round_trip(r, a):
+    # a gamma below the smallest normal binary64 comes back flagged as underflow
+    gamma = a["gamma"]
+    if not isinstance(r, ScaleResult):
         return False
-    return not r.ok or math.isclose(dimension_from_scale(a["n"], a["gamma"]), a["d"], abs_tol=1e-12)
+    if r.underflow:
+        return r.gamma == 0.0 and gamma < sys.float_info.min
+    return math.isclose(r.gamma, gamma, rel_tol=1e-9) or r.gamma == gamma == 0.0
 
 
 def params(r, a):
@@ -214,7 +211,7 @@ class Entry(NamedTuple):
     valid: dict  # a valid argument for every parameter
     bounds: dict  # parameter -> values near its bounds; the catalogue is added to each
     check: Callable  # check(result, arguments): the entry's invariants hold
-    errors: tuple = ()  # documented errors besides DomainError and CapExceeded; None: none
+    errors: tuple = ()  # documented errors besides DomainError and CapExceeded
 
 
 def _operator(name, domain_bound):
@@ -252,21 +249,20 @@ ENTRIES = {
     "scale_from_dimension": Entry(
         cantordim.scale_from_dimension, dict(n=3, d=0.5), dict(n=ARITY, d=DIM), scale
     ),
+    "dimension_from_scale[n=2]": Entry(  # 1/2 is exact: gamma = 0.5 is the unit segment
+        cantordim.dimension_from_scale, dict(n=2, gamma=0.25), dict(gamma=near(0.0, 0.5)),
+        unit_real,
+    ),
+    "scale_from_dimension[n=MAX_ARITY]": Entry(
+        cantordim.scale_from_dimension, dict(n=MAX_ARITY, d=0.5), dict(d=DIM), scale
+    ),
+    "scale_from_dimension[round trip]": Entry(
+        lambda n, gamma: cantordim.scale_from_dimension(n, dimension_from_scale(n, gamma)),
+        dict(n=3, gamma=0.1), dict(n=ARITY, gamma=near(0.0, 1 / 3)), round_trip,
+    ),
     "lacunarity_bounds": Entry(
         cantordim.lacunarity_bounds, dict(n=5, gamma=0.1),
         dict(n=near(4, MAX_ARITY), gamma=near(0.0, 1 / 5)), lacunarity,
-    ),
-    "FractalSpec.from_scale": Entry(
-        FractalSpec.from_scale, dict(n=3, gamma=0.1), dict(n=ARITY, gamma=near(0.0, 1 / 3)),
-        consistent_spec,
-    ),
-    "FractalSpec.from_dimension": Entry(
-        FractalSpec.from_dimension, dict(n=3, d=0.5), dict(n=ARITY, d=DIM), consistent_spec
-    ),
-    "validate_spec": Entry(  # never raises: a rejected field is a reported violation
-        lambda n, gamma, d: cantordim.validate_spec(FractalSpec(n, gamma, d)),
-        dict(n=3, gamma=0.1, d=dimension_from_scale(3, 0.1)),
-        dict(n=ARITY, gamma=near(0.0, 1 / 3), d=DIM), spec_report, errors=None,
     ),
     "CantorParams": Entry(
         CantorParams, dict(n=5, gamma=0.1, epsilon=0.05, stage=2),
@@ -371,7 +367,7 @@ ENTRIES = {
 # public callables that are not walked: result records, and entries without a scalar argument
 UNWALKED = {
     "BoxCountSample", "DimensionEstimate", "GridSheet", "LacunarityBounds", "OpResult",
-    "ScaleResult", "ValidationReport", "VerificationReport",
+    "ScaleResult", "VerificationReport",
     "available_backends",  # takes no argument
 }
 
@@ -382,8 +378,7 @@ def test_the_walk_covers_every_public_entry():
         return callable(value) and not error
 
     public = {name for name in cantordim.__all__ if is_entry(getattr(cantordim, name))}
-    # FractalSpec is walked through its factories
-    walked = {re.split(r"[.\[]", name)[0] for name in ENTRIES}
+    walked = {name.split("[")[0] for name in ENTRIES}
     assert public == walked | UNWALKED
     assert not walked & UNWALKED
 
@@ -397,14 +392,14 @@ def test_every_public_entry_fails_closed(name, data):
     value = data.draw(st.sampled_from(HOSTILE + entry.bounds[param]), label="value")
     args = {**entry.valid, param: value}
     # OpDomainError is a DomainError
-    allowed = () if entry.errors is None else (DomainError, CapExceeded, *entry.errors)
+    allowed = (DomainError, CapExceeded, *entry.errors)
     try:
         result = entry.call(**args)
     except allowed:
         return
     assert entry.check(result, args), f"{name}({args!r}) returned {result!r}"
     kind = type(entry.valid[param])
-    if kind in (int, float) and entry.errors is not None:
+    if kind in (int, float):
         # a number parameter accepts no bool, string, bytes, None, NaN or float for an int
         number = numbers.Integral if kind is int else numbers.Real
         accepted = isinstance(value, number) and not isinstance(value, bool) and value == value
