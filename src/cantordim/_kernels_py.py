@@ -3,24 +3,27 @@
 ``prefractal_starts`` builds positions with a fixed sequence of float
 operations, so a construction is reproducible bit for bit. ``box_counts``
 counts a whole ladder of box sizes in one call and returns, for every box
-size down to ``estimation.DELTA_FLOOR``, the count of the sequential sweep
-kept in the tests as the slow reference, at the snap band ``SNAP_ETA``; the
-tests compare counts exactly, and its docstring holds the proof.
-``box_count`` counts a ladder of one size on the arrays of an IntervalSet,
-whose starts and ends are both sorted. ``set_layout`` gathers, once per
-set, what every box size reuses: the shortest interval, and the gaps
-sorted by width (by a 16-bit key), with the interval on either side of
-each. Every set is counted from its gaps at least about
+size in [``DELTA_FLOOR``, 1], the count of the sequential sweep kept in the
+tests as the slow reference, at the snap band ``SNAP_ETA``; the tests
+compare counts exactly, and its docstring holds the proof. ``box_count``
+counts a ladder of one size on the arrays of an IntervalSet, whose starts
+and ends are both sorted. ``set_layout`` gathers, once per set, what every
+box size reuses: the shortest interval, and the gaps sorted by width (by a
+16-bit key), with the start after and the end before each gap (18 bytes
+per interval). Every set is counted from its gaps at least about
 delta*(1 - 4*SNAP_ETA) wide, a margin below the least width that
 ``box_counts`` proves can hold an empty cell: one sorted suffix of those
 rows. At a size where some interval may be thinner than the snap band,
-each row also tests its two neighbours for thinness. A row finds its cells
+each row also tests its two neighbours for thinness, which reads their
+other ends; the layout holds those (16 bytes a row) only for the rows that
+such a size can reach, the suffix of the finest one. A row finds its cells
 with one multiply by fl(1/delta), and compares with the rounded cell
 boundaries only where the quotient lies near one.
 """
 
 import sys
 from bisect import bisect_right
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +39,9 @@ def available_backends():
 
 #: occupancy snap band as a fraction of the cell size: the only eta ``box_counts`` is proved for
 SNAP_ETA = 1e-6
+
+#: the smallest box size: cells must be indexable in exact int64 arithmetic
+DELTA_FLOOR = 1e-15
 
 #: cells per block of the count (box sizes times gap rows): every block of a
 #: call reuses one scratch of this many cells
@@ -97,17 +103,22 @@ class SetLayout(NamedTuple):
 
     ``keys`` holds the sort keys of the gap widths starts[1:] - ends[:-1] in
     ascending order and then the sentinel 2**16 - 1. In the same order,
-    ``after_start`` and ``after_end`` hold the interval after each gap and
-    ``before_start`` and ``before_end`` the interval before it; under the
-    sentinel they hold the first and the last interval.
+    ``after_start`` holds the start of the interval after each gap and
+    ``before_end`` the end of the interval before it; under the sentinel
+    they hold the first start and the last end. ``before_start`` and
+    ``after_end``, the other ends of those two intervals, serve only the
+    thin test, so they hold only the last rows, the tail: the suffix of the
+    finest box size in [DELTA_FLOOR, 1] at which some interval may be
+    thinner than the snap band, or no row when there is no such size (see
+    ``set_layout``). The tail is ``len(before_start)`` rows long.
     """
 
     min_len: float
     keys: np.ndarray
     after_start: np.ndarray
-    after_end: np.ndarray
-    before_start: np.ndarray
     before_end: np.ndarray
+    before_start: np.ndarray
+    after_end: np.ndarray
 
 
 def _gap_keys(starts, ends):
@@ -127,15 +138,43 @@ def set_layout(starts, ends):
     stable sort orders it after every gap, and the gathers by the sorted gap
     index j (before) and j + 1 (after, wrapping to interval 0 under the
     sentinel) give every row at once.
+
+    The tail is the suffix of the size F = max(L, DELTA_FLOOR), with
+    L = fl(fl(fl(m - S) / (2*eta)) * (1 - 2**-20)), m the shortest
+    interval's length, S = THIN_SLACK and eta = ``SNAP_ETA``; it is empty
+    when no size up to 1 needs the thin test, for 2*fl(eta*delta) + S
+    never decreases in delta. Every size delta in [DELTA_FLOOR, 1] that
+    needs the thin test is at least F. It has m <= fl(2*fl(eta*delta) + S)
+    <= (2*eta*delta*(1 + u) + S)(1 + u), with u = 2**-53 (eta*delta is at
+    least 1e-21, far above the subnormals), so
+
+        delta >= A/(1 + u)**2 - S*u/(2*eta*(1 + u)**2),  A = (m - S)/(2*eta).
+
+    If fl(m - S) <= 0, then L <= 0. Otherwise m > S, and the three
+    roundings give L <= A*(1 + u)**3 * (1 - 2**-20), which lies below
+    A/(1 + u)**2 by more than A*2**-21; that exceeds the second term,
+    below 5.6e-25, whenever A >= 1.2e-18, and for smaller A, L is below
+    DELTA_FLOOR. As the suffixes only shorten as sizes grow (``box_counts``),
+    every thin size's suffix lies inside the tail.
     """
     if len(starts) == 0:
         return SetLayout(0.0, *(np.empty(0),) * 5)
     min_len, keys = _gap_keys(starts, ends)
     order = keys.argsort(kind="stable")  # a radix sort for 16-bit keys
-    keys, before_start, before_end = keys.take(order), starts.take(order), ends.take(order)
-    order += 1
-    return SetLayout(min_len, keys, starts.take(order, mode="wrap"),
-                     ends.take(order, mode="wrap"), before_start, before_end)
+    keys, before_end = keys.take(order), ends.take(order)
+    tail = order[len(order) - _tail_rows(min_len, keys):]
+    before_start = starts.take(tail)
+    order += 1  # tail is a view of order
+    return SetLayout(min_len, keys, starts.take(order, mode="wrap"), before_end,
+                     before_start, ends.take(tail, mode="wrap"))
+
+
+def _tail_rows(min_len, keys):
+    """The rows of the tail of ``set_layout`` over the sorted ``keys``."""
+    if not _needs_thin_test(min_len, 1.0):
+        return 0
+    finest = (min_len - THIN_SLACK) / (2.0 * SNAP_ETA) * (1.0 - 2.0**-20)
+    return int(_suffix_lengths(keys, np.array([max(finest, DELTA_FLOOR)]))[0])
 
 
 def box_count(starts, ends, delta, eta):
@@ -240,7 +279,8 @@ def box_counts(layout, deltas):
     touching intervals, keyed 0) they have e_j = 0 and add nothing.
 
     A row reads its gap's neighbours from the layout. At a thin-free size,
-    where every interval is wider than 2*snap + THIN_SLACK, no row is thin
+    where every interval is wider than 2*snap + THIN_SLACK, every interval
+    has a < b, so fl(lo*delta) <= a < b gives hi >= lo: no row is thin,
     and the ends rule on s and e gives lo_{j+1} and hi_j. At every other
     size the row also finds hi_{j+1} and lo_j and runs the sweep's thin
     test on both neighbours. Each row gives hi - lo + 1, which is -e_j for a
@@ -258,21 +298,23 @@ def box_counts(layout, deltas):
     A whole ladder is counted this way, several sizes per numpy call, and
     a single size is a ladder of one. A ladder takes its sizes coarsest
     first, so that their suffixes never shorten (T(delta) and the keys are
-    non-decreasing), and packs neighbours
-    greedily into groups: r sizes share blocks of the rows of the longest
-    suffix among them, as (r, rows) arrays with delta and snap as (r, 1)
-    columns, while r * rows <= BLOCK. A size whose suffix is longer than
-    BLOCK forms a group alone and runs BLOCK rows at a time; a group of one
-    size runs on scalars and 1-D (2, rows) blocks. Two facts make
-    the counts those of one size at a time. A row before a size's own
-    suffix adds exactly 0: its gap's key is below that of T(delta), so the
-    gap is narrower than T(delta) <= B(delta), and e_j = 0 by the bound
-    above, with or without the thin test. And the thin test is a
-    no-op at a thin-free size: there every interval has a < b, so
-    fl(lo*delta) <= a < b gives hi >= lo, and no neighbour is thin. So a
-    group runs the thin test when any of its sizes needs it;
-    2*fl(eta*delta) + THIN_SLACK is non-decreasing in delta, so that is when
-    its first, coarsest size needs it.
+    non-decreasing). 2*fl(eta*delta) + THIN_SLACK is non-decreasing in
+    delta, so the sizes that need the thin test come first, and the ladder
+    splits at its first thin-free size. Each part packs neighbours greedily
+    into groups: r sizes share blocks of the rows of the longest suffix
+    among them, as (r, rows) arrays with delta and snap as (r, 1) columns,
+    while r * rows <= BLOCK. A size whose suffix is longer than BLOCK forms
+    a group alone and runs BLOCK rows at a time; a group of one size runs
+    on scalars and 1-D (2, rows) blocks. So a group runs the thin test at
+    all of its sizes or at none, as one size at a time does, and a thin
+    group's rows, the suffix of its finest size, lie in the layout's tail
+    (``set_layout``). The counts are those of one size at a time, because a
+    row before a size's own suffix adds exactly 0: its gap's key is below
+    that of T(delta), so the gap is narrower than T(delta) <= B(delta), and
+    e_j = 0 by the bound above, with or without the thin test. The sizes
+    are admitted box sizes, in [DELTA_FLOOR, 1], as the proofs and the tail
+    assume; a thin size whose suffix passes the tail, which only a size
+    outside that range can have, is a DomainError.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     n, end = len(deltas), len(layout.keys)
@@ -280,25 +322,30 @@ def box_counts(layout, deltas):
         return [0] * n
     order = (-deltas).argsort(kind="stable")
     deltas = deltas[order]
-    lengths = _suffix_lengths(layout.keys, deltas)
-    groups = _groups(lengths.tolist())
+    thin = 0  # the sizes that need the thin test, which come first: few, or none
+    while thin < n and _needs_thin_test(layout.min_len, float(deltas[thin])):
+        thin += 1
+    lengths = _suffix_lengths(layout.keys, deltas).tolist()
+    if thin and lengths[thin - 1] > len(layout.before_start):  # a size outside [DELTA_FLOOR, 1]
+        raise DomainError(f"box sizes must lie in [{DELTA_FLOOR}, 1]")
+    groups = _groups(lengths, 0, thin) + _groups(lengths, thin, n)
     scratch = _scratch(max(min((last - first) * rows, BLOCK) for first, last, rows in groups))
-    columns = _grid(deltas[:, None])
+    shared = any(last - first > 1 for first, last, _ in groups)
+    columns = _grid(deltas[:, None]) if shared else None
     totals = np.empty(n)
     # numpy runs a ufunc with an (r, 1) column operand over rows shorter than
     # its buffer by copying them through the buffer, which costs several times
     # the arithmetic; a buffer no longer than a group's rows (numpy takes
     # multiples of 16) and at most ROW_BUFFER lets them run in place
-    with np.errstate():  # restores the buffer size on exit
+    with np.errstate() if shared else nullcontext():  # errstate restores the buffer size on exit
         for first, last, rows in groups:
-            delta = float(deltas[first])  # the coarsest of the group
             if last - first == 1:  # scalars and 1-D blocks take numpy's fastest loops
-                grid = _grid(delta)
+                grid = _grid(float(deltas[first]))
             else:
                 grid = [column[first:last] for column in columns]
                 np.setbufsize(min(ROW_BUFFER, max(16, rows // 16 * 16)))
-            thin_test = _needs_thin_test(layout, delta)
-            totals[first:last] = _count_group(layout, grid, last - first, rows, thin_test, scratch)
+            totals[first:last] = _count_group(layout, grid, last - first, rows, first < thin,
+                                              scratch)
     counts = np.empty(n, dtype=np.int64)
     counts[order] = totals
     return counts.tolist()
@@ -333,18 +380,20 @@ def _scratch(cells):
     return np.empty(8 * cells), np.empty(4 * cells, dtype=bool)
 
 
-def _needs_thin_test(layout, delta):
-    """Whether some interval may be thinner than the snap band at box size ``delta``."""
-    return not layout.min_len > 2.0 * (SNAP_ETA * delta) + THIN_SLACK
+def _needs_thin_test(min_len, delta):
+    """Whether an interval ``min_len`` long may be thinner than the snap band at size ``delta``."""
+    return not min_len > 2.0 * (SNAP_ETA * delta) + THIN_SLACK
 
 
 def _count_group(layout, grid, r, rows, thin_test, scratch):
     """The counts of r sizes over the last ``rows`` gap rows: a float, or r of them.
 
     ``grid`` holds scalars for one size and (r, 1) columns for r sizes.
+    With ``thin_test``, the rows lie in the layout's tail.
     """
     scratch, flags = scratch
     end = len(layout.keys)
+    offset = end - len(layout.before_start)  # the tail columns' first row
     step = BLOCK // r
     total = float(rows)  # min(0, hi - lo + 1) = min(hi - lo, -1) + 1 on each row
     for first in range(end - rows, end, step):
@@ -357,15 +406,16 @@ def _count_group(layout, grid, r, rows, thin_test, scratch):
         _cell_ranges(layout.after_start[block], layout.before_end[block], grid,
                      work, fix, work[2])
         if thin_test:
+            near = slice(first - offset, first - offset + step)  # the block's tail rows
             before_lo, after_hi = work[3]
-            _cell_ranges(layout.before_start[block], layout.after_end[block], grid,
+            _cell_ranges(layout.before_start[near], layout.after_end[near], grid,
                          work, fix, work[3])
             thin, mid = fix[0, 0], work[1, 0]
             np.less(after_hi, lo, out=thin)
-            _midpoint_cells(layout.after_start[block], layout.after_end[block], grid[0], mid)
+            _midpoint_cells(layout.after_start[block], layout.after_end[near], grid[0], mid)
             np.copyto(lo, mid, where=thin)
             np.less(hi, before_lo, out=thin)
-            _midpoint_cells(layout.before_start[block], layout.before_end[block], grid[0], mid)
+            _midpoint_cells(layout.before_start[near], layout.before_end[block], grid[0], mid)
             np.copyto(hi, mid, where=thin)
         hi -= lo
         span = hi[..., -1] + 1.0  # the sentinel is the last row of the last block
@@ -373,17 +423,18 @@ def _count_group(layout, grid, r, rows, thin_test, scratch):
     return total + span
 
 
-def _groups(lengths):
-    """(first, last, rows) for each group of a ladder whose suffixes have these lengths.
+def _groups(lengths, first, stop):
+    """(first, last, rows) for each group of the sizes first..stop - 1 of a ladder.
 
-    The lengths never decrease; each group takes the next sizes while r
-    sizes of the longest suffix among them fit r * rows <= BLOCK, and at
-    least one. As r * lengths[first + r - 1] never decreases in r, a
-    bisection finds each group's r.
+    ``lengths`` holds the ladder's suffix lengths, which never decrease;
+    each group takes the next sizes while r sizes of the longest suffix
+    among them fit r * rows <= BLOCK, and at least one. As
+    r * lengths[first + r - 1] never decreases in r, a bisection finds each
+    group's r.
     """
-    n, groups, first = len(lengths), [], 0
-    while first < n:
-        fits = bisect_right(range(1, n - first + 1), BLOCK,
+    groups = []
+    while first < stop:
+        fits = bisect_right(range(1, stop - first + 1), BLOCK,
                             key=lambda r: r * lengths[first + r - 1])
         last = first + max(1, fits)
         groups.append((first, last, lengths[last - 1]))

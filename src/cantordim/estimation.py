@@ -37,8 +37,8 @@ from .geometry import (
 #: occupancy snap band as a fraction of the cell size: the kernel's, the only one it counts with
 SNAP_ETA = _kernels_py.SNAP_ETA
 
-#: cells must be indexable in exact int64 arithmetic
-DELTA_FLOOR = 1e-15
+#: the smallest box size, the kernel's: cells must be indexable in exact int64 arithmetic
+DELTA_FLOOR = _kernels_py.DELTA_FLOOR
 
 #: most box sizes in one ladder, and the largest per_level, start_level and stage
 LADDER_CAP = 10_000
@@ -203,9 +203,9 @@ def verify_operator_geometrically(
     Passes when |d_hat - D_C| <= tolerance * D_C. The fit runs over the
     scaling regime (16 box sizes per level, coarsest level dropped); deeper
     stages sharpen the estimate. The whole ladder is counted in one kernel
-    call on the set's layout. Results whose gamma_C is not constructible
-    (underflow, degenerate Z/U, stage too deep, cap) are reported as
-    unverifiable rather than failed. An unknown tag, invalid operands, a
+    call on the set's layout, and only the layout is kept while it counts.
+    Results whose gamma_C is not constructible (underflow, degenerate Z/U,
+    stage too deep, cap) are reported as unverifiable rather than failed. An unknown tag, invalid operands, a
     stage that is not an integer >= 3 and a tolerance that is not a finite
     positive real raise.
     """
@@ -230,7 +230,9 @@ def verify_operator_geometrically(
         deltas = np.array(_verify_ladder(result.gamma, stage))
     except (CapExceeded, DomainError) as exc:
         return unverifiable(str(exc))
-    counts = _kernels_py.box_counts(prefractal._box_layout, deltas)
+    layout = _kernels_py.set_layout(prefractal.starts, prefractal.ends)
+    del prefractal  # its endpoints are freed before the count takes its scratch
+    counts = _kernels_py.box_counts(layout, deltas)
     d_hat, stderr = _fit(deltas, counts)
     err = abs(d_hat - result.d)
     status = "pass" if err <= tolerance * result.d else "fail"

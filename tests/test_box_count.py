@@ -238,8 +238,8 @@ def test_thin_and_thin_free_sizes_in_one_block(rng, blocks):
     # intervals 2e-7 wide are thin above delta = 0.1 and thin-free below it.
     # The thin ones straddle the boundaries of the coarse sizes, in cells no
     # wider interval occupies, and take their midpoint cells there; on some
-    # 40 gap rows the whole ladder fits one default block, so those sizes
-    # share it with fine sizes that need no thin test
+    # 40 gap rows the whole ladder would fit one default block, but it splits
+    # at its first thin-free size, so the thin sizes form a group of their own
     thin = np.arange(1, 7) * 0.125 - 1e-7
     wide = rng.uniform(0.88, 0.99, 40)
     starts = np.sort(np.concatenate([thin, wide]))
@@ -274,27 +274,61 @@ def test_layout_is_computed_once_per_set():
     assert same_layout(s._box_layout, kernel.set_layout(s.starts, s.ends))
 
 
-def gathered_layout(starts, ends):
-    """The SetLayout by plain fancy-index gathers of the gap rows, and the sentinel appended."""
+def finest_thin_size(min_len):
+    """The finest box size in [DELTA_FLOOR, 1] that needs the thin test, by bisection, or None."""
+    def thin(bits):
+        delta = float(np.int64(bits).view(np.float64))
+        return not min_len > 2.0 * (SNAP_ETA * delta) + kernel.THIN_SLACK
+
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (DELTA_FLOOR, 1.0))
+    if not thin(hi):
+        return None
+    # positive floats order as their bit patterns
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if thin(mid) else (mid + 1, hi)
+    return float(np.int64(lo).view(np.float64))
+
+
+def suffix(layout, delta):
+    return int(kernel._suffix_lengths(layout.keys, np.array([delta]))[0])
+
+
+def gathered_layout(starts, ends, tail):
+    """The SetLayout by plain fancy-index gathers of the gap rows, the sentinel appended.
+
+    The thin-test columns keep their last ``tail`` rows.
+    """
     widths = starts[1:] - ends[:-1]
     keys = np.clip((widths.view(np.int64) >> kernel.KEY_SHIFT) - kernel.KEY_BASE, 0, kernel.KEY_TOP)
     order = np.argsort(keys.astype(np.uint16), kind="stable")
+    rows = len(starts) - tail
     return kernel.SetLayout(
         float((ends - starts).min()),
         np.append(keys.astype(np.uint16)[order], np.uint16(kernel.KEY_TOP + 1)),
         np.append(starts[1:][order], starts[0]),
-        np.append(ends[1:][order], ends[0]),
-        np.append(starts[:-1][order], starts[-1]),
         np.append(ends[:-1][order], ends[-1]),
+        np.append(starts[:-1][order], starts[-1])[rows:],
+        np.append(ends[1:][order], ends[0])[rows:],
     )
 
 
 def assert_layout_bits(starts, ends):
-    got, want = kernel.set_layout(starts, ends), gathered_layout(starts, ends)
+    got = kernel.set_layout(starts, ends)
+    tail = len(got.before_start)
+    want = gathered_layout(starts, ends, tail)
     assert got.min_len == want.min_len
     for field in kernel.SetLayout._fields[1:]:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    # the tail holds the suffix of the finest size that needs the thin test, and
+    # not much more: none without such a size, and no more than the suffix of a
+    # size 2**-19 finer
+    finest = finest_thin_size(got.min_len)
+    if finest is None:
+        assert tail == 0
+    else:
+        assert suffix(got, finest) <= tail <= suffix(got, max(finest * (1 - 2.0**-19), DELTA_FLOOR))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -316,6 +350,34 @@ def test_layout_of_large_constructed_sets_gathers_as_fancy_indexing(n, stage):
     s = construct_prefractal(CantorParams(n, gamma, regular_epsilon(n, gamma), stage))
     assert len(s) >= 78_125
     assert_layout_bits(s.starts, s.ends)
+
+
+@pytest.mark.parametrize("n, stage", [(2, 6), (5, 4), (7, 3)])
+def test_a_set_with_no_thin_size_takes_18_bytes_per_interval(n, stage):
+    # a key and two float64 columns per gap row, the sentinel's included, and no tail
+    s = construct_prefractal(CantorParams(n, 1 / (n + 1), 0.0, stage))
+    assert finest_thin_size(s._box_layout.min_len) is None
+    assert len(s._box_layout.before_start) == len(s._box_layout.after_end) == 0
+    assert sum(field.nbytes for field in s._box_layout[1:]) == 18 * len(s)
+
+
+def test_a_thin_size_past_the_tail_is_a_domain_error():
+    # 3e-6 wide intervals are thin-free at every size up to 1 but not at 2, so
+    # the layout keeps no tail, and a count at 2 cannot run the thin test
+    starts = np.array([0.1, 0.5])
+    layout = kernel.set_layout(starts, starts + 3e-6)
+    assert len(layout.before_start) == 0
+    assert kernel.box_counts(layout, [1.0, 0.5]) == [1, 2]
+    with pytest.raises(DomainError, match="box sizes must lie in"):
+        kernel.box_counts(layout, [2.0, 0.5])
+
+
+def test_a_thin_set_adds_16_bytes_per_tail_row():
+    s = construct_prefractal(CantorParams(2, 0.2, 0.0, 10))
+    layout = s._box_layout
+    tail = len(layout.before_start)
+    assert 0 < tail < len(s)
+    assert sum(field.nbytes for field in layout[1:]) == 18 * len(s) + 16 * tail
 
 
 # -- the width keys of gaps and of half box sizes
@@ -548,6 +610,48 @@ def test_property_counts_match_reference(case, block_name, delta_ulps):
     delta = min(max(nudged(delta, delta_ulps), DELTA_FLOOR), 1.0)
     with blocks_of(block_name):
         assert_counts_match(starts, ends, [delta])
+
+
+@st.composite
+def sets_at_the_thin_threshold(draw):
+    """Sets whose shortest interval, [0, w], lies a few ulps from the thin threshold of a size.
+
+    The threshold is 2*fl(SNAP_ETA*delta) + THIN_SLACK, the width at and below
+    which ``box_counts`` runs the thin test; the other intervals are wider,
+    with gaps of every scale. The ladder holds delta, its neighbours, coarser
+    and finer sizes, DELTA_FLOOR and the two sizes above it.
+    """
+    floor_sizes = [DELTA_FLOOR, nudged(DELTA_FLOOR, 1), nudged(DELTA_FLOOR, 2)]
+    delta = draw(st.one_of(
+        st.sampled_from(floor_sizes + [2 * DELTA_FLOOR, 1e-9, 1e-3, 0.5, 1.0]),
+        st.floats(math.log10(DELTA_FLOOR), 0.0).map(lambda x: min(max(10.0**x, DELTA_FLOOR), 1.0)),
+    ))
+    width = nudged(2.0 * (SNAP_ETA * delta) + kernel.THIN_SLACK, draw(st.integers(-3, 3)))
+    m = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(math.log10(width) + 1, -1, 2 * m)
+    points = np.cumsum(rng.permutation(scales))
+    points = 2 * width + points / points[-1] * (1 - 2 * width)
+    starts, ends = points[0::2], points[1::2]
+    keep = ends - starts > width
+    starts, ends = np.append(0.0, starts[keep]), np.append(width, ends[keep])
+    assert (ends - starts).min() == width
+    ladder = [nudged(delta, u) for u in (-1, 0, 1)] + [delta * 10.0**k for k in (-3, -1, 1, 3)]
+    ladder = [min(max(d, DELTA_FLOOR), 1.0) for d in ladder + floor_sizes + [1.0]]
+    return starts, ends, ladder
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sets_at_the_thin_threshold(), st.sampled_from(sorted(BLOCKS)))
+def test_property_shortest_interval_ulps_from_the_thin_threshold(case, block_name):
+    starts, ends, ladder = case
+    with blocks_of(block_name):
+        assert_counts_match(starts, ends, ladder)
+    layout = kernel.set_layout(starts, ends)
+    for delta in ladder:
+        if not layout.min_len > 2.0 * (SNAP_ETA * delta) + kernel.THIN_SLACK:
+            assert suffix(layout, delta) <= len(layout.before_start), delta
+    assert_layout_bits(starts, ends)
 
 
 # -- the guard: one multiply finds a cell, the exact comparisons run where it may be off
