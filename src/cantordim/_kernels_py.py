@@ -47,10 +47,6 @@ DELTA_FLOOR = 1e-15
 #: call reuses one scratch of this many cells
 BLOCK = 16384
 
-#: the largest ufunc buffer, in elements, while a ladder's (r, 1) columns
-#: broadcast over its blocks: rows at least this long run without a copy through it
-ROW_BUFFER = 1024
-
 #: absolute slack on the thin-free test: an interval wider than 2*snap + THIN_SLACK
 #: has a = start + snap below b = end - snap, whose rounding costs a few ulp of 1
 THIN_SLACK = 1e-14
@@ -336,14 +332,15 @@ def box_counts(layout, deltas):
     # numpy runs a ufunc with an (r, 1) column operand over rows shorter than
     # its buffer by copying them through the buffer, which costs several times
     # the arithmetic; a buffer no longer than a group's rows (numpy takes
-    # multiples of 16) and at most ROW_BUFFER lets them run in place
+    # multiples of 16) lets them run in place. A group of r >= 2 sizes has
+    # r * rows <= BLOCK, so its buffer stays within numpy's default of 8192
     with np.errstate() if shared else nullcontext():  # errstate restores the buffer size on exit
         for first, last, rows in groups:
             if last - first == 1:  # scalars and 1-D blocks take numpy's fastest loops
                 grid = _grid(float(deltas[first]))
             else:
                 grid = [column[first:last] for column in columns]
-                np.setbufsize(min(ROW_BUFFER, max(16, rows // 16 * 16)))
+                np.setbufsize(max(16, rows // 16 * 16))
             totals[first:last] = _count_group(layout, grid, last - first, rows, first < thin,
                                               scratch)
     counts = np.empty(n, dtype=np.int64)

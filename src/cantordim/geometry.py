@@ -99,7 +99,8 @@ def check_intervals(value) -> IntervalSet:
 def _endpoints(values, what: str) -> np.ndarray:
     """A contiguous float64 copy of an integer or real array-like, else an InvariantError.
 
-    The copy keeps the checked values out of reach of the caller's array.
+    The copy keeps the checked values out of reach of the caller's array. It
+    holds a zero as +0.0, as JSON reads an exported ``-0`` back as the integer 0.
     """
     try:
         array = np.asarray(values)
@@ -107,7 +108,9 @@ def _endpoints(values, what: str) -> np.ndarray:
         raise InvariantError(f"{what} must be a 1-d array of real numbers") from None
     if array.dtype.kind not in "iuf":
         raise InvariantError(f"{what} must hold real numbers, got dtype {array.dtype}")
-    return np.array(array, dtype=np.float64, order="C")
+    copy = np.array(array, dtype=np.float64, order="C")
+    copy += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
+    return copy
 
 
 class IntervalSet:

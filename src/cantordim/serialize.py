@@ -22,14 +22,14 @@ a block at a time and parses each block with one split and one
 ``map(float, ...)``). The bytes written and the arrays read are the same as
 with a per-value loop.
 
-The rows of export, the grid rows of the grid CSV and the spans of import
+The rows of export, the grid rows of the grid CSV and the row bytes of import
 run on every usable CPU (``_cpus``, ``_in_shares``): they split into one
 contiguous share per CPU, at most one per block or span, and numpy releases
 the interpreter lock inside their kernels. Export's shares are near-equal
-runs of rows, each cut into pieces where the blocks end, and import cuts
-its rows into near-equal spans, as many as a multiple of the shares, so
-that the shares get near-equal work. A document of one block or span, or a
-process with one usable CPU, starts no thread.
+runs of rows, each cut into pieces where the blocks end, and import's are
+near-equal runs of bytes, each moved on to row starts and cut into
+near-equal spans. A document of one block or span, or a process with
+one usable CPU, starts no thread.
 Each share holds its own scratch: one character matrix for export and the
 grid, and for import one buffer for a span's copy of its text and its mask
 of row marks. A str document is encoded one span at a time, so no copy of
@@ -38,8 +38,10 @@ the whole document is made.
 ``put_f17`` gets the 17 significant digits D and the decimal exponent k of
 each x in 1e-280 < x < 1 with numpy array operations. With k from
 ``floor(log10(x))`` and p = 16 - k, y = x * 10**p lies in [1e16, 1e17) <
-2**57. The table holds 10**p = hi + lo + e with hi = fl(10**p) and
-lo = fl(10**p - hi), made from exact Python ints, so |e| <= 2**-106 hi.
+2**57. Export and import share one table, ``_TEN``, of 10**q for q in
+[-292, 300]: hi = fl(10**q), its halves, and lo = fl(10**q - hi), quotients
+of exact ints (``hi.as_integer_ratio()`` gives hi's). So 10**p = hi + lo + e
+with |e| <= 2**-106 hi.
 Dekker's two-product ("A floating-point technique for extending the
 available precision", 1971) gives x * hi = ph + pl exactly: the partial
 products neither overflow (hi < 1e299) nor underflow (x > 1e-280). ph is an
@@ -95,9 +97,7 @@ the lead digit d they make D = d * 10**f + fraction, and the value is
 y = D * 10**-m, m = f plus the exponent. An entry with D >= 10**17 (more
 than 17 significant digits) or m > 292 takes ``float()`` of its own text.
 Otherwise D < 2**57 splits into dh = fl(D) and the integer dl = D - dh,
-|dl| <= 2**-53 D. The table holds
-10**-m = hi + lo + e with hi = fl(10**-m) and lo = fl(10**-m - hi), both
-quotients of exact ints (``hi.as_integer_ratio()`` gives hi's); |e| <= 2**-104 hi
+|dl| <= 2**-53 D. The table holds 10**-m = hi + lo + e with |e| <= 2**-104 hi
 for m <= 292, where hi >= 2**-971 keeps lo's rounding (at most 2**-1075 once
 lo is subnormal) that small, and not at m = 293. Dekker's two-product gives
 dh * hi = ph + pl, and tail = fl(fl(pl + fl(dh * lo)) + fl(dl * hi)) adds
@@ -239,6 +239,8 @@ _W = 24
 #: the fast path takes _X_MIN < x < 1, so it needs 10**p for p = 16 - k in [15, 298]
 _X_MIN = 1e-280
 _P_MAX = 300
+#: the table of 10**-m holds hi + lo within 2**-104 hi up to here; lo underflows beyond
+_M_MAX = 292
 #: a fraction this close to 1/2 may belong to a decimal tie, which the fallback rounds
 _TIE = 2.0**-30
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -264,12 +266,16 @@ def _split(x):
     return high, x - high
 
 
-def _tables():
-    """10**p as (hi, the halves of hi, lo)."""
-    exact = [10**p for p in range(_P_MAX + 1)]
-    hi = np.array([float(v) for v in exact])
-    lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
-    return hi, *_split(hi), lo
+def _powers_of_ten():
+    """10**q for q in [-_M_MAX, _P_MAX] as rows hi, the halves of hi, lo; column q + _M_MAX."""
+    rows = []
+    for q in range(-_M_MAX, _P_MAX + 1):
+        num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        rows.append((hi, (num * b - a * den) / (den * b)))  # lo = fl(10**q - hi)
+    hi, lo = np.array(rows).T
+    return np.stack([hi, *_split(hi), lo])
 
 
 def _field_tables():
@@ -296,7 +302,7 @@ def _field_tables():
     return field, digits_at, lead_at
 
 
-_HI, _HI_H, _HI_L, _LO = _tables()
+_TEN = _powers_of_ten()
 _FIELD, _DIGITS_AT, _LEAD_AT = _field_tables()
 
 
@@ -310,9 +316,9 @@ def _two_product(x, hi, hi_h, hi_l):
 
 def _digits(x, k):
     """floor(x * 10**(16 - k)) as int64 and its fraction (bounds in the module docstring)."""
-    p = 16 - k
-    ph, pl = _two_product(x, _HI.take(p), _HI_H.take(p), _HI_L.take(p))
-    r = pl + x * _LO.take(p)
+    hi, hi_h, hi_l, lo = _TEN.take(16 - k + _M_MAX, axis=1)
+    ph, pl = _two_product(x, hi, hi_h, hi_l)
+    r = pl + x * lo
     f = np.floor(r)
     return ph.astype(np.int64) + f.astype(np.int64), r - f
 
@@ -506,8 +512,6 @@ def _params(doc: dict) -> CantorParams | None:
 # ---------------------------------------------------------------------------
 # The exporter's layouts read in numpy blocks
 
-#: the table of 10**-m holds hi + lo within 2**-104 hi up to here; lo underflows beyond
-_M_MAX = 292
 #: bytes of the fraction window: a field's fraction digits end at its right edge
 _FRAC = 24
 #: bytes each block's copy of the text keeps on either side of its fields
@@ -521,22 +525,14 @@ _HIGH = np.uint64(int.from_bytes(b"\x80" * 8, "little"))
 _TO_HIGH = np.uint64(int.from_bytes(b"\x76" * 8, "little"))  # a byte above 9 reaches 0x80
 
 
-def _parse_tables():
-    """10**-m as (hi, the halves of hi, lo) rows, m <= _M_MAX; the masks of the last f bytes."""
-    rows, ten = [], 1  # ten = 10**m
-    for _ in range(_M_MAX + 1):
-        hi = 1 / ten
-        a, b = hi.as_integer_ratio()
-        rows.append((hi, (b - a * ten) / (b * ten)))  # lo = fl(10**-m - hi)
-        ten *= 10
-    hi, lo = np.array(rows).T
+def _fraction_masks():
+    """(f, word) -> the uint64 masks of the last f of a window's first 24 bytes."""
     at = np.arange(_FRAC + 8)
     keep = (at >= _FRAC - np.arange(_FRAC + 1)[:, None]) & (at < _FRAC)
-    masks = (keep * np.uint8(0xFF)).view("<u8")  # (f, word) -> the last f of the first 24 bytes
-    return np.stack([hi, *_split(hi), lo]), masks
+    return (keep * np.uint8(0xFF)).view("<u8")
 
 
-_TEN, _FRAC_MASK = _parse_tables()
+_FRAC_MASK = _fraction_masks()
 _P10 = 10 ** np.arange(17, dtype=np.int64)
 
 
@@ -595,7 +591,7 @@ def _read_block(buf, s, t, window):
     # the slow entries' digits may not fit: keep them below 2**63 until float() replaces them
     high = np.minimum(c[:, 0], 9)
     digits = lead * _P10.take(np.minimum(f, 16)) + high * 10**16 + c[:, 1] * 10**8 + c[:, 2]
-    hi, hi_h, hi_l, lo = _TEN.take(np.minimum(m, _M_MAX), axis=1)
+    hi, hi_h, hi_l, lo = _TEN.take(_M_MAX - np.minimum(m, _M_MAX), axis=1)
     dh = digits.astype(np.float64)
     dl = (digits - dh.astype(np.int64)).astype(np.float64)
     ph, pl = _two_product(dh, hi, hi_h, hi_l)
@@ -673,8 +669,10 @@ def _read_span(data, lo: int, hi: int, layout: _Layout, scratch):
 def _read_exported(data, layout: _Layout) -> IntervalSet | None:
     """The set of a bytes or ASCII str document in ``export_intervals``' ``layout``, or None.
 
-    The spans (``_read_span``) are shared out as in ``_in_shares``; the head
-    is checked once they are read (see the module docstring).
+    The rows' bytes are shared out by ``_in_shares``; each share moves its
+    ends on to row starts and reads near-equal spans (``_read_span``) of at
+    most about ``_SCAN`` bytes, each cut moved on to a row start. The head
+    is checked once the spans are read (see the module docstring).
     """
     find = data.find if isinstance(data, str) else lambda x, *at: data.find(x.encode(), *at)
     first = layout.head(None)
@@ -689,29 +687,27 @@ def _read_exported(data, layout: _Layout) -> IntervalSet | None:
         fields = layout.loads(head.decode("ascii"))
     except (RecursionError, ValueError):
         return None
-    # near-equal spans of at most about _SCAN bytes, as many as a multiple of the shares:
-    # each cut moves on to the next row start, and one that a long row has carried the
-    # cut before it past is dropped
-    count = -(-(stop - end) // _SCAN)
-    workers = min(_cpus(), count)
-    count = -(-count // workers) * workers
-    cuts = [end]
-    for i in range(1, count + 1):
-        target = end + (stop - end) * i // count
-        at = find("\n", target - 1, stop) + 1 or stop  # 0: no newline before the tail
-        if at > cuts[-1]:
-            cuts.append(at)
+
+    def row_start(at):  # the first row start from at on, or stop: find gives -1 past the last
+        return find("\n", at - 1, stop) + 1 or stop
 
     def share(lo, hi):
-        scratch = np.zeros(2 * (max(np.diff(cuts[lo:hi + 1])) + len(layout.sep) + _PAD), np.uint8)
+        lo, hi = row_start(end + lo), row_start(end + hi)
+        count = -(-(hi - lo) // _SCAN)
+        cuts = [lo]
+        for i in range(1, count + 1):
+            at = row_start(lo + (hi - lo) * i // count)  # at most hi, a row start itself
+            if at > cuts[-1]:  # else a long row has carried the cut before it past at
+                cuts.append(at)
+        scratch = np.zeros(2 * (max(np.diff(cuts), default=0) + len(layout.sep) + _PAD), np.uint8)
         spans = []
-        for j in range(lo, hi):
-            spans.append(_read_span(data, cuts[j], cuts[j + 1], layout, scratch))
+        for a, b in zip(cuts, cuts[1:]):
+            spans.append(_read_span(data, a, b, layout, scratch))
             if spans[-1] is None:
                 return None
         return spans
 
-    shares = _in_shares(share, len(cuts) - 1, 1)
+    shares = _in_shares(share, stop - end, _SCAN)
     if any(spans is None for spans in shares):
         return None
     params = _params(fields)

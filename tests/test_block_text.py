@@ -809,13 +809,23 @@ class TestBlockConversion:
                 assert same_bits(back, s)
                 assert back.params == (s.params if fmt == "json" else None)
 
-    def test_the_table_holds_ten_to_the_minus_m_within_2_to_the_minus_104(self):
+    def test_the_table_holds_every_power_of_ten_within_its_bound(self):
+        # export reads 10**p (p >= 0) within 2**-106, import 10**-m within 2**-104, and
+        # Dekker's two-product takes hi as the exact sum of two halves of 26 bits each
         from fractions import Fraction
 
-        hi, _, _, lo = serialize._TEN
-        for m in range(serialize._M_MAX + 1):
-            err = Fraction(1, 10**m) - Fraction(hi[m]) - Fraction(lo[m])
-            assert abs(err) <= Fraction(hi[m]) / 2**104, m
+        def significant_bits(v):
+            a = abs(v.as_integer_ratio()[0])
+            return (a // (a & -a)).bit_length() if a else 0
+
+        table = serialize._TEN
+        assert table.shape == (4, serialize._M_MAX + serialize._P_MAX + 1)
+        for column, (hi, hi_h, hi_l, lo) in enumerate(table.T.tolist()):
+            q = column - serialize._M_MAX
+            err = Fraction(10) ** q - Fraction(hi) - Fraction(lo)
+            assert abs(err) <= Fraction(hi) / 2 ** (106 if q >= 0 else 104), q
+            assert hi_h + hi_l == hi, q
+            assert significant_bits(hi_h) <= 26 and significant_bits(hi_l) <= 26, q
         # one past the table lo has lost bits to underflow
         nxt = 1 / 10 ** (serialize._M_MAX + 1)
         a, b = nxt.as_integer_ratio()

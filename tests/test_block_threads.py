@@ -155,20 +155,57 @@ def test_an_exception_in_a_worker_share_reaches_the_caller(monkeypatch, case):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("scan", [64, 333])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_a_bad_field_in_the_last_share_declines_with_the_present_error(monkeypatch, fmt):
-    text = export_intervals(paramless(2 * _BLOCK), fmt)  # 4 blocks of fields, 2 per share
+def test_a_bad_field_in_the_last_share_declines_with_the_present_error(
+    monkeypatch, fmt, scan, cpus
+):
+    # import shares the rows' bytes out as _in_shares does, and each share cuts its run
+    # into spans of at most about scan bytes: the arrays are those of one CPU, each
+    # share but the first gets a thread, and a bad field in the last span of the last
+    # share declines to the per-document path with its error
+    text = export_intervals(paramless(300), fmt)
     at = text.rindex("]\n  ]") if fmt == "json" else len(text) - 1  # where the last b ends
-    text = text[:at] + "x" + text[at:]
-    usable_cpus(monkeypatch, 2)
+    broken = text[:at] + "x" + text[at:]
+    layout = serialize._LAYOUTS[fmt]
+    monkeypatch.setattr(serialize, "_SCAN", scan)
+    monkeypatch.setattr(serialize, "_cpus", lambda: 1)
+    want = bits(serialize._read_exported(text, layout))
+    shares = []
+
+    def in_shares(work, n, block):
+        shares.append(in_shares.__wrapped__(work, n, block))
+        return shares[-1]
+
+    def read_span(data, lo, hi, *args):
+        spans.append(hi - lo)
+        return read_span.__wrapped__(data, lo, hi, *args)
+
+    in_shares.__wrapped__ = serialize._in_shares
+    read_span.__wrapped__ = serialize._read_span
+    monkeypatch.setattr(serialize, "_in_shares", in_shares)
+    monkeypatch.setattr(serialize, "_read_span", read_span)
+    monkeypatch.setattr(serialize, "_cpus", lambda: cpus)
+    row = max(map(len, text.splitlines(keepends=True)))
     before = threading.active_count()
-    assert serialize._read_exported(text, serialize._LAYOUTS[fmt]) is None
-    with pytest.raises(ParseError) as want:
-        (serialize._parse_json if fmt == "json" else ref.import_csv)(text)
-    with pytest.raises(ParseError) as got:
-        import_intervals(text, fmt)
-    assert str(got.value) == str(want.value)
-    assert "line" in str(got.value)
+    started = threads_started(monkeypatch)
+    for doc in (text, text.encode()):
+        spans = []
+        assert bits(serialize._read_exported(doc, layout)) == want
+        assert len(shares) == 1 and len(shares[0]) == cpus
+        assert len(started) == cpus - 1
+        assert max(spans) <= scan + row  # each cut moves on to the next row start
+        shares.clear()
+        started.clear()
+    for doc in (broken, broken.encode()):
+        assert serialize._read_exported(doc, layout) is None
+        with pytest.raises(ParseError) as want_error:
+            (serialize._parse_json if fmt == "json" else ref.import_csv)(broken)
+        with pytest.raises(ParseError) as got:
+            import_intervals(doc, fmt)
+        assert str(got.value) == str(want_error.value)
+        assert "line" in str(got.value)
     assert threading.active_count() == before
 
 

@@ -252,15 +252,27 @@ def test_thin_and_thin_free_sizes_in_one_block(rng, blocks):
     assert_counts_match(starts, starts + widths, deltas)
 
 
-def test_ladder_restores_the_ufunc_buffer_size():
-    # a ladder lowers numpy's ufunc buffer (to at most ROW_BUFFER) while it counts; the
-    # caller's size must be back afterwards (numpy >= 2.0 errstate restores it)
+def test_ladder_restores_the_ufunc_buffer_size(monkeypatch):
+    # a group of several sizes counts with numpy's ufunc buffer cut to its rows, in
+    # multiples of 16 and at least 16; the caller's size must be back afterwards
+    # (numpy >= 2.0 errstate restores it)
     s = construct_prefractal(CantorParams(3, 0.2, 0.0, 5))
     ladder = scale_ladder(0.2, 5, per_level=4)
+    buffers = []
+
+    def count_group(layout, grid, r, rows, *args):
+        if r > 1:
+            buffers.append((rows, np.getbufsize()))
+        return count_group.__wrapped__(layout, grid, r, rows, *args)
+
+    count_group.__wrapped__ = kernel._count_group
+    monkeypatch.setattr(kernel, "_count_group", count_group)
     before = np.getbufsize()
-    assert before != kernel.ROW_BUFFER and len(ladder) > 1
     kernel.box_counts(s._box_layout, ladder)
     assert np.getbufsize() == before
+    assert buffers and any(size != before for _, size in buffers)
+    for rows, size in buffers:
+        assert size % 16 == 0 and max(16, rows - 15) <= size <= max(16, rows), (rows, size)
 
 
 def same_layout(a, b):

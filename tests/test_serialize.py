@@ -78,6 +78,21 @@ class TestRoundTrip:
         back = import_intervals(export_intervals(s).encode("utf-8"))
         assert np.array_equal(back.starts, s.starts)
 
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    @pytest.mark.parametrize("starts, ends", [
+        ([-0.0, 0.5], [0.25, 1.0]),
+        ([-0.0, -0.0], [1e-13, 0.5]),  # the second interval begins inside OVERLAP_TOL
+    ])
+    def test_a_negative_zero_start_round_trips_bit_identically(self, format, starts, ends):
+        # JSON reads an exported "-0" as the integer 0, so a set stores its zeros as +0.0
+        s = IntervalSet(starts, ends)
+        assert not np.signbit(s.starts).any()
+        doc = export_intervals(s, format)
+        for data in (doc, doc.encode()):
+            back = import_intervals(data, format)
+            assert back.starts.tobytes() == s.starts.tobytes()
+            assert back.ends.tobytes() == s.ends.tobytes()
+
 
 class TestImportErrors:
     def test_truncated_json(self):
