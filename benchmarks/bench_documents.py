@@ -8,10 +8,12 @@ on a set of 1e5 intervals whose every value lies in [1e-9, 1e-5), so is
 written in exponent notation. The imports of the n=7 stage 6 set and of the
 exponent set are timed a second time with ``serialize._cpus`` patched to 1,
 so that those rows show the work per field apart from how it spreads over
-threads; ``emit_operator_grid`` for ``sub`` (69% NaN
-cells) at resolutions 256 and 1024, for ``add`` (no NaN) at 256 and for
-``mul`` at 192 (the perfbench grids); and ``render_stages_svg`` up to
-stage 5. Each worker process runs
+threads. The 1e5 set's CSV is imported a second time with CRLF line ends,
+which the block reader declines: that row times the one-pass CSV parser,
+which reads every CSV not in the exporter's layout. Then
+``emit_operator_grid`` for ``sub`` (69% NaN cells) at resolutions 256 and
+1024, for ``add`` (no NaN) at 256 and for ``mul`` at 192 (the perfbench
+grids); and ``render_stages_svg`` up to stage 5. Each worker process runs
 every case once, against one tree. Before anything is timed, the trees must
 give the same SHA-256 for every exported, rendered and imported output
 (import digests cover the arrays and the params). The shared driver in
@@ -31,6 +33,7 @@ from _host import bench
 SETS = [("1e5", (10, 0.06, 5)), ("1e6", (10, 0.06, 6)), ("7^6", (7, 0.1, 6)), ("exp 1e5", None)]
 EXP_SIZE = 100_000  # intervals of the exponent-notation set
 ONE_CPU = ("7^6", "exp 1e5")  # sets whose imports are timed on one usable CPU too
+CRLF = "1e5"  # the set whose CSV is imported with CRLF line ends too
 GRIDS = [("sub", 256), ("add", 256), ("sub", 1024), ("mul", 192)]  # (operator, resolution)
 SVG = (5, 0.1, 0.05, 5)  # n, gamma, epsilon, max_stage
 
@@ -45,6 +48,8 @@ def cases():
             out[f"import_{fmt} {label}"] = {"layer": f"serialize.import_{fmt}", "size": size}
             if label in ONE_CPU:
                 out[f"import_{fmt} {label} 1 cpu"] = out[f"import_{fmt} {label}"]
+        if label == CRLF:
+            out[f"import_csv crlf {label}"] = out[f"import_csv {label}"]
     for op, res in GRIDS:
         out[f"grid {op} res {res}"] = {"layer": "render.grid", "size": res * res}
     out[f"svg stages 0..{SVG[3]}"] = {"layer": "render.svg", "size": SVG[3]}
@@ -94,6 +99,9 @@ def worker(mode: str) -> None:
             calls.append(lambda text=text, fmt=fmt: import_intervals(text, fmt))
             if label in ONE_CPU:
                 calls.append(lambda text=text, fmt=fmt: one_cpu(text, fmt))
+        if label == CRLF:
+            crlf = text.replace("\n", "\r\n")  # text is the CSV, the last format exported
+            calls.append(lambda crlf=crlf: import_intervals(crlf, "csv"))
     calls += [lambda op=op, res=res: emit_operator_grid(op, res, 2) for op, res in GRIDS]
     n, gamma, eps, max_stage = SVG
     calls.append(lambda: render_stages_svg(CantorParams(n, gamma, eps, 0), max_stage))

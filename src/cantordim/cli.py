@@ -80,13 +80,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_construct(args) -> int:
     from .geometry import CantorParams, construct_prefractal
-    from .render import render_stages_svg
-    from .serialize import export_intervals
 
     params = CantorParams(args.n, args.gamma, args.eps, args.stage)
     if args.format == "svg":
+        from .render import render_stages_svg
+
         _write(render_stages_svg(params, max_stage=args.stage), args.out)
     else:
+        from .serialize import export_intervals
+
         _write(export_intervals(construct_prefractal(params), args.format), args.out)
     return 0
 

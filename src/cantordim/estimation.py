@@ -230,7 +230,7 @@ def verify_operator_geometrically(
         deltas = np.array(_verify_ladder(result.gamma, stage))
     except (CapExceeded, DomainError) as exc:
         return unverifiable(str(exc))
-    layout = _kernels_py.set_layout(prefractal.starts, prefractal.ends)
+    layout = prefractal._box_layout
     del prefractal  # its endpoints are freed before the count takes its scratch
     counts = _kernels_py.box_counts(layout, deltas)
     d_hat, stderr = _fit(deltas, counts)

@@ -63,7 +63,7 @@ def _validate_family(n: int, gamma: float, epsilon: float) -> tuple[int, float, 
         raise DomainError(
             f"epsilon beyond eps_max would make a gap negative: {epsilon!r} > {eps_max!r}"
         )
-    return n, gamma, epsilon
+    return n, gamma, epsilon + 0.0  # -0.0 + 0.0 is +0.0, which JSON writes as 0
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ as the literal after a row's last field runs on into the next row's first).
 Import reads a document in the exporter's own layout with
 numpy (``_read_exported``) and gives every other document to ``json.loads``
 or ``float`` (``_parse_json``, which checks the row and value types of the
-whole list at C level, and ``_parse_csv``, which splits the text into lines
-a block at a time and parses each block with one split and one
-``map(float, ...)``). The bytes written and the arrays read are the same as
-with a per-value loop.
+whole list at C level, and ``_parse_csv``, which reads the text row by row
+in one pass, one ``partition`` and two ``float`` calls a row). The bytes
+written and the arrays read are the same as with a per-value loop.
 
 The rows of export, the grid rows of the grid CSV and the row bytes of import
 run on every usable CPU (``_cpus``, ``_in_shares``): they split into one
@@ -120,12 +119,12 @@ import json
 import os
 import re
 import threading
+from array import array
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from ._kernels_py import BLOCK as _BLOCK
 from .errors import DomainError, InvariantError, ParseError
 from .geometry import CantorParams, IntervalSet, check_intervals
 
@@ -234,6 +233,8 @@ def _in_shares(work, n: int, block: int) -> list:
 # ---------------------------------------------------------------------------
 # '%.17g' in numpy blocks
 
+#: rows per text block: many per numpy call, and a block's matrix stays about 1 MB
+_BLOCK = 16384
 #: bytes of one float field: the longest '%.17g' of a binary64 is "-2.2250738585072014e-308"
 _W = 24
 #: the fast path takes _X_MIN < x < 1, so it needs 10**p for p = 16 - k in [15, 298]
@@ -745,56 +746,43 @@ def _parse_json(text: str) -> IntervalSet:
 
 
 def _parse_csv(text: str) -> IntervalSet:
-    blocks = _line_blocks(text)
-    lines = next(blocks, [])
-    if not lines or lines[0].strip() != _CSV_HEADER:
+    lines = _lines(text)
+    if next(lines, "").strip() != _CSV_HEADER:
         raise ParseError(f"first line must be the header '{_CSV_HEADER}'", "line 1")
-    values, lineno = [], 2  # the line number of the block's first row
-    for block in chain([lines[1:]], blocks):
-        rows = list(filter(str.strip, block))
+    values = array("d")
+    for lineno, line in enumerate(lines, start=2):
+        if not line or line.isspace():
+            continue
+        start, _, end = line.partition(",")
         try:
-            if rows:
-                if set(map(str.count, rows, repeat(","))) != {1}:
-                    raise ValueError
-                fields = ",".join(rows).split(",")
-                values.append(np.fromiter(map(float, fields), np.float64, len(fields)))
+            if "," in end:
+                raise ValueError
+            values.append(float(start))
+            values.append(float(end))
         except ValueError:
-            raise _csv_error(block, lineno) from None
-        lineno += len(block)
-    values = np.concatenate(values) if values else np.empty(0)
+            fields = line.count(",") + 1  # counted, not split: a line may hold millions
+            if fields != 2:
+                raise ParseError(f"expected 2 fields, got {fields}", f"line {lineno}") from None
+            raise ParseError(f"non-numeric field in {line!r}", f"line {lineno}") from None
+    values = np.frombuffer(values, np.float64)
     return IntervalSet(values[0::2], values[1::2], None)
 
 
-def _line_blocks(text: str):
-    """``text.splitlines()``, one block of lines at a time.
+def _lines(text: str):
+    """``text.splitlines()``, one line at a time.
 
-    A block is the text up to the first line break at least ``_SCAN // 8``
-    characters on, so its list of lines takes at most about ``_SCAN`` bytes.
-    The breaks are those of ``str.splitlines``, with CR LF as one.
+    The text is split a piece at a time, each up to the first line break at
+    least ``_SCAN // 8`` characters on, so the lines held at once take at
+    most about ``_SCAN`` bytes. The breaks are those of ``str.splitlines``,
+    with CR LF as one.
     """
     breaks = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
     start = 0
     while start < len(text):
         found = breaks.search(text, start + _SCAN // 8)
         end = found.end() if found else len(text)
-        yield text[start:end].splitlines()
+        yield from text[start:end].splitlines()
         start = end
-
-
-def _csv_error(lines: list[str], lineno: int) -> ParseError:
-    """The error of the first malformed row of ``lines``, the first of them line ``lineno``."""
-    for lineno, line in enumerate(lines, start=lineno):
-        if not line.strip():
-            continue
-        fields = line.count(",") + 1  # counted, not split: a line may hold millions
-        if fields != 2:
-            return ParseError(f"expected 2 fields, got {fields}", f"line {lineno}")
-        start, _, end = line.partition(",")
-        try:
-            float(start), float(end)
-        except ValueError:
-            return ParseError(f"non-numeric field in {line!r}", f"line {lineno}")
-    raise AssertionError("a block failed but every row parses")
 
 
 def import_intervals(data, format: str = "json") -> IntervalSet:

@@ -1,9 +1,9 @@
 """The seed's per-value text loops, kept as the slow reference for block I/O.
 
 Each function writes or reads one value at a time with ``format(float(x),
-".17g")`` or ``float()``. The block formatter and the bulk-checked parsers
-in ``serialize`` and ``render`` must give exactly the same bytes, arrays
-and errors; see test_block_text.py.
+".17g")`` or ``float()``. The block formatter, the bulk-checked JSON
+parser and the one-pass CSV parser in ``serialize`` and ``render`` must
+give exactly the same bytes, arrays and errors; see test_block_text.py.
 """
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""Block formatting and bulk-checked parsing against the per-value reference.
+"""Block formatting and parsing against the per-value reference.
 
 ``serialize.format_rows`` writes up to ``_BLOCK`` rows per character matrix,
 each float by the numpy formatter ``put_f17``; these tests pin its bytes to
@@ -8,7 +8,7 @@ with the exponent estimate one off, at and around the block boundaries, and
 where whole blocks take the fallback. They pin each field's layout too: its
 text from the first byte of its slot, then NULs, on every shape of the text
 and at slot offsets and row widths that leave its 8-byte words unaligned.
-They also pin the bulk import checks
+They also pin the JSON bulk check and the one-pass CSV parser
 to the seed's per-row checks, messages and line numbers, and the block
 parser of exporter layouts to the ``json.loads``/``float`` path: exporter
 output is read by it bit-identically to ``float()``, and every document
@@ -37,7 +37,6 @@ from cantordim import (
     import_intervals,
 )
 from cantordim import serialize
-from cantordim._kernels_py import BLOCK as KERNEL_BLOCK
 from cantordim.serialize import _BLOCK, format_rows
 
 SIZES = [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1]
@@ -71,8 +70,8 @@ def same_bits(got: IntervalSet, want: IntervalSet) -> bool:
     return (got.starts.tobytes(), got.ends.tobytes()) == (want.starts.tobytes(), want.ends.tobytes())
 
 
-def test_block_is_the_kernel_block():
-    assert _BLOCK == KERNEL_BLOCK == 16384
+def test_block_is_16384_rows():
+    assert _BLOCK == 16384
 
 
 class TestExportBytes:
@@ -384,18 +383,19 @@ class TestCsvImport:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         lines=st.lists(st.sampled_from(
-            ["0.25,0.5", "0.5,0.75", "", "  ", "0.5", "0.1,0.2,0.3", "0.5,x", "start,end"]
+            ["0.25,0.5", "0.5,0.75", "", "  ", "0.5", "0.1,0.2,0.3", "0.5,x", "x,0.5,y",
+             "start,end"]
         ), max_size=12),
         breaks=st.lists(st.sampled_from(CSV_BREAKS), min_size=13, max_size=13),
         scan=st.sampled_from([8, 16, 24, 64]),
     )
     def test_lines_read_a_block_at_a_time_as_splitlines(self, lines, breaks, scan):
-        # every line break of str.splitlines, CR LF among them, with blocks of one
-        # to a few lines: the same values, errors and line numbers as the reference
+        # every line break of str.splitlines, CR LF among them, split into pieces of one
+        # to a few lines: the same values, errors and line numbers as the reference; a
+        # row that breaks both rules ("x,0.5,y") is reported for its field count
         text = "".join(map("".join, zip(["start,end", *lines], breaks)))
         with mock.patch.object(serialize, "_SCAN", scan):
-            assert [line for block in serialize._line_blocks(text) for line in block] == (
-                text.splitlines())
+            assert list(serialize._lines(text)) == text.splitlines()
             assert outcome(serialize._parse_csv, text) == outcome(ref.import_csv, text)
 
 

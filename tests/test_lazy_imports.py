@@ -86,6 +86,15 @@ def test_numpy_bound_command_loads_numpy():
     assert numpy_loaded_after(f"from cantordim.cli import main\nassert main({argv!r}) == 0")
 
 
+@pytest.mark.parametrize("fmt, loaded", [("json", "False"), ("svg", "True")])
+def test_construct_loads_render_for_svg_only(fmt, loaded, tmp_path):
+    argv = ["construct", "--n", "2", "--gamma", "0.3", "--stage", "2", "--format", fmt,
+            "--out", str(tmp_path / f"set.{fmt}")]
+    code = (f"import sys\nfrom cantordim.cli import main\nassert main({argv!r}) == 0\n"
+            "print('cantordim.render' in sys.modules)\n")
+    assert fresh(code) == loaded
+
+
 def test_import_serialize_leaves_fractions_and_decimal_unloaded():
     code = "import sys\nimport cantordim.serialize\nprint('fractions' in sys.modules, 'decimal' in sys.modules)\n"
     assert fresh(code) == "False False"

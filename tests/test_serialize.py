@@ -1,6 +1,7 @@
 """JSON/CSV round trips and malformed-document handling."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ from cantordim import (
     export_intervals,
     import_intervals,
     lacunarity_bounds,
+    serialize,
 )
 
 
@@ -92,6 +94,17 @@ class TestRoundTrip:
             back = import_intervals(data, format)
             assert back.starts.tobytes() == s.starts.tobytes()
             assert back.ends.tobytes() == s.ends.tobytes()
+
+    @pytest.mark.parametrize("n, gamma, stage", [(2, 1 / 3, 3), (5, 0.1, 2)])
+    def test_a_negative_zero_epsilon_round_trips_bit_identically(self, n, gamma, stage):
+        # as with endpoints, "-0" would load as the integer 0: params store epsilon as +0.0
+        params = CantorParams(n, gamma, -0.0, stage)
+        assert math.copysign(1.0, params.epsilon) == 1.0
+        doc = export_intervals(construct_prefractal(params))
+        assert '\n  "epsilon": 0,\n' in doc
+        back = serialize._read_exported(doc, serialize._LAYOUTS["json"])  # the block reader
+        assert back is not None and repr(back.params) == repr(params)
+        assert math.copysign(1.0, back.params.epsilon) == 1.0
 
 
 class TestImportErrors:
