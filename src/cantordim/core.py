@@ -79,9 +79,9 @@ def check_dimension(d) -> float:
     return check_real(d, "dimension", 0, 1)
 
 
-def check_scale(n: int, gamma, closed: bool = False) -> float:
-    """A scale factor of the checked arity n: in [0, 1/n] if closed, else in (0, 1/n)."""
-    return check_real(gamma, "gamma", 0, 1.0 / n, "[]" if closed else "()")
+def check_scale(n: int, gamma) -> float:
+    """A scale factor of the checked arity n in (0, 1/n), the open range construction uses."""
+    return check_real(gamma, "gamma", 0, 1.0 / n, "()")
 
 
 def dimension_from_scale(n: int, gamma: float) -> float:
@@ -92,7 +92,7 @@ def dimension_from_scale(n: int, gamma: float) -> float:
     rounded binary64 bound and fail closed.
     """
     n = check_arity(n)
-    gamma = check_scale(n, gamma, closed=True)
+    gamma = check_real(gamma, "gamma", 0, 1.0 / n)
     if gamma == 0.0:
         return 0.0
     if gamma == 1.0 / n:

@@ -118,7 +118,7 @@ def estimate_dimension(
 
 
 def _fit(deltas: Sequence[float], counts: list[int]) -> tuple[float, float]:
-    """(slope, its standard error) of ln(count) versus ln(1/delta) over a counted ladder.
+    """(slope, its standard error) of ln(count) versus ln(1/delta) over 3 or more counted sizes.
 
     A mean is ``np.add.reduce`` over the length: the reduction of ``mean``
     and ``sum``, without their Python wrappers.
@@ -133,7 +133,7 @@ def _fit(deltas: Sequence[float], counts: list[int]) -> tuple[float, float]:
     y_mean = np.add.reduce(y) / n
     slope = float(np.add.reduce(dx * (y - y_mean)) / sxx)
     resid = y - (y_mean + slope * dx)
-    stderr = float(math.sqrt((resid @ resid) / (n - 2) / sxx)) if n > 2 else float("nan")
+    stderr = float(math.sqrt((resid @ resid) / (n - 2) / sxx))
     return slope, stderr
 
 

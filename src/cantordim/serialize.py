@@ -25,10 +25,10 @@ The rows of export, the grid rows of the grid CSV and the row bytes of import
 run on every usable CPU (``_cpus``, ``_in_shares``): they split into one
 contiguous share per CPU, at most one per block or span, and numpy releases
 the interpreter lock inside their kernels. Export's shares are near-equal
-runs of rows, each cut into pieces where the blocks end, and import's are
-near-equal runs of bytes, each moved on to row starts and cut into
-near-equal spans. A document of one block or span, or a process with
-one usable CPU, starts no thread.
+runs of rows, each cut into pieces of at most ``_BLOCK`` rows from its own
+start, and import's are near-equal runs of bytes, each moved on to row
+starts and cut into near-equal spans. A document of one block or span, or
+a process with one usable CPU, starts no thread.
 Each share holds its own scratch: one character matrix for export and the
 grid, and for import one buffer for a span's copy of its text and its mask
 of row marks. A str document is encoded one span at a time, so no copy of
@@ -423,20 +423,19 @@ def format_rows(row: str, sep: str, *columns) -> list[str]:
 
     ``row`` holds one ``%.17g`` per column, and the columns are equal-length
     float64 arrays. The rows are shared out as in ``_in_shares``, and each
-    share cuts its rows where the blocks end; the pieces, one string each,
-    are returned for the caller to join with ``sep``. Every share reuses one
-    matrix, whose literals are written once.
+    share cuts its rows into pieces of at most ``_BLOCK`` from its start;
+    the pieces, one string each, are returned for the caller to join with
+    ``sep``. Every share reuses one matrix, whose literals are written once.
     """
 
     def share(lo, hi):
         chars, fields = row_matrix(row, sep, min(_BLOCK, hi - lo))
-        pieces, i = [], lo
-        while i < hi:
-            j = min(hi, i - i % _BLOCK + _BLOCK)  # where i's block ends
+        pieces = []
+        for i in range(lo, hi, _BLOCK):
+            k = min(_BLOCK, hi - i)
             for column, field in zip(columns, fields):
-                put_f17(column[i:j], chars[:j - i, field])
-            pieces.append(matrix_text(chars[:j - i], sep))
-            i = j
+                put_f17(column[i:i + k], chars[:k, field])
+            pieces.append(matrix_text(chars[:k], sep))
         return pieces
 
     # the shares split rows, not whole blocks: 117,649 rows go 58,824 against 58,825

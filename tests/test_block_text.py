@@ -105,15 +105,21 @@ class TestExportBytes:
         assert rows == [ref.f17(v) for v in values]
         assert rows[:2] == ["nan", "nan"]
 
-    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("m", SIZES + [2 * _BLOCK + 3])
     def test_blocks_hold_at_most_block_rows(self, m, monkeypatch):
-        # each share's rows in pieces cut where the blocks end: with two usable CPUs the
-        # _BLOCK + 1 rows split at _BLOCK // 2, and the second share cuts its rows at _BLOCK
+        # each share's rows in pieces of at most _BLOCK from the share's start: with two
+        # usable CPUs, _BLOCK + 1 rows make two shares of one piece each, and 2 * _BLOCK + 3
+        # rows make shares of _BLOCK + 1 and _BLOCK + 2 rows
         column = np.arange(m, dtype=np.float64)
-        for cpus, over in ((1, [_BLOCK, 1]), (2, [_BLOCK // 2, _BLOCK // 2, 1])):
+        one_cpu_two_cpus = {
+            0: ([], []),
+            _BLOCK + 1: ([_BLOCK, 1], [_BLOCK // 2, _BLOCK // 2 + 1]),
+            2 * _BLOCK + 3: ([_BLOCK, _BLOCK, 3], [_BLOCK, 1, _BLOCK, 2]),
+        }
+        for cpus, want in zip((1, 2), one_cpu_two_cpus.get(m, ([m], [m]))):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             pieces = format_rows("%.17g", "\n", column)
-            assert [p.count("\n") + 1 for p in pieces] == {0: [], _BLOCK + 1: over}.get(m, [m])
+            assert [p.count("\n") + 1 for p in pieces] == want
             same_text("\n".join(pieces), "\n".join(ref.f17(v) for v in column))
 
 

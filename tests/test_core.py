@@ -200,13 +200,14 @@ class TestGate:
         with pytest.raises(DomainError, match=r"x must lie in \[0, 1\), got 1.0"):
             check_real(1.0, "x", 0, 1, "[)")
 
-    def test_scale_is_open_unless_closed(self):
-        assert check_scale(4, 0.25, closed=True) == 0.25
-        assert check_scale(4, 0.0, closed=True) == 0.0
+    def test_scale_is_open(self):
+        # dimension_from_scale takes the closed [0, 1/n] and checks it itself
         for gamma in (0.0, 0.25, math.nextafter(0.25, 1)):
-            with pytest.raises(DomainError, match="gamma must lie in"):
+            with pytest.raises(DomainError, match=r"gamma must lie in \(0, 0.25\)"):
                 check_scale(4, gamma)
         assert check_scale(4, math.nextafter(0.25, 0)) < 0.25
+        with pytest.raises(DomainError, match=r"gamma must lie in \[0, 0.25\]"):
+            dimension_from_scale(4, math.nextafter(0.25, 1))
 
     def test_records_keep_repr_equality_and_immutability(self):
         scale = scale_from_dimension(2, 1.0)

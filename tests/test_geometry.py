@@ -268,6 +268,9 @@ class TestIntervalSet:
         s = IntervalSet(np.array([0.0, 0.3]), np.array([0.3, 0.5]))
         assert len(s) == 2
 
+    def test_repr_counts_the_intervals(self):
+        assert repr(IntervalSet([0.0], [0.5])) == "IntervalSet(1 intervals, params=None)"
+
     def test_arrays_are_frozen(self):
         s = IntervalSet(np.array([0.1]), np.array([0.2]))
         with pytest.raises(ValueError):

@@ -138,6 +138,7 @@ def test_exports_are_the_submodule_objects():
     assert cantordim.box_count is cantordim.estimation.box_count
     assert cantordim.BACKEND == cantordim._kernels_py.BACKEND
     assert "add" in vars(cantordim)  # cached after the first access
+    assert set(cantordim.__all__) <= set(dir(cantordim))
 
 
 def test_unknown_attribute_raises():
