@@ -1,29 +1,33 @@
 """The driver every benchmark script runs through, and what it uses.
 
 A script under ``benchmarks/`` keeps only what is its own: its cases, its
-worker and its check. It calls ``bench``, which either runs its hidden
-``--worker MODE`` or drives the benchmark: the ``change`` tree is this
-checkout and, with ``--baseline DIR``, the ``baseline`` tree is a second
-checkout (for example a clone of the parent commit). Before anything is
-timed, one ``--worker result`` per tree gives each tree's answers, and the
+``setup`` and its check. It calls ``bench``, which either runs its hidden
+``--worker MODE --case NAME`` (``run_case``: the one timing rule) or drives
+the benchmark: the ``change`` tree is this checkout and, with ``--baseline
+DIR``, the ``baseline`` tree is a second checkout (a clone of the parent
+commit, or of this checkout for an A/A run). Before anything is timed, one
+``--worker result`` per case and tree gives each tree's answers, and the
 script's check compares them (by default the trees must agree on every
-case). Each of ``--repeats`` pairs then runs one ``--worker time`` per tree,
-alternating which goes first. A row gives each tree's median time and, with
-a baseline, the median and interquartile range of the per-pair ratios
-baseline/change and the pairs the change won; it gives a ``speedup`` only
-when one tree wins at least 9 of 10 of at least 10 pairs and the medians
-differ by more than the baseline's own interquartile range (``paired_ratio``),
-and reads "within noise" otherwise. The report goes to ``BENCH_<topic>.json``
-at the root of the checkout, and a summary to stdout.
+case). Each of ``--repeats`` pairs then runs each case in one ``--worker
+time`` per tree, back to back, alternating which tree goes first. A row
+gives each tree's median time and, with a baseline, the median and
+interquartile range of the per-pair ratios baseline/change and the pairs
+the change won; it gives a ``speedup`` only when one tree wins at least 9 of
+10 of at least 10 pairs and the medians differ by more than the baseline's
+own interquartile range (``paired_ratio``), and reads "within noise"
+otherwise. The report goes to ``BENCH_<topic>.json`` at the root of the
+checkout, and a summary to stdout.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -34,26 +38,56 @@ def tree_env(tree):
     return env
 
 
-def run_worker(script, tree, mode):
-    """The JSON that ``script --worker mode`` prints when run against the checkout at ``tree``."""
-    out = subprocess.run([sys.executable, str(script), "--worker", mode], cwd=tree,
-                         env=tree_env(tree), check=True, capture_output=True, text=True)
+def run_worker(script, tree, mode, case):
+    """The JSON that ``script --worker mode --case case`` prints when run against ``tree``."""
+    out = subprocess.run([sys.executable, str(script), "--worker", mode, "--case", case],
+                         cwd=tree, env=tree_env(tree), check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
 
 
-def paired_times(script, trees, pairs, rows):
-    """label -> row -> the row's time in each of ``pairs`` workers of the tree at label.
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    Pair i runs one ``script --worker time`` per tree, the trees in order
-    when i is even and in reverse when it is odd, so that a slow phase of the
-    host hits both sides of a pair.
+
+def run_case(setup, case, calls, mode):
+    """Print, as JSON, the best of ``calls`` calls of ``case``, each in this fresh process.
+
+    ``setup(case)`` builds the case's inputs and returns ``(prepare, call,
+    answer)``; ``prepare()``, if given, runs untimed before each timed
+    ``call(prepared)``. Mode "result" prints ``answer`` of the last output in
+    place of the time, with each call's minor page faults and, when the case
+    loaded cantordim, its ``BACKEND``.
     """
-    times = {label: {row: [] for row in rows} for label in trees}
+    prepare, call, answer = setup(case)
+    best, faults = float("inf"), []
+    for _ in range(calls):
+        out = None  # the last output goes before the next call
+        prepared = prepare() if prepare else None
+        f0 = minor_faults()
+        t0 = time.perf_counter()
+        out = call(prepared)
+        best = min(best, time.perf_counter() - t0)
+        faults.append(minor_faults() - f0)
+    if mode == "time":
+        print(json.dumps(best))
+        return
+    library = sys.modules.get("cantordim")
+    print(json.dumps({"answer": answer(out), "minor_page_faults": faults,
+                      **({"backend": library.BACKEND} if library else {})}))
+
+
+def paired_times(script, trees, pairs, cases):
+    """label -> case -> the case's time in each of ``pairs`` workers of the tree at label.
+
+    Pair i runs each case on both trees back to back, in order when i is even
+    and in reverse when it is odd, so that a slow phase of the host hits both.
+    """
+    times = {label: {case: [] for case in cases} for label in trees}
     for i in range(pairs):
-        for label in list(trees) if i % 2 == 0 else list(reversed(trees)):
-            out = run_worker(script, trees[label], "time")
-            for row in rows:
-                times[label][row].append(out[row])
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
+        for case in cases:
+            for label in order:
+                times[label][case].append(run_worker(script, trees[label], "time", case))
     return times
 
 
@@ -129,26 +163,28 @@ def machine() -> dict:
     }
 
 
-def bench(script, doc, topic, cases, worker, check=None, equal_key=None, repeats=10):
+def bench(script, doc, topic, cases, setup, check=None, equal_key=None, repeats=10):
     """Run ``script``'s hidden worker, or check, time and report its cases as set out above.
 
-    ``cases`` maps each case name, in the order a worker runs them, to the
-    fields that open its row. ``worker(mode)`` prints, as JSON, case name ->
-    time in seconds for mode "time", and case name -> answer for mode
-    "result" (with the tree's "backend" when it has one). ``check(answers)``
-    gets label -> that tree's answers, exits when they are wrong, and returns
-    case name -> fields that follow the row's ``median_ms``. With a baseline,
-    ``equal_key`` is set in the report: the check has passed before timing.
+    ``cases`` maps each case name, in the order the pairs run them, to the
+    fields that open its row, ``calls`` among them. ``check(answers, faults)``
+    gets label -> case -> that tree's answer and its calls' minor page
+    faults, exits when the answers are wrong, and returns case -> fields
+    that follow the row's ``median_ms``. With a baseline, ``equal_key`` is
+    set in the report: the check has passed before timing.
     """
     parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=repeats,
-                        help="worker pairs (one worker per tree without --baseline)")
+                        help="worker pairs (one worker per case and tree without --baseline)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="a second checkout to time against this one")
     parser.add_argument("--worker", choices=("time", "result"), help=argparse.SUPPRESS)
+    parser.add_argument("--case", choices=cases, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        worker(args.worker)
+        if args.case is None:
+            parser.error("--worker needs --case")
+        run_case(setup, args.case, cases[args.case]["calls"], args.worker)
         return
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
@@ -157,12 +193,18 @@ def bench(script, doc, topic, cases, worker, check=None, equal_key=None, repeats
     trees = {"change": root}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": root}
-    answers = {label: run_worker(script, tree, "result") for label, tree in trees.items()}
+    outs = {label: {case: run_worker(script, tree, "result", case) for case in cases}
+            for label, tree in trees.items()}
+    answers = {label: {case: r["answer"] for case, r in res.items()} for label, res in outs.items()}
+    faults = {label: {case: r["minor_page_faults"] for case, r in res.items()}
+              for label, res in outs.items()}
+    backends = {label: {"backend": r["backend"] for r in res.values() if "backend" in r}
+                for label, res in outs.items()}
     if check is None:
         agree(answers, cases)
         checked = {}
     else:
-        checked = check(answers)
+        checked = check(answers, faults)
 
     times = paired_times(script, trees, args.repeats, list(cases))
     width = max(map(len, cases))
@@ -180,9 +222,7 @@ def bench(script, doc, topic, cases, worker, check=None, equal_key=None, repeats
 
     report = {
         "topic": topic,
-        "trees": {label: {"git_rev": git_rev(tree),
-                          **({"backend": answers[label]["backend"]}
-                             if "backend" in answers[label] else {})}
+        "trees": {label: {"git_rev": git_rev(tree), **backends[label]}
                   for label, tree in trees.items()},
         **machine(),
         "pairs" if "baseline" in trees else "repeats": args.repeats,

@@ -24,21 +24,20 @@ Each count and fit row also gives, per tree, the gap rows its box sizes
 visit: the sum of the sizes' suffix lengths in the set's layout, one
 sentinel row each included, as ``_kernels_py._suffix_lengths`` gives them.
 Each verify row gives, per tree, the minor page faults (``ru_minflt``) of
-each of the result worker's timed calls, in order.
+each of the result worker's calls, in order.
 
 The ladders and the single size are also counted with the seed's numpy sweep
 kept in ``tests/reference_kernel.py``, in this process, and timed best of
 REFERENCE_REPEATS. Before anything is timed, every tree's counts must equal the
 reference's, and the trees must agree on every construction (SHA-256 of its
-arrays), estimate and report. The shared driver in ``_host.py`` runs the
-workers, the paired timings and the report.
+arrays), estimate and report. The shared driver in ``_host.py`` runs each
+case in its own worker processes, at its best of the row's ``calls`` (5 to
+50), and writes the paired timings and the report.
 
 Usage: python benchmarks/bench_boxcount.py [--repeats N] [--baseline DIR]
 Writes BENCH_boxcount.json at the root of the checkout and prints a summary.
 """
 
-import json
-import resource
 import sys
 import time
 from pathlib import Path
@@ -67,9 +66,10 @@ TIERS = {"small": {2: 10, 3: 7, 4: 6, 5: 5},
          "medium": {2: 13, 3: 9, 4: 7, 5: 6},
          "large": {2: 15, 3: 10, 4: 8, 5: 7}}
 VERIFY_OPERANDS = (0.8, 0.8)  # mul: D_C = 0.64
-# calls per worker of a case, best of them: a first call can also pay the page
-# faults of memory that the case before it handed back to the system
-CALLS = {"construct": 3, "ladder": 3, "one size": 50, "fit": 5, "verify": 5}
+# calls per worker of a case, best of them. The first calls in a fresh process
+# pay page faults and a cold interpreter: on a 2-vCPU host a small verification
+# read 0.43 ms at its best of 5 calls, 0.37 ms at its best of 20 and of 40
+CALLS = {"construct": 5, "ladder": 5, "one size": 50, "fit": 10, "verify": 20}
 REFERENCE_REPEATS = 3
 LAYERS = {"construct": "geometry.construct", "ladder": "estimation.box_count",
           "one size": "estimation.box_count", "fit": "estimation.fit",
@@ -86,7 +86,7 @@ def ladder_name(case):
 
 
 def cases():
-    """(case name, kind, case) in the order a worker runs them."""
+    """(case name, kind, case) in the order the driver runs them."""
     for case in LADDERS:
         if case[4] == 4:
             yield "construct " + set_name(case), "construct", case
@@ -102,7 +102,7 @@ def cases():
 
 def fields(kind, case):
     """The fields that describe a case in its row."""
-    row = {"layer": LAYERS[kind]}
+    row = {"layer": LAYERS[kind], "calls": CALLS[kind]}
     if kind == "verify":
         row.update(n=case[0], stage=case[1], operands=list(VERIFY_OPERANDS))
         return row
@@ -113,8 +113,11 @@ def fields(kind, case):
     return row
 
 
-def build_set(case):
-    """The case's constructed IntervalSet and its box sizes, with the cantordim on sys.path."""
+def build_set(kind, case):
+    """The case's constructed IntervalSet and its box sizes, with the cantordim on sys.path.
+
+    The sizes are the case's ladder, or for kind "one size" the ladder's middle size.
+    """
     from cantordim import CantorParams, construct_prefractal, lacunarity_bounds, scale_ladder
 
     n, dim, eps_mode, stage, per_level, start_level = case
@@ -124,96 +127,67 @@ def build_set(case):
         bounds = lacunarity_bounds(n, gamma)
         eps = bounds.eps_reg if eps_mode == "reg" else bounds.eps_max
     s = construct_prefractal(CantorParams(n, gamma, eps, stage))
-    return s, scale_ladder(gamma, stage, per_level, start_level)
+    deltas = scale_ladder(gamma, stage, per_level, start_level)
+    return s, [deltas[len(deltas) // 2]] if kind == "one size" else deltas
 
 
-def one_size(deltas):
-    """The box size of the single-size row: the middle of the ladder."""
-    return deltas[len(deltas) // 2]
+CASES = {name: (kind, case) for name, kind, case in cases()}
 
 
-def worker(mode: str) -> None:
-    """Run every case in this interpreter; print times or results as JSON.
+def setup(name):
+    """The case's inputs, built untimed, as ``(prepare, call, answer)`` for the driver.
 
-    A time is the best of the worker's calls; a result is what the trees
-    must agree on: a construction's digest, the counts of a ladder, an
-    estimate's slope and a report's status and estimate.
+    An answer is what the trees must agree on: a construction's digest, the
+    counts of a ladder, an estimate's slope and a report's status and
+    estimate; with the gap rows a count or fit visits, and a ladder's layout
+    bytes, which each tree reports for itself.
     """
     import hashlib
 
-    import cantordim
     import numpy as np
 
     from cantordim import (IntervalSet, _kernels_py, box_count, construct_prefractal,
                            estimate_dimension, verify_operator_geometrically)
 
-    def ladder(starts, ends, deltas):
-        layout = _kernels_py.set_layout(starts, ends)
-        counts = _kernels_py.box_counts(layout, deltas)
-        return counts, sum(getattr(field, "nbytes", 0) for field in layout)
+    kind, case = CASES[name]
+    if kind == "verify":
+        n, stage = case
+        return (None, lambda _: verify_operator_geometrically("mul", *VERIFY_OPERANDS, n, stage),
+                lambda r: [r.status, r.d_hat])
 
-    def gap_rows(s, deltas):
+    s, deltas = build_set(kind, case)
+    if kind == "construct":
+        return (None, lambda _: construct_prefractal(s.params),
+                lambda r: hashlib.sha256(r.starts.tobytes() + r.ends.tobytes()).hexdigest())
+
+    def gap_rows():
         return int(_kernels_py._suffix_lengths(s._box_layout.keys, np.array(deltas)).sum())
 
-    def laid_out(s):
-        s = IntervalSet(s.starts, s.ends, s.params)
-        s._box_layout  # noqa: B018 - computed once per set, before the timed call
-        return s
+    if kind == "ladder":
+        def ladder(_):
+            layout = _kernels_py.set_layout(s.starts, s.ends)
+            counts = _kernels_py.box_counts(layout, deltas)
+            return counts, sum(getattr(field, "nbytes", 0) for field in layout)
 
-    def minor_faults():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        return None, ladder, lambda r: {"counts": r[0], "layout_bytes": r[1],
+                                        "gap_rows": gap_rows()}
+    if kind == "one size":
+        def laid_out():
+            fresh = IntervalSet(s.starts, s.ends, s.params)
+            fresh._box_layout  # noqa: B018 - computed once per set, before the timed call
+            return fresh
 
-    result, visited, faulted = {}, {}, {}
-    for name, kind, case in cases():
-        # prepare() runs untimed before each call(prepared)
-        prepare = lambda: None  # noqa: E731
-        if kind == "verify":
-            n, stage = case
-            call = lambda _: verify_operator_geometrically(  # noqa: E731
-                "mul", *VERIFY_OPERANDS, n, stage
-            )
-            answer = lambda r: [r.status, r.d_hat]  # noqa: E731
-        else:
-            s, deltas = build_set(case)
-            if kind != "construct" and mode == "result":
-                visited[name] = gap_rows(s, [one_size(deltas)] if kind == "one size" else deltas)
-            if kind == "construct":
-                call = lambda _: construct_prefractal(s.params)  # noqa: E731
-                answer = lambda r: hashlib.sha256(  # noqa: E731
-                    r.starts.tobytes() + r.ends.tobytes()).hexdigest()
-            elif kind == "ladder":
-                call = lambda _: ladder(s.starts, s.ends, deltas)  # noqa: E731
-                answer = lambda r: {"counts": r[0], "layout_bytes": r[1]}  # noqa: E731
-            elif kind == "one size":
-                prepare = lambda: laid_out(s)  # noqa: E731
-                call = lambda fresh: box_count(fresh, one_size(deltas))  # noqa: E731
-                answer = lambda r: {"counts": [r]}  # noqa: E731
-            else:
-                prepare = lambda: IntervalSet(s.starts, s.ends, s.params)  # noqa: E731
-                call = lambda fresh: estimate_dimension(fresh, deltas)  # noqa: E731
-                answer = lambda r: r.d_hat  # noqa: E731
-        best, faults = float("inf"), []
-        for _ in range(CALLS[kind]):
-            prepared = prepare()
-            f0 = minor_faults()
-            t0 = time.perf_counter()
-            out = call(prepared)
-            best = min(best, time.perf_counter() - t0)
-            faults.append(minor_faults() - f0)
-        if kind == "verify":
-            faulted[name] = faults
-        result[name] = best if mode == "time" else answer(out)
-    result["backend"] = cantordim.BACKEND
-    if mode == "result":
-        result["gap_rows"] = visited
-        result["minor_page_faults"] = faulted
-    print(json.dumps(result))
+        return (laid_out, lambda fresh: box_count(fresh, deltas[0]),
+                lambda r: {"counts": [r], "gap_rows": gap_rows()})
+    return (lambda: IntervalSet(s.starts, s.ends, s.params),
+            lambda fresh: estimate_dimension(fresh, deltas),
+            lambda r: {"d_hat": r.d_hat, "gap_rows": gap_rows()})
 
 
-def check(answers):
+def check(answers, faults):
     """Exit unless every tree counts as the reference sweep and the trees agree elsewhere.
 
-    Returns the counted cases' reference fields.
+    Returns the counted cases' reference fields and each tree's own fields.
     """
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from cantordim.estimation import SNAP_ETA
@@ -222,17 +196,15 @@ def check(answers):
     out = {}
     for name, kind, case in cases():
         if kind in ("one size", "ladder", "fit"):
-            out[name] = {"gap_rows_visited": {label: a["gap_rows"][name]
+            # each tree's own, so taken out of the answer before the trees are compared
+            out[name] = {"gap_rows_visited": {label: a[name].pop("gap_rows")
                                               for label, a in answers.items()}}
         if kind == "verify":
-            out[name] = {"minor_page_faults": {label: a["minor_page_faults"][name]
-                                               for label, a in answers.items()}}
+            out[name] = {"minor_page_faults": {label: f[name] for label, f in faults.items()}}
         if kind not in ("ladder", "one size"):
             agree(answers, [name])
             continue
-        s, deltas = build_set(case)
-        if kind == "one size":
-            deltas = [one_size(deltas)]
+        s, deltas = build_set(kind, case)
         best = float("inf")
         for _ in range(REFERENCE_REPEATS):
             t0 = time.perf_counter()
@@ -253,4 +225,4 @@ def check(answers):
 
 if __name__ == "__main__":
     bench(__file__, __doc__, "boxcount", {name: fields(kind, case) for name, kind, case in cases()},
-          worker, check, equal_key="results_equal")
+          setup, check, equal_key="results_equal")

@@ -1,24 +1,23 @@
 #!/usr/bin/env python3
 """Time interpreter start-up, package import and CLI commands; write BENCH_startup.json.
 
-Every case is one fresh interpreter: a bare one, ``import cantordim``,
-``import cantordim.cli``, each scalar CLI command (``dim``, ``scale``, the
-four ``op`` operators, ``pow``, ``ddgamma``, ``bounds``) and one numpy-bound
-command (``verify``). CLI cases run as ``python -m cantordim.cli ...``.
-A worker process starts every case once, against one tree; each case also
-records, from one more run of the same work in a ``-c`` probe, whether
-numpy and ``dataclasses`` were loaded; the trees need not agree on that.
-The shared driver in ``_host.py`` runs the workers, the paired timings
-(20 pairs by default) and the report.
+Every call of a case starts one fresh interpreter: a bare one, ``import
+cantordim``, ``import cantordim.cli``, each scalar CLI command (``dim``,
+``scale``, the four ``op`` operators, ``pow``, ``ddgamma``, ``bounds``) and
+one numpy-bound command (``verify``). CLI cases run as ``python -m
+cantordim.cli ...``. Each case also records, from one more run of the same
+work in a ``-c`` probe, whether numpy and ``dataclasses`` were loaded; the
+trees need not agree on that. The shared driver in ``_host.py`` runs each
+case in its own worker processes, at its best of the row's ``calls``
+(5 launches), and writes the paired timings (20 pairs by default) and the
+report.
 
 Usage: python benchmarks/bench_startup.py [--repeats N] [--baseline DIR]
 Writes BENCH_startup.json at the root of the checkout and prints a summary.
 """
 
-import json
 import subprocess
 import sys
-import time
 
 from _host import bench
 
@@ -31,6 +30,7 @@ SCALAR = [
     ["bounds", "--n", "5", "--gamma", "0.1"],
 ]
 HEAVY = [["verify", "--op", "mul", "--da", "0.5", "--db", "0.5", "--n", "2", "--stage", "6"]]
+CALLS = 5  # launches per worker of a case, best of them
 
 
 def cases():
@@ -45,13 +45,6 @@ def cases():
             yield name, kind, ["-m", "cantordim.cli", *argv], probe
 
 
-def wall_s(argv) -> float:
-    t0 = time.perf_counter()
-    subprocess.run([sys.executable, *argv], check=True,
-                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return time.perf_counter() - t0
-
-
 WATCHED = ("numpy", "dataclasses")
 
 
@@ -63,24 +56,26 @@ def loaded(code) -> dict:
     return dict(zip(WATCHED, (v == "True" for v in out.stdout.splitlines()[-1].split())))
 
 
-def worker(mode: str) -> None:
-    """Start every case once, against the checkout this worker runs in.
-
-    Prints, as JSON, each case's wall time, or the WATCHED modules it loads.
-    """
-    if mode == "time":
-        print(json.dumps({name: wall_s(argv) for name, _, argv, _ in cases()}))
-    else:
-        print(json.dumps({name: loaded(probe) for name, _, _, probe in cases()}))
+CASES = {name: (argv, probe) for name, _, argv, probe in cases()}
 
 
-def check(answers):
+def setup(name):
+    """``(prepare, call, answer)`` for the driver: a call launches the case's interpreter."""
+    argv, probe = CASES[name]
+    return (None,
+            lambda _: subprocess.run([sys.executable, *argv], check=True,
+                                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL),
+            lambda _: loaded(probe))
+
+
+def check(answers, faults):
     """The modules each tree's cases load, as row fields."""
     return {name: {f"{m}_loaded": {label: a[name][m] for label, a in answers.items()}
-                   for m in WATCHED} for name, *_ in cases()}
+                   for m in WATCHED} for name in CASES}
 
 
 if __name__ == "__main__":
     bench(__file__, __doc__, "startup",
-          {name: {"kind": kind, "argv": ["python", *argv]} for name, kind, argv, _ in cases()},
-          worker, check, repeats=20)
+          {name: {"kind": kind, "argv": ["python", *argv], "calls": CALLS}
+           for name, kind, argv, _ in cases()},
+          setup, check, repeats=20)

@@ -104,7 +104,7 @@ def _cmd_estimate(args) -> int:
     intervals = import_intervals(data, fmt)
     deltas, p = args.deltas, intervals.params
     if deltas is None and p is not None:
-        deltas = scale_ladder(p.gamma, p.stage, args.per_level)
+        deltas = scale_ladder(p.gamma, p.stage, 1 if args.per_level is None else args.per_level)
     est = estimate_dimension(intervals, deltas)
     print(f"d_hat = {_fmt(est.d_hat, args.digits)}")
     print(f"stderr = {_fmt(est.stderr, args.digits)}")
@@ -176,10 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("estimate", _cmd_estimate, "box-counting dimension of a saved set")
     p.add_argument("--in", dest="infile", required=True, help="JSON or CSV document")
     p.add_argument("--format", choices=("auto", "json", "csv"), default="auto")
-    p.add_argument("--deltas", type=float, nargs="+", default=None)
-    p.add_argument(
-        "--per-level", type=int, default=1,
-        help="box sizes per construction level, 1 to 10000, when no --deltas are given "
+    # --deltas or --per-level, not both; --per-level's default of 1 is applied
+    # in _cmd_estimate, since argparse lets a given value pass the exclusion
+    # when it is the default object itself (as a parsed small int can be)
+    ladder = p.add_mutually_exclusive_group()
+    ladder.add_argument("--deltas", type=float, nargs="+", default=None)
+    ladder.add_argument(
+        "--per-level", type=int, default=None,
+        help="box sizes per construction level, 1 to 10000, in place of --deltas "
         "(needs construction parameters in the document; default 1)",
     )
 

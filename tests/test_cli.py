@@ -192,6 +192,18 @@ class TestFileCommands:
         assert (code, out) == (1, "")
         assert err == f"error: per_level must lie in [1, 10000], got {per_level}\n"
 
+    @pytest.mark.parametrize("per_level", ["0", "1", "4"])
+    def test_estimate_takes_deltas_or_per_level_not_both(self, saved_set, capsys, per_level):
+        # "1" is --per-level's default, which must not pass as if it were not given
+        _, folder = saved_set
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--in", str(folder / "set.json"), "--deltas", "0.1", "0.01",
+                  "0.001", "--per-level", per_level])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_estimate_per_level_needs_parameters(self, saved_set, capsys):
         _, folder = saved_set
         code, out, err = run(capsys, "estimate", "--in", str(folder / "set.csv"),
